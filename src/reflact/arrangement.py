@@ -7,6 +7,15 @@ A hyperplane is stored as its defining covector, scaled so the leftmost
 nonzero coordinate is 1.  The arrangement orders hyperplanes by the fixed
 lexicographic order on covector coefficient vectors; the NBC machinery in
 `osalg` depends on this order, so it is part of the data model.
+
+L(A) is built once per arrangement, on first use, and doubles as its
+matroid: every flat is also an int bitmask over the hyperplane indices, and
+a join table gives the flat spanned by any flat and any hyperplane.  Rank,
+independence, closures, circuits and NBC sets are all read from it with int
+lookups.  Exact row reduction happens only while the lattice is built, once
+per flat and hyperplane.  A subarrangement A_X is a view: it shares the
+parent's hyperplanes, and its lattice is the parent's interval below X,
+renumbered, so building it needs no cyclotomic arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +42,10 @@ class FlatNotInLatticeError(ValueError):
 
 
 class Hyperplane:
-    """A linear hyperplane ker(alpha) given by its canonical covector."""
+    """A linear hyperplane ker(alpha) given by its canonical covector.
+
+    Equality and hashing go through the Cyc entries, which compare and hash
+    alike across conductors."""
 
     __slots__ = ("covector",)
 
@@ -77,12 +89,17 @@ class Arrangement:
                        key=lambda h: tuple(c._canonical() for c in h.covector))
         if len(keyed) != len(lifted):
             raise ValueError("duplicate hyperplanes")
+        self._setup(n, m, tuple(keyed), None)
+
+    def _setup(self, n, conductor, hyperplanes, parent):
         self.n = n
-        self.conductor = m
-        self.hyperplanes = tuple(keyed)
-        self._index = {h.covector: i for i, h in enumerate(self.hyperplanes)}
+        self.conductor = conductor
+        self.hyperplanes = hyperplanes
+        self._parent = parent   # (arrangement, flat key) for a subarrangement
+        self._index = {h: i for i, h in enumerate(hyperplanes)}
         self._lattice = None
-        self._os = None  # cache slot used by osalg
+        self._views = {}        # flat key -> subarrangement view
+        self._os = None         # cache slot used by osalg
 
     @staticmethod
     def from_covectors(n: int, raws) -> "Arrangement":
@@ -95,16 +112,11 @@ class Arrangement:
         return self.hyperplanes[i].covector
 
     def index_of(self, hyperplane: Hyperplane):
-        """Index of a canonical hyperplane, or None."""
-        key = tuple(c.lift(self.conductor) for c in hyperplane.covector)
-        return self._index.get(key)
+        """Index of a canonical hyperplane (at any conductor), or None."""
+        return self._index.get(hyperplane)
 
     def rank(self) -> int:
-        if not self.hyperplanes:
-            return 0
-        M = CycMatrix.from_rows([list(h.covector) for h in self.hyperplanes])
-        _, _, r = rref(M)
-        return r
+        return build_lattice(self).rank
 
     def to_json(self):
         return {
@@ -126,12 +138,19 @@ class Arrangement:
 class Flat:
     """A lattice element X, identified by key = {i : X <= H_i}."""
 
-    __slots__ = ("key", "basis", "codim")
+    __slots__ = ("key", "codim", "_basis")
 
-    def __init__(self, key, basis: CycMatrix, codim: int):
+    def __init__(self, key, basis, codim: int):
         self.key = tuple(sorted(key))
-        self.basis = basis  # rows span X
+        self._basis = basis  # CycMatrix, or a callable computing it on first use
         self.codim = codim
+
+    @property
+    def basis(self) -> CycMatrix:
+        """Rows spanning X."""
+        if callable(self._basis):
+            self._basis = self._basis()
+        return self._basis
 
     def __eq__(self, other):
         return isinstance(other, Flat) and self.key == other.key
@@ -146,12 +165,41 @@ class Flat:
         return "Flat(codim=%d, key=%s)" % (self.codim, self.key)
 
 
-class IntersectionLattice:
-    """Flats of A grouped by codimension, L(A)_0 ... L(A)_rk."""
+def _bits(mask):
+    """Indices of the set bits of a mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
-    def __init__(self, levels):
-        self.levels = [list(lv) for lv in levels]
+
+class IntersectionLattice:
+    """Flats of A grouped by codimension, L(A)_0 ... L(A)_rk, and the matroid
+    they define.
+
+    Flat masks are ints with bit i set when H_i contains the flat;
+    `masks[k]` lists the codim-k masks in key order, `basis(F)` gives the
+    basis argument of F's Flat, and `join[F][j]` is the mask of the flat
+    spanned by F and H_j (F itself when j is in F).
+    """
+
+    def __init__(self, masks, join, basis):
+        self.join = join
+        self.rank = len(masks) - 1
+        self.levels = [[Flat(_bits(F), basis(F), k) for F in level]
+                       for k, level in enumerate(masks)]
         self.by_key = {f.key: f for lv in self.levels for f in lv}
+        self.key_of = {F: f.key for level, lv in zip(masks, self.levels)
+                       for F, f in zip(level, lv)}
+
+    def closure(self, mono):
+        """Mask of the flat spanned by the hyperplanes of an index tuple, or
+        None if they are dependent."""
+        join = self.join
+        F = 0
+        for i in mono:
+            G = join[F][i]
+            if G == F:
+                return None
+            F = G
+        return F
 
     def all_flats(self):
         return [f for lv in self.levels for f in lv]
@@ -160,96 +208,152 @@ class IntersectionLattice:
         return len(self.by_key)
 
 
-def _span_rows(A: Arrangement, indices):
-    """Echelon rows of the covector span of the given hyperplanes."""
-    if not indices:
-        return []
-    M = CycMatrix.from_rows([list(A.covector(i)) for i in indices])
-    red, _, rank = rref(M)
+def _lead(vec):
+    """Column of the first nonzero entry, or None."""
+    return next((j for j, c in enumerate(vec) if not c.is_zero()), None)
+
+
+def _reduce(rows, vec):
+    """Reduce vec against echelon rows in pivot order (pivot = first nonzero
+    entry).  Returns (residual, coefficients) with vec = residual +
+    sum(coefficients[r] * rows[r]); the residual is zero in every pivot
+    column, so it depends only on the class of vec modulo the row span."""
+    vec = list(vec)
+    coeffs = []
+    for row in rows:
+        f = vec[_lead(row)]
+        coeffs.append(f)
+        if not f.is_zero():
+            vec = [a - f * b for a, b in zip(vec, row)]
+    return vec, coeffs
+
+
+def _echelon(rows):
+    """The nonzero rows of the reduced row echelon form of `rows`."""
+    red, _, rank = rref(CycMatrix.from_rows(rows))
     return red.row_list()[:rank]
 
 
-def _reduce_against(rows, vec):
-    """Reduce vec against echelon rows (pivot = first nonzero of each row)."""
-    vec = list(vec)
-    for row in rows:
-        p = next(j for j, c in enumerate(row) if not c.is_zero())
-        f = vec[p]
-        if not f.is_zero():
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return vec
+def _basis_from_rows(n, rows):
+    """A callable computing the rows spanning the common kernel of `rows`."""
+    def basis():
+        if not rows:
+            return CycMatrix.identity(n)
+        space = kernel(CycMatrix.from_rows(rows))
+        return CycMatrix.from_rows(space) if space else CycMatrix(0, n, [])
+    return basis
 
 
-def _closure_key(A: Arrangement, rows):
-    """All hyperplane indices whose covector lies in the echelon row span."""
-    out = []
-    for i in range(len(A)):
-        red = _reduce_against(rows, A.covector(i))
-        if all(c.is_zero() for c in red):
-            out.append(i)
-    return tuple(out)
+def _clear(res, r, p):
+    """Subtract from res the multiple of r (pivot column p) that clears
+    column p, then rescale to leading entry 1."""
+    f = res[p]
+    if f.is_zero():
+        return res
+    res = [a - f * b for a, b in zip(res, r)]
+    inv = res[_lead(res)].inverse()
+    return [c if c.is_zero() else inv * c for c in res]
 
 
-def _flat_from_rows(A: Arrangement, rows, key=None) -> Flat:
-    if key is None:
-        key = _closure_key(A, rows)
-    space = kernel(CycMatrix.from_rows(rows)) if rows else \
-        [[Cyc.one() if i == j else Cyc.zero() for i in range(A.n)] for j in range(A.n)]
-    basis = CycMatrix.from_rows(space) if space else CycMatrix(0, A.n, [])
-    return Flat(key, basis, len(rows))
+def _lattice_of_covectors(A: Arrangement) -> IntersectionLattice:
+    """Breadth-first by covers.  Each flat F keeps, for every hyperplane
+    H_j outside it, the residual of its covector: zero in the pivot columns
+    of F's echelon rows and scaled to leading entry 1, so it depends only on
+    the covector modulo F's span.  Hyperplanes with equal residuals span the
+    same cover F v H_j, and the residuals of a cover follow from F's by one
+    elimination step each."""
+    nh = len(A)
+    rows_of = {0: []}
+    # canonical covectors already have leading entry 1
+    residuals = {0: {j: A.covector(j) for j in range(nh)}}
+    join = {}
+    masks = [[0]]
+    while True:
+        nxt = []
+        for F in masks[-1]:
+            res_F = residuals.pop(F)
+            covers = {}   # residual coefficients -> [cover mask, residual]
+            for j, res in res_F.items():
+                # every entry lives at A.conductor, so the coefficient
+                # tuples compare the values without Cyc hashing
+                tag = tuple(c.c for c in res)
+                got = covers.get(tag)
+                if got is None:
+                    covers[tag] = [F | 1 << j, res]
+                else:
+                    got[0] |= 1 << j
+            row = [F] * nh
+            for G, r in covers.values():
+                for j in _bits(G & ~F):
+                    row[j] = G
+                if G not in residuals:
+                    p = _lead(r)
+                    rows_of[G] = sorted(rows_of[F] + [r], key=_lead)
+                    residuals[G] = {j: _clear(res, r, p)
+                                    for j, res in res_F.items() if not G >> j & 1}
+                    nxt.append(G)
+            join[F] = tuple(row)
+        if not nxt:
+            break
+        masks.append(sorted(nxt, key=_bits))
+    return IntersectionLattice(masks, join,
+                               lambda F: _basis_from_rows(A.n, rows_of[F]))
+
+
+def _lattice_of_view(A: Arrangement) -> IntersectionLattice:
+    """The parent's interval [top, X] for the view A = A_X, renumbered to
+    positions in X's key.  Flats keep the parent's subspace bases."""
+    parent, ground = A._parent
+    plat = build_lattice(parent)
+    pos = {g: p for p, g in enumerate(ground)}
+    local = {0: 0}   # parent mask -> mask over positions in ground
+    join = {}
+    masks = []
+    frontier = [0]
+    while frontier:
+        masks.append([local[F] for F in frontier])
+        nxt = []
+        for F in frontier:
+            images = [plat.join[F][g] for g in ground]
+            for G in images:
+                if G not in local:
+                    local[G] = sum(1 << pos[i] for i in _bits(G))
+                    nxt.append(G)
+            join[local[F]] = tuple(local[G] for G in images)
+        frontier = sorted(nxt, key=_bits)
+
+    def basis(F):
+        flat = plat.by_key[tuple(ground[p] for p in _bits(F))]
+        return lambda: flat.basis
+
+    return IntersectionLattice(masks, join, basis)
 
 
 def build_lattice(A: Arrangement) -> IntersectionLattice:
-    """Breadth-first closure: intersect each codim-k flat with each
-    hyperplane, dedupe by key, until codim rk A."""
-    if A._lattice is not None:
-        return A._lattice
-    top = Flat(tuple(), CycMatrix.identity(A.n), 0)
-    levels = [[top]]
-    # (key, echelon rows) per flat at the current level
-    current = {tuple(): []}
-    while True:
-        nxt = {}
-        for key, rows in current.items():
-            keyset = set(key)
-            for i in range(len(A)):
-                if i in keyset:
-                    continue
-                red = _reduce_against(rows, A.covector(i))
-                lead = next((j for j, c in enumerate(red) if not c.is_zero()), None)
-                if lead is None:
-                    continue  # already contains this hyperplane (can't happen: key closed)
-                inv = red[lead].inverse()
-                newrows = rows + [[inv * c for c in red]]
-                # re-echelon: eliminate the new pivot column from earlier rows
-                fixed = []
-                for row in rows:
-                    f = row[lead]
-                    if not f.is_zero():
-                        row = [a - f * b for a, b in zip(row, newrows[-1])]
-                    fixed.append(row)
-                newrows = sorted(
-                    fixed + [newrows[-1]],
-                    key=lambda rw: next(j for j, c in enumerate(rw) if not c.is_zero()))
-                newkey = _closure_key(A, newrows)
-                if newkey not in nxt:
-                    nxt[newkey] = newrows
-        if not nxt:
-            break
-        levels.append([_flat_from_rows(A, rows, key)
-                       for key, rows in sorted(nxt.items())])
-        current = nxt
-    lattice = IntersectionLattice(levels)
-    A._lattice = lattice
-    return lattice
+    """L(A), built on first use and cached on the arrangement."""
+    if A._lattice is None:
+        if A._parent is None:
+            A._lattice = _lattice_of_covectors(A)
+        else:
+            A._lattice = _lattice_of_view(A)
+    return A._lattice
 
 
 def subarrangement(A: Arrangement, X: Flat) -> Arrangement:
-    """A_X: the hyperplanes containing X, same ambient space and order."""
+    """A_X: the hyperplanes containing X, same ambient space and order.
+
+    A view on A, cached per flat: it shares A's hyperplanes, and its lattice
+    and matroid come from A's interval below X."""
     lattice = build_lattice(A)
     if X.key not in lattice.by_key:
         raise FlatNotInLatticeError("flat %s not in L(A)" % (X.key,))
-    return Arrangement(A.n, [A.hyperplanes[i] for i in X.key])
+    sub = A._views.get(X.key)
+    if sub is None:
+        sub = Arrangement.__new__(Arrangement)
+        sub._setup(A.n, A.conductor if X.key else 1,
+                   tuple(A.hyperplanes[i] for i in X.key), (A, X.key))
+        A._views[X.key] = sub
+    return sub
 
 
 def essentialize(A: Arrangement):
@@ -257,21 +361,14 @@ def essentialize(A: Arrangement):
     projection matrix rk x n with new_covector(P v) = old_covector(v))."""
     if not A.hyperplanes:
         return Arrangement(0, []), CycMatrix(0, A.n, [])
-    M = CycMatrix.from_rows([list(h.covector) for h in A.hyperplanes])
-    red, _, rank = rref(M)
-    basis_rows = red.row_list()[:rank]
+    basis_rows = _echelon([h.covector for h in A.hyperplanes])
+    rank = len(basis_rows)
     proj = CycMatrix.from_rows(basis_rows)
     new_cov = []
     for h in A.hyperplanes:
         # coordinates of the covector in the echelon basis of the row space
-        vec = list(h.covector)
-        coords = []
-        for row in basis_rows:
-            p = next(j for j, c in enumerate(row) if not c.is_zero())
-            f = vec[p]
-            coords.append(f)
-            if not f.is_zero():
-                vec = [a - f * b for a, b in zip(vec, row)]
-        assert all(c.is_zero() for c in vec)
+        rest, coords = _reduce(basis_rows, h.covector)
+        if _lead(rest) is not None:
+            raise ArithmeticError("covector outside its own row space")
         new_cov.append(coords)
     return Arrangement.from_covectors(rank, new_cov), proj

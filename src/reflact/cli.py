@@ -28,9 +28,11 @@ from .catalog import (
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
+    NotStableError,
     conjugacy_classes,
     det_character,
     determinant_like_characters,
+    hyperplane_action,
     linear_characters,
     orbits_on_lattice,
     reflection_arrangement,
@@ -137,6 +139,11 @@ def _get_pair(args, need_group=True, need_arrangement=True):
             raise CLIError(str(exc))
     if need_arrangement and A is None:
         raise CLIError("--arrangement (or --group) is required for this verb")
+    if need_group and need_arrangement:
+        try:
+            hyperplane_action(G, A)
+        except NotStableError as exc:
+            raise CLIError(str(exc))
     return G, A
 
 

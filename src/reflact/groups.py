@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .arrangement import (Arrangement, Flat, Hyperplane, build_lattice,
-                          canonicalize_hyperplane)
+from .arrangement import (Arrangement, Flat, Hyperplane, _echelon, _reduce,
+                          build_lattice, canonicalize_hyperplane)
 from .exactnum import Cyc, CycMatrix, cyc_from_json, rref
 
 __all__ = [
@@ -59,8 +59,8 @@ class MatrixGroup:
         self.parents = parents            # index -> (parent index, generator index)
         self.order = len(elements)
         self._mul_cache = {}
-        self._actions = {}                # id(Arrangement) -> action data
-        self._orbits = {}                 # id(Arrangement) -> lattice orbits
+        self._actions = {}                # Arrangement -> action data
+        self._orbits = {}                 # Arrangement -> lattice orbits
         self._reflections = None
         self._refl_arrangement = None
         self._classes = None
@@ -188,6 +188,9 @@ class _Action:
     """Cached permutation action of a group on an arrangement's hyperplanes."""
 
     def __init__(self, G: MatrixGroup, A: Arrangement):
+        if G.n != A.n:
+            raise NotStableError("group acts on C^%d, arrangement lives in C^%d"
+                                 % (G.n, A.n))
         self.G, self.A = G, A
         nh = len(A)
         gen_perm = {}
@@ -222,19 +225,18 @@ class _Action:
 
 def hyperplane_action(G: MatrixGroup, A: Arrangement) -> _Action:
     """Permutations of A induced by every group element (g sends H to gH)."""
-    act = G._actions.get(id(A))
-    if act is None or act.A is not A:
-        act = _Action(G, A)
-        G._actions[id(A)] = act
+    act = G._actions.get(A)
+    if act is None:
+        act = G._actions[A] = _Action(G, A)
     return act
 
 
 def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
     """Disjoint orbits of G on L(A), each with representative (lex least key),
     pointwise stabilizer Z and setwise stabilizer N as index sets."""
-    cached = G._orbits.get(id(A))
-    if cached is not None and cached[0] is A:
-        return cached[1]
+    cached = G._orbits.get(A)
+    if cached is not None:
+        return cached
     lattice = build_lattice(A)
     act = hyperplane_action(G, A)
     remaining = dict(lattice.by_key)
@@ -256,7 +258,7 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
         Z = frozenset(i for i in N if _fixes_pointwise(G, i, rep))
         orbits.append(OrbitDatum(rep, members, Z, N, rep.codim))
     orbits.sort(key=lambda o: (o.codim, o.representative.key))
-    G._orbits[id(A)] = (A, orbits)
+    G._orbits[A] = orbits
     return orbits
 
 
@@ -298,29 +300,13 @@ def setwise_stabilizer(G: MatrixGroup, X: Flat) -> frozenset:
         ok = True
         for row in rows:
             img = g.apply(row)
-            red = _reduce(span, img)
+            red, _ = _reduce(span, img)
             if any(not c.is_zero() for c in red):
                 ok = False
                 break
         if ok:
             out.append(i)
     return frozenset(out)
-
-
-def _echelon(rows):
-    M = CycMatrix.from_rows(rows)
-    red, _, rank = rref(M)
-    return red.row_list()[:rank]
-
-
-def _reduce(span, vec):
-    vec = list(vec)
-    for row in span:
-        p = next(j for j, c in enumerate(row) if not c.is_zero())
-        f = vec[p]
-        if not f.is_zero():
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return vec
 
 
 def center(G: MatrixGroup) -> frozenset:

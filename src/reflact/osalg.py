@@ -12,8 +12,9 @@ minus its least element).  Straightening rewrites an arbitrary monomial into
 this basis; rewriting always replaces an index by a strictly smaller one, so
 it terminates by lexicographic descent.
 
-All coefficients are rational; cyclotomic arithmetic only enters through the
-covector independence tests.
+All coefficients are rational.  Independence, closures, circuits and NBC
+sets are int lookups in the arrangement's lattice of flats
+(`arrangement.build_lattice`), so no cyclotomic arithmetic happens here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .arrangement import Arrangement, build_lattice, subarrangement
+from .arrangement import Arrangement, build_lattice
 from .exactnum import Rat, rat_to_str
 from .groups import MatrixGroup, hyperplane_action
 
@@ -70,15 +71,19 @@ class OSElement:
     def is_zero(self):
         return not self.coeffs
 
+    def _check_degree(self, other):
+        if self.k != other.k:
+            raise ValueError("degrees %d and %d differ" % (self.k, other.k))
+
     def __add__(self, other):
-        assert self.k == other.k
+        self._check_degree(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, _ZERO) + c
         return OSElement(self.k, out)
 
     def __sub__(self, other):
-        assert self.k == other.k
+        self._check_degree(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, _ZERO) - c
@@ -120,72 +125,21 @@ class BrieskornComponent:
 
 
 class _OSContext:
-    """Per-arrangement cache: independence data, circuits, NBC bases,
-    straightening results and trace tables."""
+    """Per-arrangement cache: circuits, NBC bases, straightening results and
+    trace tables.  Independence and closures are read from L(A)."""
 
     def __init__(self, A: Arrangement):
         self.A = A
-        self.rank = A.rank()
-        self._echelon = {(): []}
+        self.lattice = build_lattice(A)
+        self.rank = self.lattice.rank
         self.circuits = None
         self.broken = None          # frozenset(B) -> circuit tuple C
-        self.broken_by_max = None   # j -> list of frozenset(B) with max(B) = j
         self.nbc = {}
+        self._nbc_levels = [[((), 0)]]   # per degree: (NBC tuple, flat mask)
         self.memo = {}              # sorted tuple -> {nbc tuple: Fraction}
         self.traces = {}            # (k, perm) -> Fraction
-        self.flat_key = {}          # sorted independent tuple -> closure key
 
     # -- matroid layer -----------------------------------------------------
-
-    def echelon(self, mono):
-        """Echelon rows of the covector span of a sorted tuple; None if
-        dependent.  Cached on sorted prefixes."""
-        got = self._echelon.get(mono)
-        if got is not None or mono in self._echelon:
-            return got
-        prev = self.echelon(mono[:-1])
-        if prev is None:
-            self._echelon[mono] = None
-            return None
-        vec = list(self.A.covector(mono[-1]))
-        for row in prev:
-            p = next(j for j, c in enumerate(row) if not c.is_zero())
-            f = vec[p]
-            if not f.is_zero():
-                vec = [a - f * b for a, b in zip(vec, row)]
-        lead = next((j for j, c in enumerate(vec) if not c.is_zero()), None)
-        if lead is None:
-            out = None
-        else:
-            inv = vec[lead].inverse()
-            out = prev + [[inv * c for c in vec]]
-        self._echelon[mono] = out
-        return out
-
-    def independent(self, mono):
-        return self.echelon(tuple(sorted(mono))) is not None
-
-    def closure_key(self, mono):
-        """Hyperplane indices in the span of the tuple's covectors."""
-        mono = tuple(sorted(mono))
-        got = self.flat_key.get(mono)
-        if got is not None:
-            return got
-        rows = self.echelon(mono)
-        assert rows is not None
-        key = []
-        for i in range(len(self.A)):
-            vec = list(self.A.covector(i))
-            for row in rows:
-                p = next(j for j, c in enumerate(row) if not c.is_zero())
-                f = vec[p]
-                if not f.is_zero():
-                    vec = [a - f * b for a, b in zip(vec, row)]
-            if all(c.is_zero() for c in vec):
-                key.append(i)
-        key = tuple(key)
-        self.flat_key[mono] = key
-        return key
 
     def build_circuits(self):
         """Enumerate circuits: minimal dependent subsets.  BFS over
@@ -194,18 +148,20 @@ class _OSContext:
         if self.circuits is not None:
             return
         nh = len(self.A)
+        join = self.lattice.join
         circuits = []
         indep = {()}
-        level = [()]
+        level = [((), 0)]
         for size in range(self.rank + 1):
             nxt = []
-            for mono in level:
+            for mono, F in level:
                 start = mono[-1] + 1 if mono else 0
+                row = join[F]
                 for j in range(start, nh):
                     cand = mono + (j,)
-                    if self.echelon(cand) is not None:
+                    if row[j] != F:
                         indep.add(cand)
-                        nxt.append(cand)
+                        nxt.append((cand, row[j]))
                     else:
                         subs = [cand[:i] + cand[i + 1:] for i in range(len(cand))]
                         if all(s in indep for s in subs):
@@ -214,49 +170,34 @@ class _OSContext:
         circuits.sort()
         self.circuits = circuits
         self.broken = {}
-        self.broken_by_max = {}
         for C in circuits:
-            B = C[1:]
-            fs = frozenset(B)
-            if fs not in self.broken:
-                self.broken[fs] = C
-                self.broken_by_max.setdefault(B[-1], []).append(fs)
+            self.broken.setdefault(frozenset(C[1:]), C)
 
     # -- NBC basis ----------------------------------------------------------
 
     def nbc_monomials(self, k):
+        """NBC k-tuples in lex order.  By Bjorner's criterion an independent
+        tuple (s_1 < ... < s_k) has no broken circuit iff s_i is the least
+        index in the flat spanned by s_i..s_k for every i, so NBC tuples
+        grow leftwards from NBC suffixes."""
         got = self.nbc.get(k)
         if got is not None:
             return got
-        self.build_circuits()
-        nh = len(self.A)
-        out = []
-
-        def extend(mono):
-            if len(mono) == k:
-                out.append(mono)
-                return
-            start = mono[-1] + 1 if mono else 0
-            for j in range(start, nh):
-                cand = mono + (j,)
-                if self.echelon(cand) is None:
-                    continue
-                if self._new_broken(cand, j):
-                    continue
-                extend(cand)
-
-        if 0 <= k <= self.rank:
-            extend(())
-        basis = NBCBasis(k, out)
+        levels = self._nbc_levels
+        join = self.lattice.join
+        while len(levels) <= min(k, self.rank):
+            nxt = []
+            for T, F in levels[-1]:
+                row = join[F]
+                for a in range(T[0] if T else len(self.A)):
+                    G = row[a]
+                    if G != F and not G & ((1 << a) - 1):
+                        nxt.append(((a,) + T, G))
+            levels.append(nxt)
+        mono = sorted(T for T, _ in levels[k]) if 0 <= k <= self.rank else []
+        basis = NBCBasis(k, mono)
         self.nbc[k] = basis
         return basis
-
-    def _new_broken(self, cand, j):
-        cs = set(cand)
-        for fs in self.broken_by_max.get(j, ()):
-            if fs <= cs:
-                return True
-        return False
 
     # -- straightening -------------------------------------------------------
 
@@ -265,7 +206,7 @@ class _OSContext:
         got = self.memo.get(mono)
         if got is not None:
             return got
-        if self.echelon(mono) is None:
+        if self.lattice.closure(mono) is None:
             out = {}
         else:
             self.build_circuits()
@@ -419,10 +360,11 @@ def perm_trace(A: Arrangement, perm, k: int) -> Fraction:
 def closure_key(A: Arrangement, mono):
     """Flat key (all hyperplanes containing the intersection) of an
     independent monomial."""
-    ctx = _ctx(A)
-    if ctx.echelon(tuple(sorted(mono))) is None:
+    lattice = build_lattice(A)
+    F = lattice.closure(tuple(sorted(mono)))
+    if F is None:
         raise ValueError("monomial %s is dependent" % (mono,))
-    return ctx.closure_key(tuple(sorted(mono)))
+    return lattice.key_of[F]
 
 
 def apply_perm(A: Arrangement, perm, x: OSElement) -> OSElement:
@@ -451,21 +393,15 @@ def euler_derivation(A: Arrangement, x: OSElement) -> OSElement:
 def brieskorn_components(A: Arrangement, k: int):
     """One component per codim-k flat X: the span of all increasing
     independent k-tuples with intersection exactly X."""
-    ctx = _ctx(A)
-    if not (0 <= k <= ctx.rank):
-        raise ValueError("degree out of range")
     lattice = build_lattice(A)
-    comps = {f.key: {} for f in lattice.levels[k]} if k < len(lattice.levels) else {}
-    nh = len(A)
-    for mono in combinations(range(nh), k):
-        if ctx.echelon(mono) is None:
-            continue
-        key = ctx.closure_key(mono)
-        comps[key][mono] = straighten(A, mono)
-    out = []
-    for f in (lattice.levels[k] if k < len(lattice.levels) else []):
-        out.append(BrieskornComponent(f, k, comps[f.key]))
-    return out
+    if not (0 <= k <= lattice.rank):
+        raise ValueError("degree out of range")
+    comps = {f.key: {} for f in lattice.levels[k]}
+    for mono in combinations(range(len(A)), k):
+        F = lattice.closure(mono)
+        if F is not None:
+            comps[lattice.key_of[F]][mono] = straighten(A, mono)
+    return [BrieskornComponent(f, k, comps[f.key]) for f in lattice.levels[k]]
 
 
 def _rank_of_elements(elements):

@@ -130,6 +130,26 @@ def test_validation_errors():
     assert invoke("frobnicate")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("group, arrangement, code, answer", [
+    # stable pairs whose group and arrangement conductors differ
+    ("G(2,2,2)", "A_2^0(1)", EXIT_OK, "1+t"),
+    ("G(4,4,2)", "A_2^0(2)", EXIT_OK, "1+t"),
+    # unstable pairs and a dimension mismatch
+    ("G(3,1,2)", "A_2^0(1)", EXIT_USAGE, None),
+    ("W(3)", "A_4(1)", EXIT_USAGE, None),
+    ("H3", "A_3(1)", EXIT_USAGE, None),
+])
+def test_poincare_cross_conductor_and_unstable_pairs(group, arrangement,
+                                                     code, answer):
+    got, out, err = invoke("poincare", "--group", group,
+                           "--arrangement", arrangement)
+    assert got == code
+    if answer is None:
+        assert err.startswith("error: ")
+    else:
+        assert out.strip() == answer
+
+
 def test_verify_small_suites():
     code, out, _ = invoke("verify", "--table", "table1", "--max-r", "3")
     assert code == EXIT_OK

@@ -12,6 +12,7 @@ from reflact.osalg import (
     action_trace,
     brieskorn_components,
     circuits,
+    closure_key,
     euler_derivation,
     nbc_basis,
     rank_of_elements,
@@ -277,3 +278,114 @@ def test_oselement_json():
     j = el.to_json()
     assert j["k"] == 2
     assert {tuple(t["mono"]) for t in j["terms"]} == {(0, 1), (0, 2)}
+
+
+# ---------------------------------------------------------------------------
+# the lattice-derived matroid against test-side row reduction
+# ---------------------------------------------------------------------------
+
+def _fresh(A):
+    """A copy of A with empty caches."""
+    return Arrangement(A.n, A.hyperplanes)
+
+
+def matroid_cases():
+    from reflact.catalog import make_arrangement, shipped_group
+    from reflact.groups import reflection_arrangement
+    z4 = Cyc.root_of_unity(4)
+    return {
+        "A_3(3)": _fresh(make_arrangement("full", 3, 3)),
+        "H3": _fresh(reflection_arrangement(shipped_group("h3"))),
+        "z4": Arrangement.from_covectors(
+            2, [[1, -1], [1, -z4], [1, 1], [1, z4], [1, 0], [0, 1]]),
+    }
+
+
+@pytest.fixture(scope="module", params=["A_3(3)", "H3", "z4"])
+def matroid_case(request):
+    return matroid_cases()[request.param]
+
+
+def _span_rows(A, sub):
+    if not sub:
+        return []
+    red, _, rank = rref(CycMatrix.from_rows([list(A.covector(i)) for i in sub]))
+    return red.row_list()[:rank]
+
+
+def _in_span(rows, vec):
+    vec = list(vec)
+    for row in rows:
+        p = next(j for j, c in enumerate(row) if not c.is_zero())
+        f = vec[p]
+        if not f.is_zero():
+            vec = [a - f * b for a, b in zip(vec, row)]
+    return all(c.is_zero() for c in vec)
+
+
+def test_independence_matches_rref(matroid_case):
+    A = matroid_case
+    lattice = build_lattice(A)
+    for size in range(A.rank() + 2):
+        for sub in combinations(range(len(A)), size):
+            independent = len(_span_rows(A, sub)) == size
+            assert (lattice.closure(sub) is not None) == independent, sub
+
+
+def test_closure_key_matches_span_membership(matroid_case):
+    A = matroid_case
+    lattice = build_lattice(A)
+    for size in range(A.rank() + 1):
+        for sub in combinations(range(len(A)), size):
+            if lattice.closure(sub) is None:
+                with pytest.raises(ValueError):
+                    closure_key(A, sub)
+                continue
+            rows = _span_rows(A, sub)
+            want = tuple(i for i in range(len(A)) if _in_span(rows, A.covector(i)))
+            assert closure_key(A, sub) == want
+
+
+def test_subarrangement_view_matches_rebuilt(matroid_case):
+    A = matroid_case
+    for X in build_lattice(A).all_flats():
+        view = subarrangement(A, X)
+        rebuilt = Arrangement.from_covectors(A.n, [A.covector(i) for i in X.key])
+        pos = [rebuilt.index_of(A.hyperplanes[i]) for i in X.key]
+
+        def mapped(monos):
+            return [tuple(pos[i] for i in m) for m in monos]
+
+        assert mapped(circuits(view)) == circuits(rebuilt)
+        assert view.rank() == rebuilt.rank() == X.codim
+        for k in range(X.codim + 1):
+            assert mapped(nbc_basis(view, k).monomials) == \
+                list(nbc_basis(rebuilt, k).monomials)
+
+
+def test_subarrangement_view_needs_no_cyclotomic_products(matroid_case,
+                                                          monkeypatch):
+    A = _fresh(matroid_case)
+    lattice = build_lattice(A)
+    calls = []
+    original = Cyc.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Cyc, "__mul__", counting)
+    for X in lattice.all_flats():
+        sub = subarrangement(A, X)
+        circuits(sub)
+        for k in range(X.codim + 1):
+            nbc_basis(sub, k)
+        build_lattice(sub)
+    assert not calls
+
+
+def test_oselement_degree_mismatch():
+    with pytest.raises(ValueError):
+        OSElement(1, {(0,): Fraction(1)}) + OSElement(2, {(0, 1): Fraction(1)})
+    with pytest.raises(ValueError):
+        OSElement(1, {}) - OSElement(0, {})
