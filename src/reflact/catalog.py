@@ -32,7 +32,7 @@ import os
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
 from pathlib import Path
 
 from .arrangement import Arrangement, build_lattice, canonicalize_hyperplane
@@ -40,6 +40,7 @@ from .exactnum import Cyc, CycMatrix
 from .groups import (
     DEFAULT_ORDER_CAP,
     MatrixGroup,
+    OrderCapExceededError,
     generate,
     group_from_json,
     orbits_on_lattice,
@@ -93,9 +94,21 @@ def _transposition(n, i):
     return CycMatrix.from_rows(ent)
 
 
+def _capped_grpn(r, p, n, order_cap):
+    """make_grpn(r, p, n), refused before any enumeration when its order
+    exceeds order_cap."""
+    _check_params(r, p, n)
+    if r ** n * factorial(n) // p > order_cap:
+        raise OrderCapExceededError("G(%d,%d,%d) has order above the cap %d"
+                                    % (r, p, n, order_cap))
+    return make_grpn(r, p, n)
+
+
 @lru_cache(maxsize=None)
-def make_grpn(r: int, p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> MatrixGroup:
-    """The monomial reflection group G(r,p,n), of order r^n n!/p."""
+def make_grpn(r: int, p: int, n: int) -> MatrixGroup:
+    """The monomial reflection group G(r,p,n), of order r^n n!/p, built
+    once per (r, p, n).  Enumeration stops at that order; callers that take
+    an order cap check it against the closed form first."""
     _check_params(r, p, n)
     gens = []
     for i in range(n - 1):
@@ -112,11 +125,8 @@ def make_grpn(r: int, p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> Mat
         for a in range(2, n):
             rows[a][a] = Cyc.one()
         gens.append(CycMatrix.from_rows(rows))
-    G = generate(gens, dim=n, order_cap=order_cap)
-    expected = r ** n
-    for k in range(2, n + 1):
-        expected *= k
-    expected //= p
+    expected = r ** n * factorial(n) // p
+    G = generate(gens, dim=n, order_cap=expected)
     if G.order != expected:
         raise LabelCrossCheckError(
             "G(%d,%d,%d) has order %d, expected %d" % (r, p, n, G.order, expected))
@@ -283,7 +293,7 @@ def prop41_labels(r, p, n, kind, cross_check=True,
         seen_keys.add(flat.key)
         out.append((OrbitLabel(lam, u, _type_name(r, p, n, lam)), flat))
     if cross_check:
-        G = make_grpn(r, p, n, order_cap=order_cap)
+        G = _capped_grpn(r, p, n, order_cap)
         orbits = orbits_on_lattice(G, A)
         if len(orbits) != len(out):
             raise LabelCrossCheckError(
@@ -509,10 +519,10 @@ def parse_group_spec(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> MatrixGro
     m = re.fullmatch(r"G\((\d+),(\d+),(\d+)\)", s)
     if m:
         r, p, n = map(int, m.groups())
-        return make_grpn(r, p, n, order_cap=order_cap)
+        return _capped_grpn(r, p, n, order_cap)
     m = re.fullmatch(r"W\((\d+)\)", s)
     if m:
-        return make_grpn(1, 1, int(m.group(1)), order_cap=order_cap)
+        return _capped_grpn(1, 1, int(m.group(1)), order_cap)
     if s.upper() in ("H3", "F4"):
         return shipped_group(s.lower(), order_cap=order_cap)
     if os.path.exists(s):

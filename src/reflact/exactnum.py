@@ -47,7 +47,8 @@ _ONE = Fraction(1)
 
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
-    assert m >= 1
+    if m < 1:
+        raise ValueError("conductor must be >= 1, got %r" % (m,))
     return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
@@ -83,9 +84,12 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
         if d == m:
             continue
         quot, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-        assert not rem
+        if rem:
+            raise ArithmeticError("Phi_%d does not divide x^%d - 1" % (d, m))
         num = quot
-    assert len(num) == euler_phi(m) + 1
+    if len(num) != euler_phi(m) + 1:
+        raise ArithmeticError("Phi_%d has degree %d, not phi(%d)"
+                              % (m, len(num) - 1, m))
     return tuple(num)
 
 
@@ -130,59 +134,32 @@ def _reduce_coeffs(m: int, raw) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=None)
 def _subfield_solver(m: int, d: int):
-    """Row-reduced data for deciding membership of Q(zeta_m)-elements in the
-    image of Q(zeta_d), d | m, and pulling coefficients back."""
-    phi_m, phi_d = euler_phi(m), euler_phi(d)
+    """For d | m: the images in Q(zeta_m) of the power basis of Q(zeta_d),
+    and a left inverse of the matrix with those columns.  The images are
+    independent, so the left inverse comes from the normal equations."""
     k = m // d
-    cols = [_reduce_coeffs(m, [_ZERO] * (k * j) + [_ONE]) for j in range(phi_d)]
-    # solve by Gaussian elimination on the phi_m x phi_d system once,
-    # returning (row-echelon rows over the augmented identity, pivot rows)
-    rows = [[cols[j][i] for j in range(phi_d)] for i in range(phi_m)]
-    return rows
+    cols = [_reduce_coeffs(m, [_ZERO] * (k * j) + [_ONE])
+            for j in range(euler_phi(d))]
+    gram = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
+    # column i of the left inverse: gram^-1 times row i of the column matrix
+    left = [_solve_square(gram, [col[i] for col in cols])
+            for i in range(euler_phi(m))]
+    return cols, left
 
 
 def _descend(m: int, d: int, coeffs):
-    """Coefficients over Q(zeta_d) if the element lies in that subfield, else None."""
-    rows = [list(r) for r in _subfield_solver(m, d)]
-    phi_d = euler_phi(d)
-    rhs = list(coeffs)
-    # forward elimination with partial bookkeeping
-    sol = [_ZERO] * phi_d
-    used = [False] * len(rows)
-    for col in range(phi_d):
-        piv = None
-        for i, row in enumerate(rows):
-            if not used[i] and row[col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        used[piv] = True
-        inv = rows[piv][col]
-        for i, row in enumerate(rows):
-            if i != piv and row[col]:
-                f = row[col] / inv
-                for j in range(col, phi_d):
-                    row[j] -= f * rows[piv][j]
-                rhs[i] -= f * rhs[piv]
-        sol[col] = None  # placeholder, resolved below
-        sol[col] = piv
-    # back-substitute: each pivot row now has a single nonzero column
-    out = [_ZERO] * phi_d
-    for col in range(phi_d):
-        piv = sol[col]
-        if isinstance(piv, int) and used[piv]:
-            out[col] = rhs[piv] / rows[piv][col]
-    # verify (also covers non-pivot rows, i.e. inconsistency)
-    check = [_ZERO] * euler_phi(m)
-    k = m // d
-    for j, c in enumerate(out):
+    """Coefficients over Q(zeta_d) if the element lies in that subfield, else
+    None."""
+    cols, left = _subfield_solver(m, d)
+    out = [_ZERO] * len(cols)
+    for c, y in zip(coeffs, left):
         if c:
-            red = _reduce_coeffs(m, [_ZERO] * (k * j) + [c])
-            check = [a + b for a, b in zip(check, red)]
-    if tuple(check) != tuple(coeffs):
-        return None
-    return tuple(out)
+            out = [a + c * b for a, b in zip(out, y)]
+    back = [_ZERO] * len(coeffs)
+    for c, col in zip(out, cols):
+        if c:
+            back = [a + c * b for a, b in zip(back, col)]
+    return tuple(out) if tuple(back) == tuple(coeffs) else None
 
 
 class Cyc:
@@ -192,7 +169,9 @@ class Cyc:
 
     def __init__(self, m: int, coeffs):
         coeffs = tuple(coeffs)
-        assert len(coeffs) == euler_phi(m)
+        if len(coeffs) != euler_phi(m):
+            raise ValueError("conductor %d needs %d coefficients, got %d"
+                             % (m, euler_phi(m), len(coeffs)))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "c", coeffs)
         object.__setattr__(self, "_hash", None)
@@ -239,7 +218,8 @@ class Cyc:
         """Re-embed into Q(zeta_mm) for m | mm."""
         if mm == self.m:
             return self
-        assert mm % self.m == 0
+        if mm % self.m:
+            raise ValueError("cannot lift conductor %d to %d" % (self.m, mm))
         k = mm // self.m
         raw = [_ZERO] * (euler_phi(self.m) * k)
         for j, c in enumerate(self.c):
@@ -456,11 +436,13 @@ def _solve_square(rows, rhs):
 class CycMatrix:
     """Dense matrix of Cyc entries sharing one conductor.  Immutable."""
 
-    __slots__ = ("rows", "cols", "m", "entries", "_hash")
+    __slots__ = ("rows", "cols", "m", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = [Cyc._coerce(e) for e in entries]
-        assert len(entries) == rows * cols
+        if len(entries) != rows * cols:
+            raise ValueError("%d entries for a %d x %d matrix"
+                             % (len(entries), rows, cols))
         m = 1
         for e in entries:
             m = m * e.m // gcd(m, e.m)
@@ -469,7 +451,6 @@ class CycMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("CycMatrix is immutable")
@@ -498,7 +479,9 @@ class CycMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def __mul__(self, other: "CycMatrix") -> "CycMatrix":
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise ValueError("cannot multiply %d x %d by %d x %d" % (
+                self.rows, self.cols, other.rows, other.cols))
         a, b, n, p, q = self.entries, other.entries, self.rows, self.cols, other.cols
         out = []
         for i in range(n):
@@ -514,7 +497,9 @@ class CycMatrix:
 
     def apply(self, vec):
         """Matrix times column vector (sequence of Cyc)."""
-        assert self.cols == len(vec)
+        if self.cols != len(vec):
+            raise ValueError("vector of length %d for %d columns"
+                             % (len(vec), self.cols))
         out = []
         for i in range(self.rows):
             s = _CYC_ZERO
@@ -527,7 +512,9 @@ class CycMatrix:
 
     def apply_row(self, vec):
         """Row vector times matrix."""
-        assert self.rows == len(vec)
+        if self.rows != len(vec):
+            raise ValueError("vector of length %d for %d rows"
+                             % (len(vec), self.rows))
         out = []
         for j in range(self.cols):
             s = _CYC_ZERO
@@ -542,12 +529,15 @@ class CycMatrix:
                          [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
     def inverse(self) -> "CycMatrix":
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise ValueError("cannot invert a %d x %d matrix"
+                             % (self.rows, self.cols))
         n = self.rows
         work = [list(self.row(i)) + [_CYC_ONE if j == i else _CYC_ZERO for j in range(n)]
                 for i in range(n)]
-        red, piv, rank = _rref_rows(work)
-        if rank < n:
+        # [M | I] always has rank n; M is singular when a pivot lies in I
+        red, piv, _ = _rref_rows(work)
+        if any(p >= n for p in piv):
             raise ZeroDivisionError("singular matrix")
         return CycMatrix.from_rows([r[n:] for r in red])
 
@@ -570,13 +560,6 @@ class CycMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
         return all(a == b for a, b in zip(self.entries, other.entries))
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.rows, self.cols, tuple(hash(e) for e in self.entries)))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self):
         return "CycMatrix(%d, %d, m=%d)" % (self.rows, self.cols, self.m)

@@ -4,9 +4,13 @@ enumeration, reflection detection, reflection arrangements, the permutation
 action on hyperplanes and flats, orbits and stabilizers Z_T / N_T, centers,
 conjugacy classes, and linear characters via the abelianization.
 
-Element identity is exact matrix equality of normalized entries; the element
-order is fixed by the BFS (identity first, generators in the given order),
-which makes indices, orbits and stabilizer index sets deterministic.
+A finite G acts faithfully on the orbit of e_1..e_n, which spans C^n.  An
+element is a permutation of that orbit, identified by its images of
+e_1..e_n; orbit vectors compare by their coefficient tuples at the
+generators' conductor, so products and inverses are int-tuple lookups.
+The element order is fixed by the BFS (identity first, generators in the
+given order), which makes indices, orbits and stabilizer index sets
+deterministic.
 """
 
 from __future__ import annotations
@@ -48,17 +52,24 @@ class NotStableError(ValueError):
 
 
 class MatrixGroup:
-    """A finite subgroup of GL_n(Q(zeta_m)), fully enumerated."""
+    """A finite subgroup of GL_n(Q(zeta_m)), fully enumerated.
 
-    def __init__(self, n, generators, elements, index, inverse, parents):
+    `vectors` is the G-orbit of e_1..e_n, those first, with entries at
+    conductor m.  Element k sends vectors[x] to vectors[perms[k][x]]; its
+    images of e_1..e_n, perms[k][:n], are its matrix columns and identify it."""
+
+    def __init__(self, n, m, vectors, perms, generators, parents):
         self.n = n
+        self.m = m
+        self.vectors = vectors
+        self.perms = perms
         self.generators = generators      # list of element indices
-        self.elements = elements          # list of CycMatrix, identity first
-        self.index = index                # CycMatrix -> index
-        self.inverse = inverse            # index -> index of inverse
         self.parents = parents            # index -> (parent index, generator index)
-        self.order = len(elements)
-        self._mul_cache = {}
+        self.order = len(perms)
+        self._index = {p[:n]: k for k, p in enumerate(perms)}
+        self.inverse = [self._index[tuple(map(p.index, range(n)))] for p in perms]
+        self.elements = [CycMatrix(n, n, [vectors[p[c]][r] for r in range(n)
+                                          for c in range(n)]) for p in perms]
         self._actions = {}                # Arrangement -> action data
         self._orbits = {}                 # Arrangement -> lattice orbits
         self._reflections = None
@@ -67,12 +78,8 @@ class MatrixGroup:
         self._linear_chars = None
 
     def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        k = self._mul_cache.get(key)
-        if k is None:
-            k = self.index[self.elements[i] * self.elements[j]]
-            self._mul_cache[key] = k
-        return k
+        head = self.perms[j][:self.n]
+        return self._index[tuple(map(self.perms[i].__getitem__, head))]
 
     def element_order(self, i: int) -> int:
         k, cur = 1, i
@@ -82,15 +89,56 @@ class MatrixGroup:
         return k
 
     def contains_matrix(self, M: CycMatrix):
-        return self.index.get(M)
+        """Index of the element whose matrix is M, at any conductor, or None."""
+        n = self.n
+        if (M.rows, M.cols) != (n, n):
+            return None
+        m = self.m * M.m // gcd(self.m, M.m)
+        pos = {_tag(v, m): x for x, v in enumerate(self.vectors)}
+        return self._index.get(tuple(pos.get(_tag([M[r, c] for r in range(n)], m))
+                                     for c in range(n)))
 
     def __repr__(self):
         return "MatrixGroup(n=%d, order=%d)" % (self.n, self.order)
 
 
+def _tag(vec, m):
+    """The entries' coefficient tuples at conductor m: equal vectors, equal
+    tags, without Cyc hashing."""
+    return tuple(c.lift(m).c for c in vec)
+
+
+def _closure(seeds, gens, act, cap, key=None):
+    """Breadth-first closure of `seeds` under x -> act(x, g), g in `gens` in
+    order, with items compared by key(x) (default: the item).  Returns the
+    items in discovery order, edges[x][s] = index of act(items[x], gens[s]),
+    and for each non-seed item the (item, generator) pair that found it.
+    Each seed has at most |G| images, so more than len(seeds) * cap items
+    means |G| > cap."""
+    key = key or (lambda x: x)
+    items = list(seeds)
+    index = {key(x): i for i, x in enumerate(items)}
+    edges, parents = [], []
+    for i, x in enumerate(items):   # also visits the items appended below
+        row = []
+        for s, g in enumerate(gens):
+            y = act(x, g)
+            j = index.setdefault(key(y), len(items))
+            if j == len(items):
+                if j >= len(seeds) * cap:
+                    raise OrderCapExceededError("group order exceeds cap %d" % cap)
+                items.append(y)
+                parents.append((i, s))
+            row.append(j)
+        edges.append(row)
+    return items, edges, parents
+
+
 def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     """Enumerate the group generated by square invertible matrices by
-    breadth-first closure from the identity."""
+    breadth-first closure from the identity, generators in the given order.
+    The closure runs on permutations of the orbit of e_1..e_n, so exact
+    arithmetic is needed only for generator times orbit vector."""
     gens = list(gens)
     if gens:
         dim = gens[0].rows
@@ -102,42 +150,21 @@ def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     m = 1
     for g in gens:
         m = m * g.m // gcd(m, g.m)
-    ident = CycMatrix(dim, dim, [Cyc.one() if i == j else Cyc.zero()
-                                 for i in range(dim) for j in range(dim)])
-    ident = CycMatrix(dim, dim, [e.lift(m) for e in ident.entries])
-    gens = [CycMatrix(dim, dim, [e.lift(m) for e in g.entries]) for g in gens]
-
-    elements = [ident]
-    index = {ident: 0}
-    parents = [(-1, -1)]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            base = elements[i]
-            for gi, g in enumerate(gens):
-                prod = base * g
-                if prod not in index:
-                    index[prod] = len(elements)
-                    elements.append(prod)
-                    parents.append((i, gi))
-                    nxt.append(index[prod])
-                    if len(elements) > order_cap:
-                        raise OrderCapExceededError(
-                            "group order exceeds cap %d" % order_cap)
-        frontier = nxt
-
-    group = MatrixGroup(dim, [], elements, index, [0] * len(elements), parents)
-    gen_idx = [index[g] for g in gens]
-    group.generators = gen_idx
-    # inverses along the BFS: (a g)^-1 = g^-1 a^-1, both already known
-    inv_gen = {gi: index[g.inverse()] for gi, g in zip(gen_idx, gens)}
-    inverse = [0] * len(elements)
-    for k in range(1, len(elements)):
-        i, gi = parents[k]
-        inverse[k] = group.mul(inv_gen[gen_idx[gi]], inverse[i])
-    group.inverse = inverse
-    return group
+    one, zero = Cyc.one().lift(m), Cyc.zero().lift(m)
+    basis = [tuple(one if i == j else zero for i in range(dim))
+             for j in range(dim)]
+    vectors, images, _ = _closure(
+        basis, gens, lambda v, g: tuple(c.lift(m) for c in g.apply(v)),
+        order_cap, key=lambda v: _tag(v, m))
+    gen_perms = list(zip(*images))
+    if any(len(set(p)) < len(p) for p in gen_perms):
+        raise ValueError("singular generator: it does not permute the orbit "
+                         "of the basis vectors")
+    perms, cayley, parents = _closure(
+        [tuple(range(len(vectors)))], gen_perms,
+        lambda p, g: tuple(map(p.__getitem__, g)),   # p * g
+        order_cap, key=lambda p: p[:dim])
+    return MatrixGroup(dim, m, vectors, perms, cayley[0], [(-1, -1)] + parents)
 
 
 def group_from_json(obj, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
@@ -161,11 +188,11 @@ def reflections(G: MatrixGroup):
     if G._reflections is not None:
         return G._reflections
     out = []
+    ident = CycMatrix.identity(G.n).entries
     for i, g in enumerate(G.elements):
         if i == 0:
             continue
-        diff = CycMatrix(G.n, G.n, [a - b for a, b in
-                                    zip(g.entries, CycMatrix.identity(G.n).entries)])
+        diff = CycMatrix(G.n, G.n, [a - b for a, b in zip(g.entries, ident)])
         red, _, rank = rref(diff)
         if rank == 1:
             out.append((i, canonicalize_hyperplane(red.row(0))))
@@ -322,61 +349,33 @@ def conjugacy_classes(G: MatrixGroup):
     seen = [False] * G.order
     classes = []
     for i in range(G.order):
-        if seen[i]:
-            continue
-        cls = {i}
-        frontier = [i]
-        seen[i] = True
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in G.generators:
-                    y = G.mul(G.mul(g, x), G.inverse[g])
-                    if not seen[y]:
-                        seen[y] = True
-                        cls.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        classes.append(sorted(cls))
+        if not seen[i]:
+            cls = _closure([i], G.generators, _conjugation(G), G.order)[0]
+            for y in cls:
+                seen[y] = True
+            classes.append(sorted(cls))
     G._classes = classes
     return classes
 
 
+def _conjugation(G: MatrixGroup):
+    """The action (x, g) -> g x g^-1 on element indices."""
+    return lambda x, g: G.mul(G.mul(g, x), G.inverse[g])
+
+
 def _subgroup_closure(G: MatrixGroup, seed):
     """Subgroup generated by the given element indices."""
-    gens = set(seed) | {G.inverse[s] for s in seed}
-    sub = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = G.mul(x, s)
-                if y not in sub:
-                    sub.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sub
+    gens = sorted(set(seed) | {G.inverse[s] for s in seed})
+    return set(_closure([0], gens, G.mul, G.order)[0])
 
 
 def _derived_subgroup(G: MatrixGroup):
-    """Normal closure of the commutators of generator pairs."""
-    comms = set()
-    for a in G.generators:
-        for b in G.generators:
-            comms.add(G.mul(G.mul(a, b), G.mul(G.inverse[a], G.inverse[b])))
-    sub = _subgroup_closure(G, comms)
-    while True:
-        extra = set()
-        for g in G.generators:
-            ginv = G.inverse[g]
-            for h in sub:
-                c = G.mul(G.mul(g, h), ginv)
-                if c not in sub:
-                    extra.add(c)
-        if not extra:
-            return sub
-        sub = _subgroup_closure(G, sub | extra)
+    """Normal closure of the commutators of generator pairs: the subgroup
+    generated by all their conjugates."""
+    comms = {G.mul(G.mul(a, b), G.mul(G.inverse[a], G.inverse[b]))
+             for a in G.generators for b in G.generators}
+    conjugates = _closure(sorted(comms), G.generators, _conjugation(G), G.order)[0]
+    return _subgroup_closure(G, conjugates)
 
 
 class LinearCharacter:
@@ -452,7 +451,8 @@ def linear_characters(G: MatrixGroup):
             k0 = phi[cur]  # value exponent on a^d
             # solve d*k = k0 (mod exponent)
             g = gcd(d, exponent)
-            assert k0 % g == 0
+            if k0 % g:
+                raise ArithmeticError("character does not extend to a^%d" % d)
             base = (k0 // g) * _modinv(d // g, exponent // g) % (exponent // g)
             for t in range(g):
                 k = base + t * (exponent // g)
@@ -465,7 +465,9 @@ def linear_characters(G: MatrixGroup):
                 new_chars.append(ext)
         chars = new_chars
         sub = list(chars[0].keys())
-    assert len(chars) == q and all(len(c) == q for c in chars)
+    if len(chars) != q or any(len(c) != q for c in chars):
+        raise ArithmeticError("%d characters for an abelianization of order %d"
+                              % (len(chars), q))
 
     out = []
     for phi in chars:

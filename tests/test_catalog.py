@@ -19,6 +19,7 @@ from reflact.catalog import (
 )
 from reflact.exactnum import Cyc
 from reflact.groups import (
+    OrderCapExceededError,
     orbits_on_lattice,
     pointwise_stabilizer,
     reflection_arrangement,
@@ -33,6 +34,23 @@ def test_make_grpn_orders():
     assert make_grpn(4, 2, 4).order == 4 ** 4 * 24 // 2
     assert make_grpn(2, 1, 1).order == 2
     assert make_grpn(4, 4, 1).order == 1
+
+
+def test_make_grpn_one_cache_entry_per_group():
+    # the order cap is checked before the cached constructor, so every
+    # caller shares one entry per (r, p, n)
+    prop41_labels(2, 1, 3, "full")
+    misses = make_grpn.cache_info().misses
+    assert make_grpn(2, 1, 3) is parse_group_spec("G(2,1,3)")
+    assert parse_group_spec("G(2,1,3)", order_cap=48) is make_grpn(2, 1, 3)
+    assert make_grpn.cache_info().misses == misses
+
+
+def test_order_cap_below_closed_form():
+    with pytest.raises(OrderCapExceededError):
+        parse_group_spec("G(2,1,3)", order_cap=47)
+    with pytest.raises(OrderCapExceededError):
+        prop41_labels(2, 1, 3, "full", order_cap=47)
 
 
 def test_make_grpn_param_errors():

@@ -1,9 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from reflact.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main, run, verify_suite
+from reflact.exactnum import CycMatrix
+from reflact.groups import OrderCapExceededError, generate
 
 
 def invoke(*argv):
@@ -176,3 +183,64 @@ def test_verify_mismatch_exit_code(tmp_path, monkeypatch):
 
 def test_main_returns_int():
     assert main(["info", "--group", "W(3)"]) == EXIT_OK
+
+
+def test_singular_group_file_rejected(tmp_path):
+    sing = [[1, 0], [0, 0]]
+    with pytest.raises(ValueError):
+        generate([CycMatrix.from_rows(sing)])
+    path = tmp_path / "sing.json"
+    path.write_text(json.dumps({"conductor": 1, "dim": 2,
+                                "generators": [sing]}))
+    code, out, err = invoke("info", "--group", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "singular" in err
+
+
+def test_infinite_order_generator_hits_order_cap(tmp_path):
+    # the orbit of e_1 under diag(2, 1) is infinite; the cap bounds it
+    gen = [[2, 0], [0, 1]]
+    with pytest.raises(OrderCapExceededError):
+        generate([CycMatrix.from_rows(gen)], order_cap=5)
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({"conductor": 1, "dim": 2,
+                                "generators": [gen]}))
+    code, _, err = invoke("info", "--group", str(path), "--order-cap", "5")
+    assert code == EXIT_USAGE and "cap" in err
+
+
+def test_order_cap_below_closed_form_exits_2():
+    code, _, err = invoke("info", "--group", "G(2,1,3)", "--order-cap", "47")
+    assert code == EXIT_USAGE and "cap" in err
+    assert invoke("info", "--group", "G(2,1,3)", "--order-cap", "48")[0] == EXIT_OK
+
+
+def test_checks_survive_python_O():
+    # python -O strips assert statements; these checks must still fire
+    script = textwrap.dedent("""
+        import io, sys
+        from reflact.cli import run
+        from reflact.exactnum import Cyc
+        assert False, "asserts are stripped under -O"
+        try:
+            Cyc.root_of_unity(3).lift(4)
+            sys.exit("lift to a non-multiple conductor did not raise")
+        except ValueError:
+            pass
+        for argv, code, answer in [
+                (["poincare", "--group", "G(2,2,2)", "--arrangement", "A_2^0(1)"], 0, "1+t"),
+                (["poincare", "--group", "G(4,4,2)", "--arrangement", "A_2^0(2)"], 0, "1+t"),
+                (["poincare", "--group", "G(3,1,2)", "--arrangement", "A_2^0(1)"], 2, None),
+                (["poincare", "--group", "W(3)", "--arrangement", "A_4(1)"], 2, None)]:
+            out = io.StringIO()
+            got = run(argv, out=out, err=io.StringIO())
+            if got != code or (answer and out.getvalue().strip() != answer):
+                sys.exit("%s: exit %s, output %r" % (argv, got, out.getvalue()))
+        print("ok")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -110,6 +110,15 @@ def test_field_axioms(a, b, c):
 
 
 @settings(max_examples=40, deadline=None)
+@given(cycs(), st.sampled_from([1, 2, 3, 5]))
+def test_canonical_form_ignores_conductor(a, k):
+    # _canonical descends to the least subfield holding the value
+    d, coeffs = a._canonical()
+    assert a.m % d == 0 and Cyc(d, coeffs).lift(a.m) == a
+    assert a.lift(a.m * k)._canonical() == (d, coeffs)
+
+
+@settings(max_examples=40, deadline=None)
 @given(rats, rats)
 def test_rational_agreement(p, q):
     a, b = Cyc.rational(p), Cyc.rational(q)
@@ -158,6 +167,32 @@ def test_matrix_inverse_and_identity():
     z3 = Cyc.root_of_unity(3)
     M = CycMatrix.from_rows([[1, z3], [0, 1 + z3]])
     assert (M * M.inverse()).is_identity()
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [0, 0]], [[1, 2], [2, 4]]])
+def test_singular_matrix_inverse_raises(rows):
+    with pytest.raises(ZeroDivisionError):
+        CycMatrix.from_rows(rows).inverse()
+
+
+def test_shape_and_conductor_errors_raise():
+    with pytest.raises(ValueError):
+        Cyc.root_of_unity(3).lift(4)
+    with pytest.raises(ValueError):
+        Cyc(3, (1,))
+    with pytest.raises(ValueError):
+        CycMatrix(2, 2, [1, 0, 0])
+    M = CycMatrix.identity(2)
+    with pytest.raises(ValueError):
+        M * CycMatrix.identity(3)
+    with pytest.raises(ValueError):
+        M.apply([1, 2, 3])
+    with pytest.raises(ValueError):
+        M.apply_row([1])
+    with pytest.raises(ValueError):
+        CycMatrix(1, 2, [1, 0]).inverse()
+    with pytest.raises(ValueError):
+        euler_phi(0)
 
 
 def test_serialization_roundtrip():

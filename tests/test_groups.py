@@ -1,7 +1,10 @@
-from fractions import Fraction
+import random
+from math import gcd
 
 import pytest
 
+from reflact import catalog
+from reflact import groups as groups_mod
 from reflact.arrangement import Arrangement, build_lattice
 from reflact.exactnum import Cyc, CycMatrix
 from reflact.groups import (
@@ -265,3 +268,83 @@ def test_group_from_json():
     assert G.order == 2
     with pytest.raises(ValueError):
         group_from_json({"dim": 2, "generators": [[["1", "0"]]]})
+
+
+def _matrix_bfs(gens):
+    """Reference enumeration by CycMatrix products, elements keyed by their
+    exact entries: the same BFS as generate (identity first, base * g in
+    generator order), without the orbit permutations."""
+    n = gens[0].rows
+    m = 1
+    for g in gens:
+        m = m * g.m // gcd(m, g.m)
+
+    def key(M):
+        return tuple(e.lift(m).c for e in M.entries)
+
+    elements = [CycMatrix.identity(n)]
+    index = {key(elements[0]): 0}
+    parents = [(-1, -1)]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for gi, g in enumerate(gens):
+                prod = elements[i] * g
+                if key(prod) not in index:
+                    index[key(prod)] = len(elements)
+                    nxt.append(len(elements))
+                    elements.append(prod)
+                    parents.append((i, gi))
+        frontier = nxt
+    return elements, parents, lambda M: index[key(M)]
+
+
+def _built_with_generators(monkeypatch, build):
+    """Build a catalog group and capture the generators it passes to
+    generate."""
+    seen = []
+
+    def spy(gens, **kwargs):
+        seen.append(list(gens))
+        return generate(gens, **kwargs)
+
+    monkeypatch.setattr(catalog, "generate", spy)
+    monkeypatch.setattr(groups_mod, "generate", spy)
+    G = build()
+    return G, seen[-1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.make_grpn.__wrapped__(1, 1, 4),
+    lambda: catalog.make_grpn.__wrapped__(2, 2, 4),
+    lambda: catalog.load_group_file(catalog.data_dir() / "h3.json"),
+    lambda: catalog.load_group_file(catalog.data_dir() / "f4.json"),
+    lambda: catalog.make_grpn.__wrapped__(3, 1, 3),
+], ids=["W(4)", "G(2,2,4)", "H3", "F4", "G(3,1,3)"])
+def test_generate_matches_matrix_bfs(monkeypatch, build):
+    G, gens = _built_with_generators(monkeypatch, build)
+    elements, parents, index_of = _matrix_bfs(gens)
+    assert G.elements == elements
+    assert G.parents == parents
+    assert G.generators == [index_of(g) for g in gens]
+    assert G.inverse == [index_of(M.inverse()) for M in elements]
+    rng = random.Random(3)
+    for _ in range(200):
+        i, j = rng.randrange(G.order), rng.randrange(G.order)
+        assert G.mul(i, j) == index_of(elements[i] * elements[j])
+    assert all(G.contains_matrix(M) == k for k, M in enumerate(elements))
+
+
+def test_contains_matrix_across_conductors():
+    G333, G223 = catalog.make_grpn(3, 3, 3), catalog.make_grpn(2, 2, 3)
+    assert (G333.m, G223.m) == (3, 2)
+    perm = next(M for M in G223.elements
+                if not M.is_identity()
+                and all(e.is_zero() or e == 1 for e in M.entries))
+    signed = next(M for M in G223.elements
+                  if any(e == -1 for e in M.entries))
+    k = G333.contains_matrix(perm)
+    assert k is not None and G333.elements[k] == perm
+    assert G333.contains_matrix(signed) is None
+    assert G333.contains_matrix(CycMatrix.identity(2)) is None
