@@ -44,7 +44,6 @@ from .groups import (
     generate,
     group_from_json,
     orbits_on_lattice,
-    pointwise_stabilizer,
     reflection_arrangement,
     reflections,
 )
@@ -456,9 +455,10 @@ def load_group_file(path, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
 
 
 @lru_cache(maxsize=None)
-def shipped_group(name: str, order_cap: int = DEFAULT_ORDER_CAP) -> MatrixGroup:
-    """One of the shipped exceptional groups, by lowercase file stem."""
-    return load_group_file(data_dir() / ("%s.json" % name), order_cap=order_cap)
+def shipped_group(name: str) -> MatrixGroup:
+    """One of the shipped exceptional groups, by lowercase file stem, built
+    once per name; `parse_group_spec` checks its order against a cap."""
+    return load_group_file(data_dir() / ("%s.json" % name))
 
 
 def load_group_types(path):
@@ -500,7 +500,7 @@ def orbit_type_names(G: MatrixGroup, A: Arrangement, types=None) -> dict:
         lookup[(codim, order, tuple(counts))] = name
     out = {}
     for o in orbits:
-        Z = pointwise_stabilizer(G, o.representative)
+        Z = o.Z
         counts = [0] * len(h_orbits)
         for g in Z:
             hi = refl.get(g)
@@ -524,7 +524,11 @@ def parse_group_spec(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> MatrixGro
     if m:
         return _capped_grpn(1, 1, int(m.group(1)), order_cap)
     if s.upper() in ("H3", "F4"):
-        return shipped_group(s.lower(), order_cap=order_cap)
+        G = shipped_group(s.lower())
+        if G.order > order_cap:
+            raise OrderCapExceededError("%s has order %d, above the cap %d"
+                                        % (s, G.order, order_cap))
+        return G
     if os.path.exists(s):
         return load_group_file(s, order_cap=order_cap)
     raise ValueError("cannot parse group spec %r" % spec)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .arrangement import (Arrangement, Flat, Hyperplane, _echelon, _reduce,
+from .arrangement import (Arrangement, Flat, _echelon, _lead, _reduce,
                           build_lattice, canonicalize_hyperplane)
 from .exactnum import Cyc, CycMatrix, cyc_from_json, rref
 
@@ -184,20 +184,25 @@ def group_from_json(obj, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
 
 def reflections(G: MatrixGroup):
     """All elements whose fixed space has codimension 1, with Fix(r) as a
-    canonical Hyperplane."""
+    canonical Hyperplane, by element index.  rank(g - I) is a class
+    function, so one rref per conjugacy class decides."""
     if G._reflections is not None:
         return G._reflections
+    n, one, zero = G.n, Cyc.one(), Cyc.zero()
+
+    def rows(i):
+        """Rows of g_i - I, read from the orbit vectors."""
+        cols = [G.vectors[x] for x in G.perms[i][:n]]
+        return [[c[r] - (one if r == j else zero) for j, c in enumerate(cols)]
+                for r in range(n)]
+
     out = []
-    ident = CycMatrix.identity(G.n).entries
-    for i, g in enumerate(G.elements):
-        if i == 0:
-            continue
-        diff = CycMatrix(G.n, G.n, [a - b for a, b in zip(g.entries, ident)])
-        red, _, rank = rref(diff)
-        if rank == 1:
-            out.append((i, canonicalize_hyperplane(red.row(0))))
-    G._reflections = out
-    return out
+    for cls in conjugacy_classes(G)[1:]:    # the identity's class is first
+        if rref(CycMatrix.from_rows(rows(cls[0])))[2] == 1:
+            out += [(i, canonicalize_hyperplane(next(
+                r for r in rows(i) if _lead(r) is not None))) for i in cls]
+    G._reflections = sorted(out, key=lambda t: t[0])
+    return G._reflections
 
 
 def reflection_arrangement(G: MatrixGroup) -> Arrangement:
@@ -259,8 +264,8 @@ def hyperplane_action(G: MatrixGroup, A: Arrangement) -> _Action:
 
 
 def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
-    """Disjoint orbits of G on L(A), each with representative (lex least key),
-    pointwise stabilizer Z and setwise stabilizer N as index sets."""
+    """Disjoint orbits of G on L(A), each with representative (lex least key)
+    and setwise stabilizer N and pointwise stabilizer Z as index sets."""
     cached = G._orbits.get(A)
     if cached is not None:
         return cached
@@ -282,8 +287,7 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
             remaining.pop(k, None)
         N = frozenset(i for i, p in enumerate(act.perms)
                       if tuple(sorted(p[i2] for i2 in rep_key)) == rep_key)
-        Z = frozenset(i for i in N if _fixes_pointwise(G, i, rep))
-        orbits.append(OrbitDatum(rep, members, Z, N, rep.codim))
+        orbits.append(OrbitDatum(rep, members, G, N, rep.codim))
     orbits.sort(key=lambda o: (o.codim, o.representative.key))
     G._orbits[A] = orbits
     return orbits
@@ -300,12 +304,23 @@ def _fixes_pointwise(G: MatrixGroup, i: int, X: Flat) -> bool:
 
 
 class OrbitDatum:
-    def __init__(self, representative, orbit, Z, N, codim):
+    """A lattice orbit with stabilizers N (setwise) and Z (pointwise) of its
+    representative; Z takes cyclotomic products, so it is made on first read."""
+
+    def __init__(self, representative, orbit, G, N, codim):
         self.representative = representative
         self.orbit = orbit
-        self.Z = Z
+        self._G = G
+        self._Z = None
         self.N = N
         self.codim = codim
+
+    @property
+    def Z(self) -> frozenset:
+        if self._Z is None:
+            self._Z = frozenset(i for i in self.N
+                                if _fixes_pointwise(self._G, i, self.representative))
+        return self._Z
 
     def __repr__(self):
         return "OrbitDatum(codim=%d, rep=%s, |orbit|=%d, |N|=%d)" % (
@@ -469,13 +484,14 @@ def linear_characters(G: MatrixGroup):
         raise ArithmeticError("%d characters for an abelianization of order %d"
                               % (len(chars), q))
 
-    out = []
-    for phi in chars:
-        values = [Cyc.root_of_unity(exponent, phi[coset_of[i]]) if exponent > 1
-                  else Cyc.one() for i in range(G.order)]
-        out.append(LinearCharacter(values))
-    out.sort(key=lambda ch: tuple(tuple(v._canonical()) for v in ch.values))
-    out.sort(key=lambda ch: not ch.is_trivial())
+    # value tuples compare at the first coset where they differ, and coset
+    # ids follow the first element of each coset
+    roots = ([Cyc.root_of_unity(exponent, k) for k in range(exponent)]
+             if exponent > 1 else [Cyc.one()])
+    keys = [r._canonical() for r in roots]
+    chars.sort(key=lambda phi: (any(phi.values()),
+                                [keys[phi[c]] for c in range(q)]))
+    out = [LinearCharacter([roots[phi[c]] for c in coset_of]) for phi in chars]
     G._linear_chars = out
     return out
 

@@ -39,6 +39,7 @@ from .groups import (
 )
 from .osalg import (
     OSElement,
+    Span,
     apply_perm,
     closure_key,
     euler_derivation,
@@ -452,50 +453,12 @@ def theorem4_basis(A: Arrangement, G: MatrixGroup, cox_monomials=None,
     return basis
 
 
-class _Span:
-    """Incremental span of sparse rational vectors with coordinate solving."""
-
-    def __init__(self):
-        self.pivots = []   # (pivot monomial, normalized reduced vector)
-
-    def _reduce(self, vec):
-        vec = dict(vec)
-        coords = [Fraction(0)] * len(self.pivots)
-        for i, (pk, pv) in enumerate(self.pivots):
-            f = vec.get(pk)
-            if f:
-                coords[i] = f
-                for m, c in pv.items():
-                    vec[m] = vec.get(m, Fraction(0)) - f * c
-        return {m: c for m, c in vec.items() if c}, coords
-
-    def add(self, vec):
-        """Insert if independent; returns True when the vector was new."""
-        red, _ = self._reduce(vec)
-        if not red:
-            return False
-        pk = min(red)
-        inv = red[pk]
-        self.pivots.append((pk, {m: c / inv for m, c in red.items()}))
-        return True
-
-    def solve(self, vec):
-        """Coordinates of vec over the pivot vectors; None if outside."""
-        red, coords = self._reduce(vec)
-        if red:
-            return None
-        return coords
-
-    def pivot_elements(self, k):
-        return [OSElement(k, pv) for _, pv in self.pivots]
-
-
 def _perm_trace_on_span(A, perm, span, k):
     """Trace of a hyperplane permutation on the span (traces are basis
     independent, so the pivot vectors serve as the basis)."""
     total = Fraction(0)
-    for i, el in enumerate(span.pivot_elements(k)):
-        coords = span.solve(apply_perm(A, perm, el).coeffs)
+    for i, (_, pv) in enumerate(span.pivots):
+        coords = span.solve(apply_perm(A, perm, OSElement(k, pv)).coeffs)
         if coords is None:
             raise NonIntegralityError("span is not stable under the action")
         total += coords[i]
@@ -550,7 +513,7 @@ def relative_character(A: Arrangement, G: MatrixGroup,
         k = o.representative.codim
         g_reps = sorted({g_rep_of[f.key] for f in o.orbit},
                         key=lambda f: f.key)
-        span = _Span()
+        span = Span()
         for f in g_reps:
             sub = subarrangement(A, f)
             for mono in nbc_basis(sub, k).monomials:

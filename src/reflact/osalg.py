@@ -5,20 +5,23 @@ Generators h_H, one per hyperplane, modulo the relations
 
     sum_{i=1}^m (-1)^i h_1 ... h_i^ ... h_m = 0
 
-for every minimal dependent (circuit) set {h_1 < ... < h_m}.  Each graded
-piece H^k carries the deterministic no-broken-circuit (NBC) monomial basis:
-strictly increasing independent tuples containing no broken circuit (circuit
-minus its least element).  Straightening rewrites an arbitrary monomial into
-this basis; rewriting always replaces an index by a strictly smaller one, so
-it terminates by lexicographic descent.
+for every dependent set {h_1 < ... < h_m}.  Each graded piece H^k carries
+the deterministic no-broken-circuit (NBC) monomial basis.  By Bjorner's
+criterion an increasing independent tuple (s_1 < ... < s_k) is NBC iff each
+s_i is the least index of the flat spanned by s_i..s_k.  Straightening
+rewrites the first suffix that breaks the criterion with the relation of
+that suffix plus the least index of its flat; every rewrite replaces an
+index by a strictly smaller one, so it terminates by lexicographic descent.
 
 All coefficients are rational.  Independence, closures, circuits and NBC
 sets are int lookups in the arrangement's lattice of flats
 (`arrangement.build_lattice`), so no cyclotomic arithmetic happens here.
+Spans and ranks of elements come from one sparse rational echelon, `Span`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,6 +33,7 @@ __all__ = [
     "NBCBasis",
     "OSElement",
     "BrieskornComponent",
+    "Span",
     "circuits",
     "nbc_basis",
     "straighten",
@@ -83,11 +87,7 @@ class OSElement:
         return OSElement(self.k, out)
 
     def __sub__(self, other):
-        self._check_degree(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, _ZERO) - c
-        return OSElement(self.k, out)
+        return self + other.scale(-1)
 
     def scale(self, f):
         f = Fraction(f)
@@ -121,19 +121,18 @@ class BrieskornComponent:
         self.spanning = spanning  # dict: monomial tuple -> OSElement
 
     def dimension(self):
-        return _rank_of_elements(list(self.spanning.values()))
+        return rank_of_elements(self.spanning.values())
 
 
 class _OSContext:
-    """Per-arrangement cache: circuits, NBC bases, straightening results and
-    trace tables.  Independence and closures are read from L(A)."""
+    """Per-arrangement cache: NBC bases, straightening results, trace tables
+    and the circuits `circuits()` asks for.  L(A) answers the rest."""
 
     def __init__(self, A: Arrangement):
         self.A = A
         self.lattice = build_lattice(A)
         self.rank = self.lattice.rank
         self.circuits = None
-        self.broken = None          # frozenset(B) -> circuit tuple C
         self.nbc = {}
         self._nbc_levels = [[((), 0)]]   # per degree: (NBC tuple, flat mask)
         self.memo = {}              # sorted tuple -> {nbc tuple: Fraction}
@@ -169,9 +168,6 @@ class _OSContext:
             level = nxt
         circuits.sort()
         self.circuits = circuits
-        self.broken = {}
-        for C in circuits:
-            self.broken.setdefault(frozenset(C[1:]), C)
 
     # -- NBC basis ----------------------------------------------------------
 
@@ -202,44 +198,43 @@ class _OSContext:
     # -- straightening -------------------------------------------------------
 
     def straighten_sorted(self, mono):
-        """Image of a strictly increasing tuple, as {nbc tuple: coeff}."""
+        """Image of a strictly increasing tuple, as {nbc tuple: coeff}.
+
+        The suffixes T = mono[i:] are scanned from the right with F = cl(T).
+        If a suffix does not grow F, mono is dependent and maps to 0.  At the
+        first T whose flat holds an index below mono[i], with a the least,
+        d(e_a e_T) = 0 gives e_T = sum_j (-1)^j e_a e_{T - t_j}; a is not in
+        mono (mono is independent), so each term sorts by moving a past the
+        head mono[:i].  With no such suffix mono is NBC."""
         got = self.memo.get(mono)
         if got is not None:
             return got
-        if self.lattice.closure(mono) is None:
-            out = {}
+        join = self.lattice.join
+        F, cut = 0, None
+        for i in range(len(mono) - 1, -1, -1):
+            G = join[F][mono[i]]
+            if G == F:
+                self.memo[mono] = {}
+                return {}
+            F = G
+            if cut is None and F & ((1 << mono[i]) - 1):
+                cut = i, (F & -F).bit_length() - 1
+        if cut is None:
+            out = {mono: _ONE}
         else:
-            self.build_circuits()
-            B = self._least_broken(mono)
-            if B is None:
-                out = {mono: _ONE}
-            else:
-                C = self.broken[frozenset(B)]
-                rest = tuple(i for i in mono if i not in B)
-                # relation solved for the broken-circuit monomial:
-                # e_B = sum_{i>=1} (-1)^{i+1} e_{C \ {c_i}}
-                sgn_split = _merge_sign(B, rest)
-                out = {}
-                for i in range(1, len(C)):
-                    piece = C[:i] + C[i + 1:]
-                    term_sign = _ONE if i % 2 == 1 else -_ONE
-                    merged, msign = _sort_merge(piece, rest)
-                    sub = self.straighten_sorted(merged)
-                    f = sgn_split * term_sign * msign
-                    for mm, cc in sub.items():
-                        out[mm] = out.get(mm, _ZERO) + f * cc
-                out = {mm: cc for mm, cc in out.items() if cc}
+            i, a = cut
+            p = bisect_left(mono, a)
+            stem = mono[:p] + (a,) + mono[p:i]
+            sign = _ONE if (i - p) % 2 == 0 else -_ONE
+            out = {}
+            for j in range(i, len(mono)):
+                for mm, cc in self.straighten_sorted(
+                        stem + mono[i:j] + mono[j + 1:]).items():
+                    out[mm] = out.get(mm, _ZERO) + sign * cc
+                sign = -sign
+            out = {mm: cc for mm, cc in out.items() if cc}
         self.memo[mono] = out
         return out
-
-    def _least_broken(self, mono):
-        best = None
-        for size in range(2, len(mono) + 1):
-            for sub in combinations(mono, size):
-                if frozenset(sub) in self.broken:
-                    if best is None or sub < best:
-                        best = sub
-        return best
 
     # -- traces ---------------------------------------------------------------
 
@@ -259,28 +254,6 @@ class _OSContext:
                 total += sign * coeff
         self.traces[(k, perm)] = total
         return total
-
-
-def _merge_sign(B, rest):
-    """Sign of sorting the concatenation (B, rest) of disjoint sorted tuples."""
-    inv = 0
-    for b in B:
-        for r in rest:
-            if r < b:
-                inv += 1
-    return _ONE if inv % 2 == 0 else -_ONE
-
-
-def _sort_merge(a, b):
-    """Merge two disjoint sorted tuples, tracking the permutation sign of
-    sorting their concatenation."""
-    merged = tuple(sorted(a + b))
-    inv = 0
-    for x in a:
-        for y in b:
-            if y < x:
-                inv += 1
-    return merged, (_ONE if inv % 2 == 0 else -_ONE)
 
 
 def _sort_with_sign(mono):
@@ -335,14 +308,9 @@ def action_matrix(A: Arrangement, G: MatrixGroup, g: int, k: int):
     Returned as a dense list of rows of Fractions."""
     perm = hyperplane_action(G, A).perms[g]
     basis = nbc_basis(A, k)
-    n = len(basis)
-    cols = []
-    for mono in basis.monomials:
-        img = straighten(A, tuple(perm[i] for i in mono))
-        cols.append(img)
-    rows = [[_ZERO] * n for _ in range(n)]
-    for j, img in enumerate(cols):
-        for m, c in img.coeffs.items():
+    rows = [[_ZERO] * len(basis) for _ in basis.monomials]
+    for j, mono in enumerate(basis.monomials):
+        for m, c in straighten(A, tuple(perm[i] for i in mono)).coeffs.items():
             rows[basis.position[m]][j] = c
     return rows
 
@@ -371,8 +339,7 @@ def apply_perm(A: Arrangement, perm, x: OSElement) -> OSElement:
     """Image of an OSElement under a hyperplane permutation."""
     out = OSElement(x.k, {})
     for m, c in x.coeffs.items():
-        img = straighten(A, tuple(perm[i] for i in m))
-        out = out + img.scale(c)
+        out = out + straighten(A, tuple(perm[i] for i in m)).scale(c)
     return out
 
 
@@ -404,24 +371,43 @@ def brieskorn_components(A: Arrangement, k: int):
     return [BrieskornComponent(f, k, comps[f.key]) for f in lattice.levels[k]]
 
 
-def _rank_of_elements(elements):
-    """Rank of a list of OSElements of equal degree (Gaussian elimination on
-    sparse rational vectors)."""
-    rows = []
-    for el in elements:
-        vec = dict(el.coeffs)
-        for pivot_key, pivot_vec in rows:
-            f = vec.get(pivot_key)
+class Span:
+    """Incremental span of sparse rational vectors {key: Fraction}, in
+    echelon form: a new vector is reduced against the pivots in insertion
+    order and, if it is not in the span, kept normalized at its least key."""
+
+    def __init__(self):
+        self.pivots = []   # (pivot key, normalized reduced vector)
+
+    def _reduce(self, vec):
+        vec = dict(vec)
+        coords = [_ZERO] * len(self.pivots)
+        for i, (pk, pv) in enumerate(self.pivots):
+            f = vec.get(pk)
             if f:
-                for m, c in pivot_vec.items():
+                coords[i] = f
+                for m, c in pv.items():
                     vec[m] = vec.get(m, _ZERO) - f * c
-        vec = {m: c for m, c in vec.items() if c}
-        if vec:
-            pk = min(vec)
-            pv = {m: c / vec[pk] for m, c in vec.items()}
-            rows.append((pk, pv))
-    return len(rows)
+        return {m: c for m, c in vec.items() if c}, coords
+
+    def add(self, vec):
+        """Insert if independent; returns True when the vector was new."""
+        red, _ = self._reduce(vec)
+        if not red:
+            return False
+        pk = min(red)
+        self.pivots.append((pk, {m: c / red[pk] for m, c in red.items()}))
+        return True
+
+    def solve(self, vec):
+        """Coordinates of vec over the pivot vectors; None if outside."""
+        red, coords = self._reduce(vec)
+        return None if red else coords
 
 
 def rank_of_elements(elements):
-    return _rank_of_elements(elements)
+    """Rank of OSElements of equal degree: the pivots of their Span."""
+    span = Span()
+    for el in elements:
+        span.add(el.coeffs)
+    return len(span.pivots)

@@ -196,6 +196,16 @@ def test_load_group_file_malformed(tmp_path):
         load_group_file(bad)
 
 
+def test_shipped_group_one_build_per_name():
+    misses = shipped_group.cache_info().misses
+    H3 = parse_group_spec("H3")
+    assert H3 is shipped_group("h3")
+    assert parse_group_spec("h3", order_cap=120) is H3
+    assert shipped_group.cache_info().misses <= misses + 1
+    with pytest.raises(OrderCapExceededError):
+        parse_group_spec("H3", order_cap=119)
+
+
 def test_parse_specs():
     assert parse_group_spec("G(2,1,2)").order == 8
     assert parse_group_spec("W(3)").order == 6

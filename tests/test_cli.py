@@ -30,6 +30,13 @@ def test_info_group():
     assert payload["arrangement"]["hyperplanes"] == 4
 
 
+def test_info_shipped_group_order_cap():
+    code, _, err = invoke("info", "--group", "H3", "--order-cap", "119")
+    assert code == EXIT_USAGE and "error" in err
+    code, out, _ = invoke("info", "--group", "H3", "--order-cap", "120")
+    assert code == EXIT_OK and "120" in out
+
+
 def test_info_requires_something():
     code, _, err = invoke("info")
     assert code == EXIT_USAGE and "error" in err

@@ -6,7 +6,8 @@ import pytest
 from reflact import catalog
 from reflact import groups as groups_mod
 from reflact.arrangement import Arrangement, build_lattice
-from reflact.exactnum import Cyc, CycMatrix
+from reflact.exactnum import Cyc, CycMatrix, rref
+from reflact.arrangement import canonicalize_hyperplane
 from reflact.groups import (
     NotStableError,
     OrderCapExceededError,
@@ -348,3 +349,84 @@ def test_contains_matrix_across_conductors():
     assert k is not None and G333.elements[k] == perm
     assert G333.contains_matrix(signed) is None
     assert G333.contains_matrix(CycMatrix.identity(2)) is None
+
+
+def _reflections_per_element(G):
+    """Reference: one rref(g - I) per element; rank 1 is a reflection, and
+    the first reduced row is its hyperplane."""
+    out = []
+    ident = CycMatrix.identity(G.n).entries
+    for i, g in enumerate(G.elements):
+        if i == 0:
+            continue
+        diff = CycMatrix(G.n, G.n, [a - b for a, b in zip(g.entries, ident)])
+        red, _, rank = rref(diff)
+        if rank == 1:
+            out.append((i, canonicalize_hyperplane(red.row(0))))
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.make_grpn(1, 1, 4),
+    lambda: catalog.make_grpn(2, 2, 4),
+    lambda: catalog.make_grpn(3, 1, 3),
+    lambda: catalog.make_grpn(3, 3, 3),
+    lambda: catalog.make_grpn(4, 4, 2),
+    lambda: catalog.shipped_group("h3"),
+], ids=["W(4)", "G(2,2,4)", "G(3,1,3)", "G(3,3,3)", "G(4,4,2)", "H3"])
+def test_reflections_match_per_element_rref(build):
+    G = build()
+    want = _reflections_per_element(G)
+    got = reflections(G)
+    assert got == want
+    assert [[c.m for c in h.covector] for _, h in got] == \
+        [[c.m for c in h.covector] for _, h in want]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.make_grpn(3, 1, 3),
+    lambda: catalog.make_grpn(4, 2, 2),
+    lambda: catalog.make_grpn(2, 1, 3),
+    lambda: catalog.shipped_group("f4"),
+], ids=["G(3,1,3)", "G(4,2,2)", "G(2,1,3)", "F4"])
+def test_linear_characters_order(build):
+    # trivial character first, then the rest by their _canonical value tuples
+    chars = linear_characters(build())
+    assert chars[0].is_trivial()
+    keys = [tuple(v._canonical() for v in ch.values) for ch in chars[1:]]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
+
+
+def _orbit_cases():
+    G213 = catalog.make_grpn(2, 1, 3)
+    H3 = catalog.shipped_group("h3")
+    return [(G213, catalog.make_arrangement("full", 2, 3)),
+            (H3, reflection_arrangement(H3))]
+
+
+def test_orbit_Z_is_pointwise_stabilizer():
+    for G, A in _orbit_cases():
+        for o in orbits_on_lattice(G, A):
+            assert o.Z == pointwise_stabilizer(G, o.representative)
+
+
+def test_orbits_need_no_cyclotomic_products_until_Z(monkeypatch):
+    for G, A in _orbit_cases():
+        A = Arrangement(A.n, A.hyperplanes)   # fresh caches
+        build_lattice(A)
+        hyperplane_action(G, A)
+        calls = []
+        original = Cyc.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Cyc, "__mul__", counting)
+        orbits = orbits_on_lattice(G, A)
+        assert not calls
+        for o in orbits:
+            o.Z
+        assert calls
+        monkeypatch.undo()

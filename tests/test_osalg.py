@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -49,7 +49,20 @@ def w3():
 # set), computed with plain rational row reduction
 # ---------------------------------------------------------------------------
 
-def os_dim_oracle(A, k):
+def sign_sorted(t):
+    lst = list(t)
+    sign = 1
+    for i in range(1, len(lst)):
+        j = i
+        while j > 0 and lst[j - 1] > lst[j]:
+            lst[j - 1], lst[j] = lst[j], lst[j - 1]
+            sign = -sign
+            j -= 1
+    return tuple(lst), sign
+
+
+def os_relations(A, k):
+    """(increasing k-tuples, their positions, relation rows over them)."""
     nh = len(A)
     monos = list(combinations(range(nh), k))
     pos = {m: i for i, m in enumerate(monos)}
@@ -58,17 +71,6 @@ def os_dim_oracle(A, k):
         M = CycMatrix.from_rows([list(A.covector(i)) for i in sub])
         _, _, rank = rref(M)
         return rank < len(sub)
-
-    def sign_sorted(t):
-        lst = list(t)
-        sign = 1
-        for i in range(1, len(lst)):
-            j = i
-            while j > 0 and lst[j - 1] > lst[j]:
-                lst[j - 1], lst[j] = lst[j], lst[j - 1]
-                sign = -sign
-                j -= 1
-        return tuple(lst), sign
 
     relations = []
     for size in range(2, k + 2):
@@ -87,10 +89,13 @@ def os_dim_oracle(A, k):
                     row[pos[srt]] += Fraction((-1) ** (i + 1) * sgn)
                 if any(row):
                     relations.append(row)
-    # rank of the relation span
+    return monos, pos, relations
+
+
+def row_rank(rows):
     rank = 0
     pivots = {}
-    for row in relations:
+    for row in rows:
         row = row[:]
         for p, prow in pivots.items():
             f = row[p]
@@ -101,7 +106,12 @@ def os_dim_oracle(A, k):
             inv = row[lead]
             pivots[lead] = [c / inv for c in row]
             rank += 1
-    return len(monos) - rank
+    return rank
+
+
+def os_dim_oracle(A, k):
+    monos, _, relations = os_relations(A, k)
+    return len(monos) - row_rank(relations)
 
 
 def test_circuits_examples():
@@ -144,13 +154,19 @@ def test_straighten_examples():
 
 def test_straighten_respects_relations_oracle():
     # straighten(x) - x must lie in the relation span: appending the
-    # difference to the oracle's relation rows does not change the quotient
-    A = a2_2()
-    k = 2
-    for mono in combinations(range(4), 2):
-        el = straighten(A, mono)
-        for m in el.coeffs:
-            assert m in nbc_basis(A, k).position
+    # difference to the oracle's relation rows does not raise their rank
+    for A in (a2_2(), braid3()):
+        monos, pos, relations = os_relations(A, 2)
+        rank = row_rank(relations)
+        for x in permutations(range(len(A)), 2):
+            el = straighten(A, x)
+            assert set(el.coeffs) <= set(nbc_basis(A, 2).position)
+            row = [Fraction(0)] * len(monos)
+            for m, c in el.coeffs.items():
+                row[pos[m]] += c
+            srt, sgn = sign_sorted(x)
+            row[pos[srt]] -= sgn
+            assert row_rank(relations + [row]) == rank, x
 
 
 def test_action_matrix_identity_and_perm():
@@ -389,3 +405,64 @@ def test_oselement_degree_mismatch():
         OSElement(1, {(0,): Fraction(1)}) + OSElement(2, {(0, 1): Fraction(1)})
     with pytest.raises(ValueError):
         OSElement(1, {}) - OSElement(0, {})
+
+
+# ---------------------------------------------------------------------------
+# straightening against the broken-circuit rewrite
+# ---------------------------------------------------------------------------
+
+def broken_circuit_straighten(A):
+    """Reference straightening by broken circuits: in an independent
+    monomial, take the least broken circuit B = C - min(C) it contains and
+    solve the relation of the circuit C for e_B,
+    e_B = sum_{i>=1} (-1)^{i+1} e_{C - c_i}.  Monomials with no broken
+    circuit are the NBC basis."""
+    broken = {}
+    for C in circuits(A):
+        broken.setdefault(frozenset(C[1:]), C)
+    lattice = build_lattice(A)
+    memo = {}
+
+    def rewrite(mono):
+        if mono in memo:
+            return memo[mono]
+        out = {}
+        if lattice.closure(mono) is not None:
+            found = [sub for size in range(2, len(mono) + 1)
+                     for sub in combinations(mono, size)
+                     if frozenset(sub) in broken]
+            if not found:
+                out = {mono: Fraction(1)}
+            else:
+                B = min(found)
+                C = broken[frozenset(B)]
+                rest = tuple(i for i in mono if i not in B)
+                _, split = sign_sorted(B + rest)
+                for i in range(1, len(C)):
+                    merged, msign = sign_sorted(C[:i] + C[i + 1:] + rest)
+                    f = split * (-1) ** (i + 1) * msign
+                    for m, c in rewrite(merged).items():
+                        out[m] = out.get(m, Fraction(0)) + f * c
+                out = {m: c for m, c in out.items() if c}
+        memo[mono] = out
+        return out
+
+    return rewrite
+
+
+def test_straighten_matches_broken_circuit_rewrite(matroid_case):
+    A = _fresh(matroid_case)
+    reference = broken_circuit_straighten(_fresh(matroid_case))
+    for size in range(A.rank() + 2):
+        for mono in combinations(range(len(A)), size):
+            assert straighten(A, mono).coeffs == reference(mono), mono
+
+
+def test_straightening_builds_no_circuits():
+    from reflact.catalog import make_arrangement, make_grpn
+    from reflact.invariants import poincare_invariants, trivial_character
+    A = _fresh(make_arrangement("full", 2, 3))
+    G = make_grpn(2, 1, 3)
+    assert poincare_invariants(A, G, trivial_character(G)) == (1, 2, 2, 1)
+    assert A._os.circuits is None
+    assert all(v._os.circuits is None for v in A._views.values() if v._os)
