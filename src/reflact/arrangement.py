@@ -12,17 +12,19 @@ L(A) is built once per arrangement, on first use, and doubles as its
 matroid: every flat is also an int bitmask over the hyperplane indices, and
 a join table gives the flat spanned by any flat and any hyperplane.  Rank,
 independence, closures, circuits and NBC sets are all read from it with int
-lookups.  Exact row reduction happens only while the lattice is built, once
-per flat and hyperplane.  A subarrangement A_X is a view: it shares the
-parent's hyperplanes, and its lattice is the parent's interval below X,
-renumbered, so building it needs no cyclotomic arithmetic.
+lookups.  Exact row reduction happens only while the lattice is built, one
+residual update (`_clear`) per flat and hyperplane, and in `essentialize`,
+which reads the center from the `exactnum.Span` of the covectors.  A
+subarrangement A_X is a view: it shares the parent's hyperplanes, and its
+lattice is the parent's interval below X, renumbered, so building it needs
+no cyclotomic arithmetic.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .exactnum import Cyc, CycMatrix, cyc_from_json, cyc_to_json, kernel, rref
+from .exactnum import Cyc, CycMatrix, Span, cyc_from_json, cyc_to_json, kernel
 
 __all__ = [
     "Hyperplane",
@@ -213,27 +215,6 @@ def _lead(vec):
     return next((j for j, c in enumerate(vec) if not c.is_zero()), None)
 
 
-def _reduce(rows, vec):
-    """Reduce vec against echelon rows in pivot order (pivot = first nonzero
-    entry).  Returns (residual, coefficients) with vec = residual +
-    sum(coefficients[r] * rows[r]); the residual is zero in every pivot
-    column, so it depends only on the class of vec modulo the row span."""
-    vec = list(vec)
-    coeffs = []
-    for row in rows:
-        f = vec[_lead(row)]
-        coeffs.append(f)
-        if not f.is_zero():
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return vec, coeffs
-
-
-def _echelon(rows):
-    """The nonzero rows of the reduced row echelon form of `rows`."""
-    red, _, rank = rref(CycMatrix.from_rows(rows))
-    return red.row_list()[:rank]
-
-
 def _basis_from_rows(n, rows):
     """A callable computing the rows spanning the common kernel of `rows`."""
     def basis():
@@ -358,17 +339,17 @@ def subarrangement(A: Arrangement, X: Flat) -> Arrangement:
 
 def essentialize(A: Arrangement):
     """Quotient by the center.  Returns (essential arrangement in C^rk,
-    projection matrix rk x n with new_covector(P v) = old_covector(v))."""
+    projection matrix rk x n with new_covector(P v) = old_covector(v)).
+    P's rows are the reduced echelon basis of the covectors' span, and a
+    new covector holds the old one's coordinates in that basis."""
     if not A.hyperplanes:
         return Arrangement(0, []), CycMatrix(0, A.n, [])
-    basis_rows = _echelon([h.covector for h in A.hyperplanes])
-    rank = len(basis_rows)
-    proj = CycMatrix.from_rows(basis_rows)
-    new_cov = []
+    span = Span()
     for h in A.hyperplanes:
-        # coordinates of the covector in the echelon basis of the row space
-        rest, coords = _reduce(basis_rows, h.covector)
-        if _lead(rest) is not None:
-            raise ArithmeticError("covector outside its own row space")
-        new_cov.append(coords)
-    return Arrangement.from_covectors(rank, new_cov), proj
+        span.add(dict(enumerate(h.covector)))
+    proj = CycMatrix.from_rows([[row.get(j, Cyc.zero()) for j in range(A.n)]
+                                for _, row in span.pivots])
+    new_cov = [span.solve(dict(enumerate(h.covector))) for h in A.hyperplanes]
+    if any(c is None for c in new_cov):
+        raise ArithmeticError("covector outside its own row space")
+    return Arrangement.from_covectors(len(span.pivots), new_cov), proj

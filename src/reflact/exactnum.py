@@ -1,6 +1,7 @@
 """
 Exact arithmetic over Q and the cyclotomic fields Q(zeta_m), together with
-exact dense linear algebra (row reduction, rank, kernel).
+the one exact echelon, `Span`, and the linear algebra built on it (row
+reduction, rank, kernel, inverse).
 
 Rationals are `fractions.Fraction` (aliased `Rat`).  A cyclotomic number is a
 `Cyc`: a conductor m together with the unique reduced coefficient vector of
@@ -8,7 +9,14 @@ length phi(m) representing the element in the power basis
 1, zeta_m, ..., zeta_m^{phi(m)-1} of Q[x]/Phi_m(x).  Binary operations on
 mixed conductors lift both operands to the lcm.  Conductors stay small here
 (m <= 60), so the dense representation is the simplest correct canonical
-form.
+form.  A Cyc is true when it is nonzero, and its inverse comes from the
+extended Euclidean algorithm against Phi_m.
+
+`Span` keeps sparse vectors {key: value}, with values all `Fraction` or all
+`Cyc`, in reduced row echelon form, pivoting at each row's least key.  Every
+elimination in the package runs through it: `rref`, `kernel` and
+`CycMatrix.inverse` here, determinants and stabilizers in `groups`,
+essentialization in `arrangement`, and spans of Orlik-Solomon elements.
 
 >>> z = Cyc.root_of_unity(3, 1)
 >>> (1 + z) * (1 + z * z)
@@ -19,6 +27,7 @@ True
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -27,6 +36,7 @@ __all__ = [
     "Rat",
     "Cyc",
     "CycMatrix",
+    "Span",
     "euler_phi",
     "cyclotomic_polynomial",
     "cyc_normalize",
@@ -71,6 +81,18 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]):
     while num and not num[-1]:
         num.pop()
     return quot, num
+
+
+def _poly_mul_sub(a, q, b):
+    """a - q * b, coeffs low -> high, trailing zeros dropped."""
+    out = list(a) + [_ZERO] * max(0, len(q) + len(b) - 1 - len(a))
+    for i, x in enumerate(q):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] -= x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -136,14 +158,18 @@ def _reduce_coeffs(m: int, raw) -> tuple[Fraction, ...]:
 def _subfield_solver(m: int, d: int):
     """For d | m: the images in Q(zeta_m) of the power basis of Q(zeta_d),
     and a left inverse of the matrix with those columns.  The images are
-    independent, so the left inverse comes from the normal equations."""
-    k = m // d
+    independent, so the reduced echelon form of [images | identity] has its
+    pivots among the image coordinates, and the identity part of the row
+    with pivot i is column i of a left inverse (zero off the pivots)."""
+    k, phi = m // d, euler_phi(m)
     cols = [_reduce_coeffs(m, [_ZERO] * (k * j) + [_ONE])
             for j in range(euler_phi(d))]
-    gram = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
-    # column i of the left inverse: gram^-1 times row i of the column matrix
-    left = [_solve_square(gram, [col[i] for col in cols])
-            for i in range(euler_phi(m))]
+    span = Span()
+    for j, col in enumerate(cols):
+        span.add({**dict(enumerate(col)), phi + j: _ONE})
+    left = [[_ZERO] * len(cols) for _ in range(phi)]
+    for i, row in span.pivots:
+        left[i] = [row.get(phi + j, _ZERO) for j in range(len(cols))]
     return cols, left
 
 
@@ -202,6 +228,9 @@ class Cyc:
 
     def is_zero(self) -> bool:
         return not any(self.c)
+
+    def __bool__(self) -> bool:
+        return any(self.c)
 
     def is_rational(self) -> bool:
         return not any(self.c[1:])
@@ -303,23 +332,25 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("division by zero Cyc")
         if self.is_rational():
             return Cyc(self.m, (1 / self.c[0],) + self.c[1:])
-        m = self.m
-        phi = euler_phi(m)
-        # solve (mult-by-self matrix) y = e_0
-        cols = []
-        for j in range(phi):
-            basis = Cyc(m, tuple(_ONE if i == j else _ZERO for i in range(phi)))
-            cols.append((self * basis).c)
-        rows = [[cols[j][i] for j in range(phi)] for i in range(phi)]
-        rhs = [_ONE] + [_ZERO] * (phi - 1)
-        sol = _solve_square(rows, rhs)
-        if sol is None:
+        # extended Euclid on (Phi_m, x), keeping s_i * x = r_i mod Phi_m;
+        # Phi_m is irreducible, so the remainders end at a nonzero constant
+        r0, r1 = list(cyclotomic_polynomial(self.m)), list(self.c)
+        while not r1[-1]:
+            r1.pop()
+        s0, s1 = [], [_ONE]
+        while len(r1) > 1:
+            q, r = _poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _poly_mul_sub(s0, q, s1)
+        if not r1:
             raise ZeroDivisionError("non-invertible Cyc (engine bug)")
-        return Cyc(m, tuple(sol))
+        inv = 1 / r1[0]
+        out = [c * inv for c in s1]
+        return Cyc(self.m, out + [_ZERO] * (euler_phi(self.m) - len(out)))
 
     def __truediv__(self, other):
         other = Cyc._coerce(other)
@@ -405,32 +436,6 @@ def cyc_arith(a: Cyc, b: Cyc, op: str) -> Cyc:
     if op == "div":
         return a / b
     raise ValueError("unknown op %r" % op)
-
-
-def _solve_square(rows, rhs):
-    """Solve a square Fraction system in place; None if singular."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    rhs = list(rhs)
-    perm = list(range(n))
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = rows[col][col]
-        for i in range(n):
-            if i != col and rows[i][col]:
-                f = rows[i][col] / inv
-                for j in range(col, n):
-                    rows[i][j] -= f * rows[col][j]
-                rhs[i] -= f * rhs[col]
-    return [rhs[i] / rows[i][i] for i in range(n)]
 
 
 class CycMatrix:
@@ -536,10 +541,10 @@ class CycMatrix:
         work = [list(self.row(i)) + [_CYC_ONE if j == i else _CYC_ZERO for j in range(n)]
                 for i in range(n)]
         # [M | I] always has rank n; M is singular when a pivot lies in I
-        red, piv, _ = _rref_rows(work)
+        red, piv, _ = rref(CycMatrix.from_rows(work))
         if any(p >= n for p in piv):
             raise ZeroDivisionError("singular matrix")
-        return CycMatrix.from_rows([r[n:] for r in red])
+        return CycMatrix.from_rows([red.row(i)[n:] for i in range(n)])
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
@@ -565,51 +570,79 @@ class CycMatrix:
         return "CycMatrix(%d, %d, m=%d)" % (self.rows, self.cols, self.m)
 
 
-def _rref_rows(work):
-    """In-place reduced row echelon form on a list of Cyc row lists.
-    Pivot = first nonzero entry in column order (arithmetic is exact, no
-    magnitude heuristics).  Returns (rows, pivot columns, rank)."""
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not work[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = work[r][col].inverse()
-        work[r] = [inv * e for e in work[r]]
-        for i in range(nrows):
-            if i != r and not work[i][col].is_zero():
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivots, r
+class Span:
+    """Incremental span of sparse vectors {key: value}, values all `Fraction`
+    or all `Cyc`, in reduced row echelon form.  `pivots` lists (pivot key,
+    row) ascending by key; each row holds 1 at its pivot, the least key it
+    has, and nothing at any other row's pivot."""
+
+    def __init__(self):
+        self.pivots = []
+
+    def _reduce(self, vec):
+        """(residual, coordinates) with vec = residual + sum of coordinate
+        times row; the residual has no pivot keys."""
+        vec = {k: c for k, c in vec.items() if c}
+        coords = [_ZERO] * len(self.pivots)
+        for i, (pk, row) in enumerate(self.pivots):
+            f = _eliminate(vec, pk, row)
+            if f is not None:
+                coords[i] = f
+        return vec, coords
+
+    def add(self, vec):
+        """Insert vec if it is outside the span.  Returns the residual's
+        entry at its least key before normalization, or None when vec is
+        dependent."""
+        red, _ = self._reduce(vec)
+        if not red:
+            return None
+        pk = min(red)
+        lead = red[pk]
+        inv = 1 / lead
+        new = {k: c * inv for k, c in red.items()}
+        for _, row in self.pivots:
+            _eliminate(row, pk, new)
+        insort(self.pivots, (pk, new), key=lambda t: t[0])
+        return lead
+
+    def solve(self, vec):
+        """Coordinates of vec over the pivot vectors; None if outside."""
+        red, coords = self._reduce(vec)
+        return None if red else coords
+
+
+def _eliminate(vec, key, row):
+    """Clear a sparse vec at key with a row that is 1 there, in place, and
+    return the multiple of row taken (None when vec has no entry at key)."""
+    f = vec.pop(key, None)
+    if f is not None:
+        for k, c in row.items():
+            if k != key:
+                old = vec.get(k)
+                new = -(f * c) if old is None else old - f * c
+                if new:
+                    vec[k] = new
+                else:
+                    del vec[k]
+    return f
 
 
 def rref(M: CycMatrix):
     """Reduced row echelon form: (reduced CycMatrix, pivot column list, rank)."""
-    if M.rows == 0:
-        return M, [], 0
-    work = [list(M.row(i)) for i in range(M.rows)]
-    red, pivots, rank = _rref_rows(work)
-    return CycMatrix.from_rows(red), pivots, rank
+    span = Span()
+    for i in range(M.rows):
+        span.add(dict(enumerate(M.row(i))))
+    zero = _CYC_ZERO.lift(M.m)
+    rows = [[row.get(j, zero) for j in range(M.cols)] for _, row in span.pivots]
+    rows += [[zero] * M.cols for _ in range(M.rows - len(rows))]
+    return (CycMatrix(M.rows, M.cols, [e for r in rows for e in r]),
+            [pk for pk, _ in span.pivots], len(span.pivots))
 
 
 def kernel(M: CycMatrix) -> list:
     """Basis of the right null space, as lists of Cyc of length M.cols."""
-    if M.rows == 0:
-        return [[_CYC_ONE if i == j else _CYC_ZERO for i in range(M.cols)]
-                for j in range(M.cols)]
-    red, pivots, rank = rref(M)
+    red, pivots, _ = rref(M)
     free = [j for j in range(M.cols) if j not in pivots]
     basis = []
     for f in free:

@@ -15,11 +15,12 @@ deterministic.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 
-from .arrangement import (Arrangement, Flat, _echelon, _lead, _reduce,
-                          build_lattice, canonicalize_hyperplane)
-from .exactnum import Cyc, CycMatrix, cyc_from_json, rref
+from .arrangement import (Arrangement, Flat, _lead, build_lattice,
+                          canonicalize_hyperplane)
+from .exactnum import Cyc, CycMatrix, Span, cyc_from_json, rref
 
 __all__ = [
     "MatrixGroup",
@@ -334,21 +335,12 @@ def pointwise_stabilizer(G: MatrixGroup, X: Flat) -> frozenset:
 def setwise_stabilizer(G: MatrixGroup, X: Flat) -> frozenset:
     """Elements mapping the subspace X to itself."""
     rows = [list(X.basis.row(r)) for r in range(X.basis.rows)]
-    if not rows:
-        return frozenset(range(G.order))
-    span = _echelon(rows)
-    out = []
-    for i, g in enumerate(G.elements):
-        ok = True
-        for row in rows:
-            img = g.apply(row)
-            red, _ = _reduce(span, img)
-            if any(not c.is_zero() for c in red):
-                ok = False
-                break
-        if ok:
-            out.append(i)
-    return frozenset(out)
+    span = Span()
+    for row in rows:
+        span.add(dict(enumerate(row)))
+    return frozenset(i for i, g in enumerate(G.elements)
+                     if all(span.solve(dict(enumerate(g.apply(row)))) is not None
+                            for row in rows))
 
 
 def center(G: MatrixGroup) -> frozenset:
@@ -527,30 +519,30 @@ def determinant_like_characters(G: MatrixGroup):
 
 
 def det_character(G: MatrixGroup, inverse=False) -> LinearCharacter:
-    """The restriction of det (or det^{-1}) to G, as a LinearCharacter."""
-    values = []
-    for g in G.elements:
-        d = _det(g)
-        values.append(d.inverse() if inverse else d)
+    """The restriction of det (or det^{-1}) to G, as a LinearCharacter at
+    conductor G.m: one determinant per generator, multiplied along the BFS
+    parents, which precede their children."""
+    dets = [_det(G.elements[gi]).lift(G.m) for gi in G.generators]
+    values = [Cyc.one().lift(G.m)] * G.order
+    for k in range(1, G.order):
+        i, s = G.parents[k]
+        values[k] = values[i] * dets[s]
+    if inverse:
+        values = [values[G.inverse[g]] for g in range(G.order)]
     return LinearCharacter(values)
 
 
 def _det(M: CycMatrix) -> Cyc:
-    n = M.rows
-    work = [list(M.row(i)) for i in range(n)]
-    det = Cyc.one()
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not work[i][col].is_zero()), None)
-        if piv is None:
+    """The product of the rows' leads as they enter a Span, times the sign
+    of the order in which they take their pivot columns: each lead is its
+    row minus earlier rows, and in pivot order those residuals are upper
+    triangular."""
+    span, det, order = Span(), Cyc.one(), []
+    for i in range(M.rows):
+        lead = span.add(dict(enumerate(M.row(i))))
+        if lead is None:
             return Cyc.zero()
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = work[col][col].inverse()
-        for i in range(col + 1, n):
-            if not work[i][col].is_zero():
-                f = work[i][col] * inv
-                for j in range(col, n):
-                    work[i][j] = work[i][j] - f * work[col][j]
-    return det
+        det = det * lead
+        order.append(next(pk for pk, _ in span.pivots if pk not in order))
+    flips = sum(a > b for a, b in combinations(order, 2))
+    return -det if flips % 2 else det

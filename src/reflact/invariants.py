@@ -115,10 +115,11 @@ def _as_dim(x: Cyc) -> int:
     return int(q)
 
 
-def _fiber_weights(G: MatrixGroup, act, chi: LinearCharacter):
-    """Map perm -> sum of chi(g^{-1}) over the elements inducing it."""
+def _fiber_weights(G: MatrixGroup, fibers, chi):
+    """Map perm -> sum of chi(g^{-1}) over the elements of G inducing it,
+    for fibers perm -> element indices and chi any function of an index."""
     out = {}
-    for perm, members in act.fibers().items():
+    for perm, members in fibers.items():
         w = Cyc.zero()
         for g in members:
             w = w + chi(G.inverse[g])
@@ -126,28 +127,34 @@ def _fiber_weights(G: MatrixGroup, act, chi: LinearCharacter):
     return out
 
 
+def _fiber_average(weights, trace, order: int) -> Cyc:
+    """(1/order) sum over perm of weights[perm] * trace(perm), with the
+    trace read only where the weight is nonzero."""
+    total = Cyc.zero()
+    for perm, w in weights.items():
+        if w:
+            total = total + w * Cyc.rational(trace(perm))
+    return total * Cyc.rational(Fraction(1, order))
+
+
 def isotypic_dim_global(A: Arrangement, G: MatrixGroup, chi: LinearCharacter,
                         k: int) -> int:
     """dim of the chi-isotypic part of H^k(M(A)), by trace averaging."""
-    act = hyperplane_action(G, A)
-    total = Cyc.zero()
-    for perm, w in _fiber_weights(G, act, chi).items():
-        if w.is_zero():
-            continue
-        total = total + w * Cyc.rational(perm_trace(A, perm, k))
-    return _as_dim(total * Cyc.rational(Fraction(1, G.order)))
+    weights = _fiber_weights(G, hyperplane_action(G, A).fibers(), chi)
+    return _as_dim(_fiber_average(weights, lambda p: perm_trace(A, p, k),
+                                  G.order))
 
 
 def isotypic_dim_projection(A: Arrangement, G: MatrixGroup,
                             chi: LinearCharacter, k: int) -> int:
     """The same dimension as the rank of the projection sum_g chi(g^{-1}) g
     on the NBC basis (rank of an idempotent equals its trace)."""
-    act = hyperplane_action(G, A)
     basis = nbc_basis(A, k)
     n = len(basis)
     rows = [[Cyc.zero()] * n for _ in range(n)]
-    for perm, w in _fiber_weights(G, act, chi).items():
-        if w.is_zero():
+    for perm, w in _fiber_weights(G, hyperplane_action(G, A).fibers(),
+                                  chi).items():
+        if not w:
             continue
         for j, mono in enumerate(basis.monomials):
             img = straighten(A, tuple(perm[i] for i in mono))
@@ -179,16 +186,9 @@ def _orbit_isotypic_dim(A, G, orbit, chi) -> int:
     of the subarrangement at the representative flat."""
     f = orbit.representative
     sub = subarrangement(A, f)
-    k = f.codim
-    total = Cyc.zero()
-    for sp, members in _sub_action_fibers(A, G, orbit, orbit.N).items():
-        w = Cyc.zero()
-        for g in members:
-            w = w + chi(G.inverse[g])
-        if w.is_zero():
-            continue
-        total = total + w * Cyc.rational(perm_trace(sub, sp, k))
-    return _as_dim(total * Cyc.rational(Fraction(1, len(orbit.N))))
+    weights = _fiber_weights(G, _sub_action_fibers(A, G, orbit, orbit.N), chi)
+    return _as_dim(_fiber_average(
+        weights, lambda sp: perm_trace(sub, sp, f.codim), len(orbit.N)))
 
 
 class PoincarePoly:
@@ -441,8 +441,9 @@ def theorem4_basis(A: Arrangement, G: MatrixGroup, cox_monomials=None,
             raise BasisVerificationError(
                 "projections in degree %d are dependent" % k)
     # injectivity of the Euler derivation on the top-degree basis vectors
+    # (d maps H^0 to 0, so there is nothing to check when rk = 0)
     top = [pr for e in entries if e["codim"] == rk for pr in e["projections"]]
-    if top and rank_of_elements([euler_derivation(A, v) for v in top]) != len(top):
+    if rk and rank_of_elements([euler_derivation(A, v) for v in top]) != len(top):
         raise BasisVerificationError("top-degree images under d are dependent")
 
     basis = Theorem4Basis(entries, poincare)
@@ -499,7 +500,8 @@ def relative_character(A: Arrangement, G: MatrixGroup,
                 raise NotNormalError("G is not normal in the ambient group")
 
     chars = linear_characters(Gt)
-    act = hyperplane_action(Gt, A)
+    fibers = hyperplane_action(Gt, A).fibers()
+    weights = [_fiber_weights(Gt, fibers, ch) for ch in chars]
     orbits = orbits_on_lattice(Gt, A)
     # a Gt-orbit can split into several G-orbits; span K_T^G from one
     # representative flat of each
@@ -522,21 +524,11 @@ def relative_character(A: Arrangement, G: MatrixGroup,
                 if not proj.is_zero():
                     span.add(proj.coeffs)
         dim = len(span.pivots)
-        mults = []
         if dim:
-            traces = {}
-            fibers = act.fibers()
-            for perm in fibers:
-                traces[perm] = _perm_trace_on_span(A, perm, span, k)
-            for ch in chars:
-                total = Cyc.zero()
-                for perm, members in fibers.items():
-                    w = Cyc.zero()
-                    for g in members:
-                        w = w + ch(Gt.inverse[g])
-                    if not w.is_zero():
-                        total = total + w * Cyc.rational(traces[perm])
-                mults.append(_as_dim(total * Cyc.rational(Fraction(1, Gt.order))))
+            traces = {perm: _perm_trace_on_span(A, perm, span, k)
+                      for perm in fibers}
+            mults = [_as_dim(_fiber_average(w, traces.__getitem__, Gt.order))
+                     for w in weights]
         else:
             mults = [0] * len(chars)
         entries.append({"codim": k, "rep_key": o.representative.key,
@@ -574,16 +566,9 @@ def multiplicity_classfn(A: Arrangement, G: MatrixGroup, phi, k: int) -> Cyc:
     for ci, cls in enumerate(classes):
         for g in cls:
             cls_of[g] = ci
-    act = hyperplane_action(G, A)
-    total = Cyc.zero()
-    for perm, members in act.fibers().items():
-        w = Cyc.zero()
-        for g in members:
-            w = w + phi[cls_of[G.inverse[g]]]
-        if w.is_zero():
-            continue
-        total = total + w * Cyc.rational(perm_trace(A, perm, k))
-    return total * Cyc.rational(Fraction(1, G.order))
+    weights = _fiber_weights(G, hyperplane_action(G, A).fibers(),
+                             lambda h: phi[cls_of[h]])
+    return _fiber_average(weights, lambda p: perm_trace(A, p, k), G.order)
 
 
 def vanishing_check_detlike(A: Arrangement, G: MatrixGroup) -> dict:

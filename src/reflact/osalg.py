@@ -16,7 +16,9 @@ index by a strictly smaller one, so it terminates by lexicographic descent.
 All coefficients are rational.  Independence, closures, circuits and NBC
 sets are int lookups in the arrangement's lattice of flats
 (`arrangement.build_lattice`), so no cyclotomic arithmetic happens here.
-Spans and ranks of elements come from one sparse rational echelon, `Span`.
+Spans and ranks of elements come from the package's one exact echelon,
+`exactnum.Span`, which this module re-exports.  Signs are the ints +-1, so
+a coefficient times a sign stays a `Fraction` without building -1.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .arrangement import Arrangement, build_lattice
-from .exactnum import Rat, rat_to_str
+from .exactnum import Span, rat_to_str
 from .groups import MatrixGroup, hyperplane_action
 
 __all__ = [
@@ -225,7 +227,7 @@ class _OSContext:
             i, a = cut
             p = bisect_left(mono, a)
             stem = mono[:p] + (a,) + mono[p:i]
-            sign = _ONE if (i - p) % 2 == 0 else -_ONE
+            sign = 1 if (i - p) % 2 == 0 else -1
             out = {}
             for j in range(i, len(mono)):
                 for mm, cc in self.straighten_sorted(
@@ -257,7 +259,7 @@ class _OSContext:
 
 
 def _sort_with_sign(mono):
-    """(sorted tuple, sign) or (None, 0) on repeated index."""
+    """(sorted tuple, sign +-1) or (None, 0) on repeated index."""
     lst = list(mono)
     n = len(lst)
     sign = 1
@@ -271,7 +273,7 @@ def _sort_with_sign(mono):
     for i in range(1, n):
         if lst[i - 1] == lst[i]:
             return None, 0
-    return tuple(lst), (_ONE if sign == 1 else -_ONE)
+    return tuple(lst), sign
 
 
 def _ctx(A: Arrangement) -> _OSContext:
@@ -351,7 +353,7 @@ def euler_derivation(A: Arrangement, x: OSElement) -> OSElement:
     out = OSElement(x.k - 1, {})
     for m, c in x.coeffs.items():
         for i in range(len(m)):
-            sign = _ONE if i % 2 == 0 else -_ONE
+            sign = 1 if i % 2 == 0 else -1
             term = straighten(A, m[:i] + m[i + 1:])
             out = out + term.scale(sign * c)
     return out
@@ -369,40 +371,6 @@ def brieskorn_components(A: Arrangement, k: int):
         if F is not None:
             comps[lattice.key_of[F]][mono] = straighten(A, mono)
     return [BrieskornComponent(f, k, comps[f.key]) for f in lattice.levels[k]]
-
-
-class Span:
-    """Incremental span of sparse rational vectors {key: Fraction}, in
-    echelon form: a new vector is reduced against the pivots in insertion
-    order and, if it is not in the span, kept normalized at its least key."""
-
-    def __init__(self):
-        self.pivots = []   # (pivot key, normalized reduced vector)
-
-    def _reduce(self, vec):
-        vec = dict(vec)
-        coords = [_ZERO] * len(self.pivots)
-        for i, (pk, pv) in enumerate(self.pivots):
-            f = vec.get(pk)
-            if f:
-                coords[i] = f
-                for m, c in pv.items():
-                    vec[m] = vec.get(m, _ZERO) - f * c
-        return {m: c for m, c in vec.items() if c}, coords
-
-    def add(self, vec):
-        """Insert if independent; returns True when the vector was new."""
-        red, _ = self._reduce(vec)
-        if not red:
-            return False
-        pk = min(red)
-        self.pivots.append((pk, {m: c / red[pk] for m, c in red.items()}))
-        return True
-
-    def solve(self, vec):
-        """Coordinates of vec over the pivot vectors; None if outside."""
-        red, coords = self._reduce(vec)
-        return None if red else coords
 
 
 def rank_of_elements(elements):

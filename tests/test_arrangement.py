@@ -2,6 +2,8 @@ from itertools import combinations
 
 import pytest
 
+from test_exactnum import exact, exact_matrix, ref_rref
+
 from reflact.arrangement import (
     Arrangement,
     Flat,
@@ -11,6 +13,7 @@ from reflact.arrangement import (
     essentialize,
     subarrangement,
 )
+from reflact.catalog import make_arrangement
 from reflact.exactnum import Cyc, CycMatrix, rref
 
 
@@ -168,3 +171,29 @@ def test_subarrangement_order_stable_under_conductor_drop():
     for f in lat.all_flats():
         sub = subarrangement(A, f)
         assert [sub.index_of(A.hyperplanes[i]) for i in f.key] == list(range(len(sub)))
+
+
+def _essentialize_reference(A):
+    """Essentialization by the dense reference echelon: the reduced rows of
+    the covectors, and each covector's entries at their pivot columns."""
+    red, pivots, rank = ref_rref(CycMatrix.from_rows([list(h.covector)
+                                                      for h in A.hyperplanes]))
+    rows = red.row_list()[:rank]
+    new_cov = [[h.covector[p] for p in pivots] for h in A.hyperplanes]
+    for h, coords in zip(A.hyperplanes, new_cov):
+        back = [sum((c * r[j] for c, r in zip(coords, rows)), Cyc.zero())
+                for j in range(A.n)]
+        assert back == list(h.covector)
+    return Arrangement.from_covectors(rank, new_cov), CycMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("kind, r, n", [("braid", 1, 4), ("full", 3, 3),
+                                        ("zero", 4, 3)])
+def test_essentialize_matches_dense_reference(kind, r, n):
+    A = make_arrangement(kind, r, n)
+    ess, proj = essentialize(A)
+    want, want_proj = _essentialize_reference(A)
+    assert ess.n == want.n
+    assert [[exact(c) for c in h.covector] for h in ess.hyperplanes] == \
+        [[exact(c) for c in h.covector] for h in want.hyperplanes]
+    assert exact_matrix(proj) == exact_matrix(want_proj)

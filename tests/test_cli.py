@@ -96,6 +96,16 @@ def test_invariant_basis_verb():
     assert payload["poincare"] == [1, 1, 0, 0]
 
 
+def test_invariant_basis_rank_zero():
+    pair = ("--group", "W(1)", "--arrangement", "A_1^0(1)")
+    code, out, err = invoke("invariant-basis", *pair, "--format", "json")
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    assert payload["cardinality"] == 1 and payload["poincare"] == [1]
+    assert [e["monomials"] for e in payload["entries"]] == [[[]]]
+    assert invoke("poincare", *pair)[1].strip() == "1"
+
+
 def test_characters_verb():
     code, out, _ = invoke("characters", "--group", "G(2,1,2)",
                           "--format", "json")

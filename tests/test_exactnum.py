@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from reflact.exactnum import (
     Cyc,
     CycMatrix,
+    Span,
     cyc_arith,
     cyc_from_json,
     cyc_normalize,
@@ -202,3 +204,244 @@ def test_serialization_roundtrip():
     x = cyc_normalize(12, [1, Fraction(2, 3), 0, -1])
     assert cyc_from_json(cyc_to_json(x)) == x
     assert cyc_from_json("5/3") == Cyc.rational(Fraction(5, 3))
+
+
+# -- references: the dense eliminations that Span replaced --------------------
+
+def ref_rref_rows(work):
+    """Dense reduced row echelon form of a list of Cyc row lists, in place;
+    pivot = first nonzero entry in column order.  (rows, pivots, rank)."""
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if not work[i][col].is_zero():
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = work[r][col].inverse()
+        work[r] = [inv * e for e in work[r]]
+        for i in range(nrows):
+            if i != r and not work[i][col].is_zero():
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return work, pivots, r
+
+
+def ref_solve_square(rows, rhs):
+    """Gauss-Jordan on a square Fraction system; None if singular."""
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    rhs = list(rhs)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        inv = rows[col][col]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                f = rows[i][col] / inv
+                for j in range(col, n):
+                    rows[i][j] -= f * rows[col][j]
+                rhs[i] -= f * rhs[col]
+    return [rhs[i] / rows[i][i] for i in range(n)]
+
+
+def ref_inverse(x):
+    """Inverse by solving (multiplication by x) y = 1."""
+    if x.is_rational():
+        return Cyc(x.m, (1 / x.c[0],) + x.c[1:])
+    phi = euler_phi(x.m)
+    cols = [(x * Cyc(x.m, [Fraction(i == j) for i in range(phi)])).c
+            for j in range(phi)]
+    rows = [[cols[j][i] for j in range(phi)] for i in range(phi)]
+    return Cyc(x.m, ref_solve_square(rows, [Fraction(1)] + [Fraction(0)] * (phi - 1)))
+
+
+def ref_rref(M):
+    if M.rows == 0:
+        return M, [], 0
+    red, pivots, rank = ref_rref_rows([list(M.row(i)) for i in range(M.rows)])
+    return CycMatrix.from_rows(red), pivots, rank
+
+
+def ref_kernel(M):
+    red, pivots, _ = ref_rref(M)
+    basis = []
+    for f in (j for j in range(M.cols) if j not in pivots):
+        vec = [Cyc.zero()] * M.cols
+        vec[f] = Cyc.one()
+        for r, p in enumerate(pivots):
+            vec[p] = -red[r, f]
+        basis.append(vec)
+    return basis
+
+
+def ref_matrix_inverse(M):
+    n = M.rows
+    work = [list(M.row(i)) + [Cyc.one() if j == i else Cyc.zero() for j in range(n)]
+            for i in range(n)]
+    red, piv, _ = ref_rref_rows(work)
+    if any(p >= n for p in piv):
+        raise ZeroDivisionError("singular matrix")
+    return CycMatrix.from_rows([r[n:] for r in red])
+
+
+def exact(x):
+    """A Cyc's conductor and coefficients, checked to be Fractions."""
+    assert all(type(c) is Fraction for c in x.c), x
+    return x.m, x.c
+
+
+def exact_matrix(M):
+    return M.rows, M.cols, M.m, [exact(e) for e in M.entries]
+
+
+def random_cyc(rng, m, zero_rate=0.3):
+    if rng.random() < zero_rate:
+        return Cyc.zero().lift(m)
+    return Cyc(m, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                   for _ in range(euler_phi(m))])
+
+
+def random_matrix(rng, m, rows, cols):
+    """Random rows, some of them combinations of earlier ones, so that pivots
+    skip columns and the rank drops."""
+    out = []
+    for _ in range(rows):
+        if out and rng.random() < 0.3:
+            a, b = rng.choice(out), rng.choice(out)
+            f = random_cyc(rng, m, 0)
+            out.append([x + f * y for x, y in zip(a, b)])
+        else:
+            out.append([random_cyc(rng, m) for _ in range(cols)])
+    return CycMatrix(rows, cols, [e for r in out for e in r])
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 5, 12])
+def test_rref_kernel_inverse_match_dense_reference(m):
+    rng = random.Random(m)
+    for _ in range(24):
+        M = random_matrix(rng, m, rng.randint(1, 4), rng.randint(1, 5))
+        red, pivots, rank = rref(M)
+        ref_red, ref_pivots, ref_rank = ref_rref(M)
+        assert (pivots, rank) == (ref_pivots, ref_rank)
+        assert exact_matrix(red) == exact_matrix(ref_red)
+        assert [[exact(e) for e in v] for v in kernel(M)] == \
+            [[exact(e) for e in v] for v in ref_kernel(M)]
+        n = rng.randint(1, 4)
+        S = random_matrix(rng, m, n, n)
+        try:
+            want = exact_matrix(ref_matrix_inverse(S))
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                S.inverse()
+        else:
+            assert exact_matrix(S.inverse()) == want
+
+
+def test_cyc_inverse_matches_linear_solve():
+    # dense elements up to phi(m) = 16; above that, three nonzero
+    # coefficients keep the reference solve quick
+    rng = random.Random(5)
+    for m in range(1, 61):
+        phi = euler_phi(m)
+        for _ in range(3):
+            x = random_cyc(rng, m, 0)
+            if phi > 16:
+                keep = set(rng.sample(range(phi), 3))
+                x = Cyc(m, [c if j in keep else Fraction(0)
+                            for j, c in enumerate(x.c)])
+            if x:
+                assert exact(x.inverse()) == exact(ref_inverse(x))
+        z = Cyc.root_of_unity(m, 1)
+        assert exact(z.inverse()) == exact(ref_inverse(z))
+
+
+def test_cyc_bool_is_nonzero():
+    assert not Cyc.zero() and not Cyc.zero().lift(12)
+    assert not Cyc.root_of_unity(4) ** 2 + 1
+    assert Cyc.one() and Cyc.root_of_unity(5, 2) and Cyc.rational(-1)
+    rng = random.Random(7)
+    for m in (1, 3, 4, 5, 12):
+        for _ in range(20):
+            x = random_cyc(rng, m)
+            assert bool(x) is not x.is_zero()
+
+
+def _check_span(rows, ncols, zero):
+    """Add sparse Cyc rows one by one and compare with the dense reference
+    echelon of the rows so far: leads, pivots, rows and coordinates.
+    Returns the span and the leads."""
+    span, dense, leads = Span(), [], []
+    for row in rows:
+        residual = [row.get(j, zero) for j in range(ncols)]
+        for r in ref_rref_rows([list(d) for d in dense])[0] if dense else []:
+            p = next((j for j, c in enumerate(r) if c), None)
+            if p is not None:
+                residual = [a - residual[p] * b for a, b in zip(residual, r)]
+        lead = next((c for c in residual if c), None)
+        got = span.add(row)
+        assert (got is None) == (lead is None)
+        if lead is not None:
+            assert exact(got) == exact(lead)
+        leads.append(got)
+        dense.append([row.get(j, zero) for j in range(ncols)])
+        red, pivots, _ = ref_rref_rows([list(d) for d in dense])
+        assert [pk for pk, _ in span.pivots] == pivots
+        for (_, prow), rrow in zip(span.pivots, red):
+            assert sorted(prow) == [j for j, c in enumerate(rrow) if c]
+            assert all(exact(prow[j]) == exact(rrow[j]) for j in prow)
+        # every row is inside, with its pivot entries as coordinates
+        assert span.solve(row) == [row.get(pk, 0) for pk, _ in span.pivots]
+    return span, leads
+
+
+def test_span_over_fractions_matches_dense_reference():
+    rng = random.Random(11)
+    for _ in range(40):
+        ncols = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            if rows and rng.random() < 0.3:
+                a, b = rng.choice(rows), rng.choice(rows)
+                row = {j: a.get(j, 0) - 2 * b.get(j, 0) for j in range(ncols)}
+            else:
+                row = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                       for j in range(ncols) if rng.random() < 0.6}
+            rows.append({j: c for j, c in row.items() if c})
+        span = Span()
+        leads = [span.add(row) for row in rows]
+        # the Fraction span is the Cyc span of the same rows, in Fractions
+        cyc, cyc_leads = _check_span(
+            [{j: Cyc.rational(c) for j, c in r.items()} for r in rows],
+            ncols, Cyc.zero())
+        assert [None if x is None else Cyc.rational(x) for x in leads] == cyc_leads
+        assert [pk for pk, _ in span.pivots] == [pk for pk, _ in cyc.pivots]
+        for (_, a), (_, b) in zip(span.pivots, cyc.pivots):
+            assert all(type(c) is Fraction for c in a.values())
+            assert {j: Cyc.rational(c) for j, c in a.items()} == b
+        assert span.solve({ncols: Fraction(1)}) is None
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 12])
+def test_span_over_cyc_matches_dense_reference(m):
+    rng = random.Random(100 + m)
+    for _ in range(12):
+        M = random_matrix(rng, m, rng.randint(1, 4), rng.randint(1, 5))
+        rows = [{j: c for j, c in enumerate(M.row(i)) if c} for i in range(M.rows)]
+        span, _ = _check_span(rows, M.cols, Cyc.zero().lift(m))
+        pivots = {pk for pk, _ in span.pivots}
+        for free in (j for j in range(M.cols) if j not in pivots):
+            assert span.solve({free: Cyc.one()}) is None

@@ -3,6 +3,8 @@ from math import gcd
 
 import pytest
 
+from test_exactnum import exact, ref_rref
+
 from reflact import catalog
 from reflact import groups as groups_mod
 from reflact.arrangement import Arrangement, build_lattice
@@ -430,3 +432,75 @@ def test_orbits_need_no_cyclotomic_products_until_Z(monkeypatch):
             o.Z
         assert calls
         monkeypatch.undo()
+
+
+def _setwise_reference(G, X):
+    """Elements mapping X into the span of its basis rows, decided by
+    reducing each image against the dense reference echelon."""
+    if not X.basis.rows:
+        return frozenset(range(G.order))
+    red, pivots, rank = ref_rref(X.basis)
+    span = red.row_list()[:rank]
+    out = []
+    for i, g in enumerate(G.elements):
+        ok = True
+        for r in range(X.basis.rows):
+            img = g.apply(list(X.basis.row(r)))
+            for p, row in zip(pivots, span):
+                f = img[p]
+                img = [a - f * b for a, b in zip(img, row)]
+            ok = ok and all(c.is_zero() for c in img)
+        if ok:
+            out.append(i)
+    return frozenset(out)
+
+
+def test_setwise_stabilizer_matches_dense_reference():
+    G = catalog.make_grpn(2, 1, 3)
+    A = catalog.make_arrangement("full", 2, 3)
+    flats = build_lattice(A).all_flats()
+    sizes = set()
+    for X in flats:
+        got = setwise_stabilizer(G, X)
+        assert got == _setwise_reference(G, X)
+        sizes.add(len(got))
+    assert len(sizes) > 2
+
+
+def _det_per_element(M):
+    """Reference: Gaussian elimination of one matrix, the product of its
+    pivots with a sign per row swap."""
+    n = M.rows
+    work = [list(M.row(i)) for i in range(n)]
+    det = Cyc.one()
+    for col in range(n):
+        piv = next((i for i in range(col, n) if not work[i][col].is_zero()), None)
+        if piv is None:
+            return Cyc.zero()
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            det = -det
+        det = det * work[col][col]
+        inv = work[col][col].inverse()
+        for i in range(col + 1, n):
+            if not work[i][col].is_zero():
+                f = work[i][col] * inv
+                for j in range(col, n):
+                    work[i][j] = work[i][j] - f * work[col][j]
+    return det
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.make_grpn(1, 1, 4),
+    lambda: catalog.make_grpn(3, 1, 3),
+    lambda: catalog.make_grpn(4, 2, 4),
+    lambda: catalog.shipped_group("h3"),
+    lambda: catalog.shipped_group("f4"),
+], ids=["W(4)", "G(3,1,3)", "G(4,2,4)", "H3", "F4"])
+def test_det_character_matches_per_element_det(build):
+    G = build()
+    want = [_det_per_element(M) for M in G.elements]
+    got, got_inv = det_character(G), det_character(G, inverse=True)
+    assert [exact(v) for v in got.values] == [exact(v) for v in want]
+    assert [exact(v) for v in got_inv.values] == \
+        [exact(v.inverse()) for v in want]

@@ -147,6 +147,15 @@ def test_theorem4_braid():
     assert [e["monomials"] for e in basis.entries] == [[()], [(0,)]]
 
 
+def test_theorem4_rank_zero():
+    # d maps H^0 to 0: no Euler check, and the basis is the empty monomial
+    A, G = make_arrangement("zero", 1, 1), make_grpn(1, 1, 1)
+    assert A.rank() == 0
+    basis = theorem4_basis(A, G)
+    assert basis.poincare == (1,) and basis.cardinality == 1
+    assert [e["monomials"] for e in basis.entries] == [[()]]
+
+
 def test_theorem4_rank2_pairing():
     A, G = make_arrangement("full", 3, 2), make_grpn(3, 1, 2)
     basis = theorem4_basis(A, G)
