@@ -446,11 +446,13 @@ def data_dir() -> Path:
 
 def load_group_file(path, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     """Ingest a group from a JSON file matching the groups-module schema."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError("malformed group file %s: %s" % (path, exc))
+    except OSError as exc:
+        raise ValueError("cannot read group file %s: %s" % (path, exc.strerror))
+    except json.JSONDecodeError as exc:
+        raise ValueError("malformed group file %s: %s" % (path, exc))
     return group_from_json(obj, order_cap=order_cap)
 
 

@@ -175,7 +175,7 @@ def group_from_json(obj, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
         n = int(obj["dim"])
         gens = [CycMatrix.from_rows([[cyc_from_json(e) for e in row] for row in mat])
                 for mat in obj["generators"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError("malformed group file: %s" % exc)
     for g in gens:
         if g.rows != n or g.cols != n:
@@ -247,13 +247,6 @@ class _Action:
             pi = perms[i]
             perms[k] = tuple(pi[x] for x in pg)
         self.perms = perms
-
-    def fibers(self):
-        """Map perm -> list of element indices inducing it."""
-        out = {}
-        for i, p in enumerate(self.perms):
-            out.setdefault(p, []).append(i)
-        return out
 
 
 def hyperplane_action(G: MatrixGroup, A: Arrangement) -> _Action:

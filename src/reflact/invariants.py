@@ -11,10 +11,10 @@ ways:
     representative flat, averaged over the setwise stabilizer N_T;
   * by the rank of the idempotent projection matrix on the NBC basis.
 
-Group elements inducing the same hyperplane permutation act identically on
-the Orlik-Solomon algebra, so every average is taken fiberwise over distinct
-permutations.  All arithmetic is exact; every dimension is asserted to be a
-nonnegative rational integer before it is returned.
+Traces are class functions, so an average over G takes one term per
+conjugacy class; the averages over N_T and the projection weight each
+distinct hyperplane permutation.  All arithmetic is exact; every dimension
+is checked to be a nonnegative rational integer before it is returned.
 
 The module also builds the explicit invariant bases (one monomial, or an
 explicit pair, per orbit with nonzero invariants), decomposes the invariants
@@ -24,6 +24,7 @@ the determinant-like vanishing checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .arrangement import Arrangement, subarrangement
@@ -40,6 +41,7 @@ from .groups import (
 from .osalg import (
     OSElement,
     Span,
+    _straighten_sum,
     apply_perm,
     closure_key,
     euler_derivation,
@@ -115,34 +117,33 @@ def _as_dim(x: Cyc) -> int:
     return int(q)
 
 
-def _fiber_weights(G: MatrixGroup, fibers, chi):
-    """Map perm -> sum of chi(g^{-1}) over the elements of G inducing it,
-    for fibers perm -> element indices and chi any function of an index."""
+def _class_average(G: MatrixGroup, phi, trace) -> Cyc:
+    """(1/|G|) sum over conjugacy classes C of |C| phi[class of c^{-1}]
+    trace(c), for phi one value per class and c the least member of C; the
+    trace is read only where the weight is nonzero."""
+    classes = conjugacy_classes(G)
+    cls_of = {g: ci for ci, cls in enumerate(classes) for g in cls}
+    weights = [(phi[cls_of[G.inverse[cls[0]]]], cls) for cls in classes]
+    total = sum((w * Cyc.rational(len(cls) * trace(cls[0]))
+                 for w, cls in weights if w), Cyc.zero())
+    return total * Cyc.rational(Fraction(1, G.order))
+
+
+def _perm_weights(G: MatrixGroup, elements, perm_of, chi):
+    """Map perm -> sum of chi(g^{-1}) over the given element indices g, with
+    perm_of(g) the permutation that g induces."""
     out = {}
-    for perm, members in fibers.items():
-        w = Cyc.zero()
-        for g in members:
-            w = w + chi(G.inverse[g])
-        out[perm] = w
+    for g in elements:
+        p = perm_of(g)
+        out[p] = out.get(p, Cyc.zero()) + chi(G.inverse[g])
     return out
-
-
-def _fiber_average(weights, trace, order: int) -> Cyc:
-    """(1/order) sum over perm of weights[perm] * trace(perm), with the
-    trace read only where the weight is nonzero."""
-    total = Cyc.zero()
-    for perm, w in weights.items():
-        if w:
-            total = total + w * Cyc.rational(trace(perm))
-    return total * Cyc.rational(Fraction(1, order))
 
 
 def isotypic_dim_global(A: Arrangement, G: MatrixGroup, chi: LinearCharacter,
                         k: int) -> int:
     """dim of the chi-isotypic part of H^k(M(A)), by trace averaging."""
-    weights = _fiber_weights(G, hyperplane_action(G, A).fibers(), chi)
-    return _as_dim(_fiber_average(weights, lambda p: perm_trace(A, p, k),
-                                  G.order))
+    return _as_dim(multiplicity_classfn(
+        A, G, [chi(cls[0]) for cls in conjugacy_classes(G)], k))
 
 
 def isotypic_dim_projection(A: Arrangement, G: MatrixGroup,
@@ -152,8 +153,9 @@ def isotypic_dim_projection(A: Arrangement, G: MatrixGroup,
     basis = nbc_basis(A, k)
     n = len(basis)
     rows = [[Cyc.zero()] * n for _ in range(n)]
-    for perm, w in _fiber_weights(G, hyperplane_action(G, A).fibers(),
-                                  chi).items():
+    perms = hyperplane_action(G, A).perms
+    for perm, w in _perm_weights(G, range(G.order), perms.__getitem__,
+                                 chi).items():
         if not w:
             continue
         for j, mono in enumerate(basis.monomials):
@@ -167,28 +169,19 @@ def isotypic_dim_projection(A: Arrangement, G: MatrixGroup,
     return rank
 
 
-def _sub_action_fibers(A, G, orbit, elements):
-    """Fibers of the permutation action of the given element indices on the
-    subarrangement at the orbit's representative flat."""
-    f = orbit.representative
-    act = hyperplane_action(G, A)
-    pos = {h: j for j, h in enumerate(f.key)}
-    fibers = {}
-    for g in elements:
-        p = act.perms[g]
-        sp = tuple(pos[p[i]] for i in f.key)
-        fibers.setdefault(sp, []).append(g)
-    return fibers
-
-
 def _orbit_isotypic_dim(A, G, orbit, chi) -> int:
     """dim K_T^chi: the chi|_{N_T}-isotypic dimension of the top cohomology
-    of the subarrangement at the representative flat."""
+    of the subarrangement at the representative flat, averaged over N_T by
+    the permutations its elements induce on that subarrangement."""
     f = orbit.representative
     sub = subarrangement(A, f)
-    weights = _fiber_weights(G, _sub_action_fibers(A, G, orbit, orbit.N), chi)
-    return _as_dim(_fiber_average(
-        weights, lambda sp: perm_trace(sub, sp, f.codim), len(orbit.N)))
+    perms = hyperplane_action(G, A).perms
+    pos = {h: j for j, h in enumerate(f.key)}
+    weights = _perm_weights(
+        G, orbit.N, lambda g: tuple(pos[perms[g][i]] for i in f.key), chi)
+    total = sum((w * Cyc.rational(perm_trace(sub, sp, f.codim))
+                 for sp, w in weights.items() if w), Cyc.zero())
+    return _as_dim(total * Cyc.rational(Fraction(1, len(orbit.N))))
 
 
 class PoincarePoly:
@@ -324,12 +317,12 @@ def euler_identity_check(A: Arrangement, G: MatrixGroup,
 
 
 def project_invariant(A: Arrangement, G: MatrixGroup, x: OSElement) -> OSElement:
-    """e_G . x, averaged fiberwise over distinct hyperplane permutations."""
-    act = hyperplane_action(G, A)
-    out = OSElement(x.k, {})
-    for perm, members in act.fibers().items():
-        out = out + apply_perm(A, perm, x).scale(Fraction(len(members), G.order))
-    return out
+    """e_G . x, averaged over distinct hyperplane permutations weighted by
+    how many elements induce each."""
+    counts = Counter(hyperplane_action(G, A).perms)
+    return _straighten_sum(A, x.k, (
+        (tuple(perm[i] for i in m), c * Fraction(n, G.order))
+        for perm, n in counts.items() for m, c in x.coeffs.items()))
 
 
 class Theorem4Basis:
@@ -385,17 +378,10 @@ def theorem4_basis(A: Arrangement, G: MatrixGroup, cox_monomials=None,
                 group = [tuple(m) for m in group]
             supplied[closure_key(A, group[0])] = group
 
-    orbits = orbits_on_lattice(G, A)
-    chi = trivial_character(G)
+    report = isotypic_dims_orbitwise(A, G, trivial_character(G))
     rk = A.rank()
-    graded = [0] * (rk + 1)
-    carriers = []
-    for o in orbits:
-        d = _orbit_isotypic_dim(A, G, o, chi)
-        graded[o.codim] += d
-        if d > 0:
-            carriers.append((o, d))
-    poincare = PoincarePoly(graded)
+    carriers = [(o, d) for o, d in report.orbit_dims if d > 0]
+    poincare = report.poincare
 
     hyper_reps = sorted(o.representative.key[0]
                         for o, _ in carriers if o.codim == 1)
@@ -437,7 +423,7 @@ def theorem4_basis(A: Arrangement, G: MatrixGroup, cox_monomials=None,
     for k in range(rk + 1):
         degree_projs = [pr for e in entries if e["codim"] == k
                         for pr in e["projections"]]
-        if rank_of_elements(degree_projs) != graded[k]:
+        if rank_of_elements(degree_projs) != report.graded[k]:
             raise BasisVerificationError(
                 "projections in degree %d are dependent" % k)
     # injectivity of the Euler derivation on the top-degree basis vectors
@@ -500,8 +486,13 @@ def relative_character(A: Arrangement, G: MatrixGroup,
                 raise NotNormalError("G is not normal in the ambient group")
 
     chars = linear_characters(Gt)
-    fibers = hyperplane_action(Gt, A).fibers()
-    weights = [_fiber_weights(Gt, fibers, ch) for ch in chars]
+    classes = conjugacy_classes(Gt)
+    phis = [[ch(cls[0]) for cls in classes] for ch in chars]
+    perms = hyperplane_action(Gt, A).perms
+    # the class representatives give the traces; the generators are traced
+    # too, so the stability check covers all of Gt
+    traced = ({perms[cls[0]] for cls in classes}
+              | {perms[g] for g in Gt.generators})
     orbits = orbits_on_lattice(Gt, A)
     # a Gt-orbit can split into several G-orbits; span K_T^G from one
     # representative flat of each
@@ -525,10 +516,9 @@ def relative_character(A: Arrangement, G: MatrixGroup,
                     span.add(proj.coeffs)
         dim = len(span.pivots)
         if dim:
-            traces = {perm: _perm_trace_on_span(A, perm, span, k)
-                      for perm in fibers}
-            mults = [_as_dim(_fiber_average(w, traces.__getitem__, Gt.order))
-                     for w in weights]
+            traces = {p: _perm_trace_on_span(A, p, span, k) for p in traced}
+            mults = [_as_dim(_class_average(
+                Gt, phi, lambda g: traces[perms[g]])) for phi in phis]
         else:
             mults = [0] * len(chars)
         entries.append({"codim": k, "rep_key": o.representative.key,
@@ -562,13 +552,8 @@ def multiplicity_classfn(A: Arrangement, G: MatrixGroup, phi, k: int) -> Cyc:
     if len(phi) != len(classes):
         raise ClassMismatchError(
             "%d values for %d conjugacy classes" % (len(phi), len(classes)))
-    cls_of = [0] * G.order
-    for ci, cls in enumerate(classes):
-        for g in cls:
-            cls_of[g] = ci
-    weights = _fiber_weights(G, hyperplane_action(G, A).fibers(),
-                             lambda h: phi[cls_of[h]])
-    return _fiber_average(weights, lambda p: perm_trace(A, p, k), G.order)
+    perms = hyperplane_action(G, A).perms
+    return _class_average(G, phi, lambda g: perm_trace(A, perms[g], k))
 
 
 def vanishing_check_detlike(A: Arrangement, G: MatrixGroup) -> dict:

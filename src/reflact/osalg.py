@@ -297,12 +297,21 @@ def nbc_basis(A: Arrangement, k: int) -> NBCBasis:
 def straighten(A: Arrangement, mono) -> OSElement:
     """Image of an arbitrary monomial h_{i1}...h_{ik} in the NBC basis."""
     mono = tuple(mono)
-    srt, sign = _sort_with_sign(mono)
-    if srt is None:
-        return OSElement(len(mono), {})
+    return _straighten_sum(A, len(mono), [(mono, _ONE)])
+
+
+def _straighten_sum(A: Arrangement, k: int, terms) -> OSElement:
+    """sum of c * straighten(A, mono) over (mono, c) pairs, accumulated in
+    one dict."""
     ctx = _ctx(A)
-    red = ctx.straighten_sorted(srt)
-    return OSElement(len(mono), {m: sign * c for m, c in red.items()})
+    out = {}
+    for mono, c in terms:
+        srt, sign = _sort_with_sign(mono)
+        if srt is not None:
+            c = sign * c
+            for m, v in ctx.straighten_sorted(srt).items():
+                out[m] = out.get(m, _ZERO) + c * v
+    return OSElement(k, out)
 
 
 def action_matrix(A: Arrangement, G: MatrixGroup, g: int, k: int):
@@ -339,10 +348,8 @@ def closure_key(A: Arrangement, mono):
 
 def apply_perm(A: Arrangement, perm, x: OSElement) -> OSElement:
     """Image of an OSElement under a hyperplane permutation."""
-    out = OSElement(x.k, {})
-    for m, c in x.coeffs.items():
-        out = out + straighten(A, tuple(perm[i] for i in m)).scale(c)
-    return out
+    return _straighten_sum(A, x.k, ((tuple(perm[i] for i in m), c)
+                                    for m, c in x.coeffs.items()))
 
 
 def euler_derivation(A: Arrangement, x: OSElement) -> OSElement:
@@ -350,13 +357,9 @@ def euler_derivation(A: Arrangement, x: OSElement) -> OSElement:
     h_1...h_i^...h_k, extended linearly and straightened."""
     if x.k < 1:
         raise ValueError("euler_derivation needs degree >= 1")
-    out = OSElement(x.k - 1, {})
-    for m, c in x.coeffs.items():
-        for i in range(len(m)):
-            sign = 1 if i % 2 == 0 else -1
-            term = straighten(A, m[:i] + m[i + 1:])
-            out = out + term.scale(sign * c)
-    return out
+    return _straighten_sum(A, x.k - 1, ((m[:i] + m[i + 1:], -c if i % 2 else c)
+                                        for m, c in x.coeffs.items()
+                                        for i in range(len(m))))
 
 
 def brieskorn_components(A: Arrangement, k: int):

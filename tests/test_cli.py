@@ -226,6 +226,20 @@ def test_infinite_order_generator_hits_order_cap(tmp_path):
     assert code == EXIT_USAGE and "cap" in err
 
 
+def test_directory_as_group_spec_exits_2(tmp_path):
+    code, out, err = invoke("info", "--group", str(tmp_path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "cannot read group file" in err
+
+
+def test_zero_denominator_group_file_exits_2(tmp_path):
+    path = tmp_path / "zero_den.json"
+    path.write_text(json.dumps({"dim": 1, "generators": [[["1/0"]]]}))
+    code, out, err = invoke("info", "--group", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "malformed group file" in err
+
+
 def test_order_cap_below_closed_form_exits_2():
     code, _, err = invoke("info", "--group", "G(2,1,3)", "--order-cap", "47")
     assert code == EXIT_USAGE and "cap" in err

@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from reflact.arrangement import Arrangement
-from reflact.catalog import make_arrangement, make_grpn
-from reflact.exactnum import Cyc, CycMatrix
+from reflact.arrangement import Arrangement, subarrangement
+from reflact.catalog import make_arrangement, make_grpn, shipped_group
+from reflact.exactnum import Cyc, CycMatrix, Span
 from reflact.groups import (
     conjugacy_classes,
     det_character,
     generate,
     hyperplane_action,
     linear_characters,
+    orbits_on_lattice,
     reflection_arrangement,
 )
 from reflact.invariants import (
@@ -35,7 +36,8 @@ from reflact.invariants import (
     trivial_character,
     vanishing_check_detlike,
 )
-from reflact.osalg import apply_perm, straighten
+from reflact.invariants import _class_average, _perm_trace_on_span
+from reflact.osalg import apply_perm, nbc_basis, perm_trace, straighten
 
 
 def braid3():
@@ -272,3 +274,92 @@ def test_vanishing_detlike():
         G = make_grpn(r, p, n)
         res = vanishing_check_detlike(reflection_arrangement(G), G)
         assert res["passed"] and res["violations"] == []
+
+
+# -- class averages against the per-element average ---------------------------
+
+def _element_average(G, phi_of, trace):
+    """The reference (1/|G|) sum over every element g of phi_of(g^{-1}) *
+    trace(g), with no use of conjugacy classes."""
+    total = Cyc.zero()
+    for g in range(G.order):
+        total = total + phi_of(G.inverse[g]) * Cyc.rational(trace(g))
+    return total * Cyc.rational(Fraction(1, G.order))
+
+
+def _os_trace(A, G, k):
+    perms = hyperplane_action(G, A).perms
+    return lambda g: perm_trace(A, perms[g], k)
+
+
+def test_global_averages_match_per_element_reference():
+    H3 = shipped_group("h3")
+    pairs = SMALL_CORPUS + [
+        (make_arrangement("zero", 2, 4), make_grpn(2, 2, 4)),
+        (reflection_arrangement(H3), H3)]
+    for A, G in pairs:
+        classes = conjugacy_classes(G)
+        for chi in linear_characters(G):
+            phi = [chi(cls[0]) for cls in classes]
+            for k in range(A.rank() + 1):
+                ref = _element_average(G, chi, _os_trace(A, G, k))
+                assert multiplicity_classfn(A, G, phi, k) == ref
+                assert Cyc.rational(isotypic_dim_global(A, G, chi, k)) == ref
+
+
+def test_class_indicators_read_the_inverse_class():
+    # G(3,1,2) has classes not closed under inversion; an OS trace cannot
+    # tell g from g^{-1} (H^k is defined over Q), so the helper is also fed
+    # class indicators as traces, which can
+    A, G = make_arrangement("full", 3, 2), make_grpn(3, 1, 2)
+    classes = conjugacy_classes(G)
+    cls_of = {g: ci for ci, cls in enumerate(classes) for g in cls}
+    assert any(cls_of[G.inverse[cls[0]]] != ci for ci, cls in enumerate(classes))
+    indicators = [[Cyc.one() if cj == ci else Cyc.zero()
+                   for cj in range(len(classes))] for ci in range(len(classes))]
+    for phi in indicators:
+        phi_of = lambda g: phi[cls_of[g]]
+        for k in range(A.rank() + 1):
+            assert multiplicity_classfn(A, G, phi, k) == \
+                _element_average(G, phi_of, _os_trace(A, G, k))
+        for ind in indicators:
+            trace = lambda g: ind[cls_of[g]].rational_value()
+            assert _class_average(G, phi, trace) == \
+                _element_average(G, phi_of, trace)
+
+
+def test_relative_character_matches_per_element_reference():
+    A = make_arrangement("full", 2, 4)
+    G, Gt = make_grpn(2, 2, 4), make_grpn(2, 1, 4)
+    report = relative_character(A, G, Gt)
+    by_key = {e["rep_key"]: e for e in report.entries}
+    perms = hyperplane_action(Gt, A).perms
+    for o in orbits_on_lattice(Gt, A):
+        k = o.codim
+        # K_T^G, spanned from every flat of the orbit
+        span = Span()
+        for f in o.orbit:
+            for mono in nbc_basis(subarrangement(A, f), k).monomials:
+                parent = tuple(f.key[i] for i in mono)
+                span.add(project_invariant(A, G, straighten(A, parent)).coeffs)
+        entry = by_key[o.representative.key]
+        assert entry["dim"] == len(span.pivots)
+        traces = {}
+
+        def trace(g):
+            p = perms[g]
+            if p not in traces:
+                traces[p] = _perm_trace_on_span(A, p, span, k)
+            return traces[p]
+
+        for chi, m in zip(report.characters, entry["multiplicities"]):
+            assert _element_average(Gt, chi, trace) == Cyc.rational(m)
+
+
+def test_global_average_traces_one_permutation_per_class():
+    G = make_grpn(3, 1, 4)
+    A = make_arrangement.__wrapped__("full", 3, 4)   # fresh: no traces cached
+    k = 2
+    isotypic_dim_global(A, G, trivial_character(G), k)
+    traced = [key for key in A._os.traces if key[0] == k]
+    assert 0 < len(traced) <= len(conjugacy_classes(G))
