@@ -257,6 +257,20 @@ def _cmd_info(args, out):
         rows.append(["arrangement", "rank", A.rank()])
         rows.append(["arrangement", "betti",
                      " ".join(str(b) for b in betti)])
+    if args.group and args.arrangement:
+        try:
+            perms = hyperplane_action(G, A).perms
+        except NotStableError as exc:
+            raise CLIError(str(exc))
+        orbits = orbits_on_lattice(G, A)
+        # the last orbit holds the one flat of codimension rank(A)
+        payload["action"] = {
+            "distinct_permutations": len(set(perms)),
+            "lattice_orbits": len(orbits),
+            "flats": len(build_lattice(A).by_key),
+            "top_orbit_classes": len(orbits[-1].perm_classes)}
+        for k, v in sorted(payload["action"].items()):
+            rows.append(["action", k, v])
     _emit(out, args.format, "info", ["object", "field", "value"], rows,
           payload)
     return EXIT_OK

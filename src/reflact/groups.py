@@ -36,6 +36,7 @@ __all__ = [
     "setwise_stabilizer",
     "center",
     "conjugacy_classes",
+    "permutation_classes",
     "linear_characters",
     "determinant_like_characters",
     "group_from_json",
@@ -139,15 +140,28 @@ def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     """Enumerate the group generated by square invertible matrices by
     breadth-first closure from the identity, generators in the given order.
     The closure runs on permutations of the orbit of e_1..e_n, so exact
-    arithmetic is needed only for generator times orbit vector."""
+    arithmetic is needed only for generator times orbit vector.
+
+    A singular generator raises ValueError.  A generator of finite order has
+    a root-of-unity determinant, of order dividing lcm(2, m) in Q(zeta_m);
+    any other has infinite order and raises OrderCapExceededError before the
+    closure runs.  Generators of determinant 1 and infinite order, such as
+    diag(2, 1/2), are still bounded only by `order_cap`."""
     gens = list(gens)
     if gens:
         dim = gens[0].rows
     if dim is None:
         raise ValueError("dimension required for the trivial group")
-    for g in gens:
+    for i, g in enumerate(gens):
         if g.rows != g.cols or g.rows != dim:
             raise ValueError("generators must be square of equal dimension")
+        det = _det(g)
+        if not det:
+            raise ValueError("singular generator %d" % i)
+        if det ** (2 * g.m // gcd(2, g.m)) != Cyc.one():
+            raise OrderCapExceededError(
+                "generator %d has infinite order (its determinant is not a "
+                "root of unity), so it exceeds any order cap" % i)
     m = 1
     for g in gens:
         m = m * g.m // gcd(m, g.m)
@@ -158,9 +172,6 @@ def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
         basis, gens, lambda v, g: tuple(c.lift(m) for c in g.apply(v)),
         order_cap, key=lambda v: _tag(v, m))
     gen_perms = list(zip(*images))
-    if any(len(set(p)) < len(p) for p in gen_perms):
-        raise ValueError("singular generator: it does not permute the orbit "
-                         "of the basis vectors")
     perms, cayley, parents = _closure(
         [tuple(range(len(vectors)))], gen_perms,
         lambda p, g: tuple(map(p.__getitem__, g)),   # p * g
@@ -281,7 +292,7 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
             remaining.pop(k, None)
         N = frozenset(i for i, p in enumerate(act.perms)
                       if tuple(sorted(p[i2] for i2 in rep_key)) == rep_key)
-        orbits.append(OrbitDatum(rep, members, G, N, rep.codim))
+        orbits.append(OrbitDatum(rep, members, G, N, rep.codim, act.perms))
     orbits.sort(key=lambda o: (o.codim, o.representative.key))
     G._orbits[A] = orbits
     return orbits
@@ -299,13 +310,20 @@ def _fixes_pointwise(G: MatrixGroup, i: int, X: Flat) -> bool:
 
 class OrbitDatum:
     """A lattice orbit with stabilizers N (setwise) and Z (pointwise) of its
-    representative; Z takes cyclotomic products, so it is made on first read."""
+    representative.  N permutes the hyperplanes through the representative:
+    `induced(g)` is g's permutation of them, numbered by their position in
+    the key as in `subarrangement`, and `perm_classes` are the conjugacy
+    classes of the group of those permutations.  Z takes cyclotomic
+    products and the classes a closure, so both are made on first read."""
 
-    def __init__(self, representative, orbit, G, N, codim):
+    def __init__(self, representative, orbit, G, N, codim, perms):
         self.representative = representative
         self.orbit = orbit
         self._G = G
         self._Z = None
+        self._perms = perms               # hyperplane permutation of each g
+        self._pos = {h: j for j, h in enumerate(representative.key)}
+        self._perm_classes = None
         self.N = N
         self.codim = codim
 
@@ -315,6 +333,25 @@ class OrbitDatum:
             self._Z = frozenset(i for i in self.N
                                 if _fixes_pointwise(self._G, i, self.representative))
         return self._Z
+
+    def induced(self, g: int) -> tuple:
+        return tuple(map(self._pos.__getitem__,
+                         map(self._perms[g].__getitem__,
+                             self.representative.key)))
+
+    @property
+    def perm_classes(self):
+        if self._perm_classes is None:
+            if len(self.N) == self._G.order:
+                # N = G maps onto the permutation group, so its classes are
+                # the images of G's classes (which the global average uses)
+                images = {tuple(sorted(set(map(self.induced, cls))))
+                          for cls in conjugacy_classes(self._G)}
+                self._perm_classes = [list(c) for c in sorted(images)]
+            else:
+                self._perm_classes = permutation_classes(
+                    {self.induced(g) for g in self.N})
+        return self._perm_classes
 
     def __repr__(self):
         return "OrbitDatum(codim=%d, rep=%s, |orbit|=%d, |N|=%d)" % (
@@ -355,6 +392,47 @@ def conjugacy_classes(G: MatrixGroup):
                 seen[y] = True
             classes.append(sorted(cls))
     G._classes = classes
+    return classes
+
+
+def permutation_classes(perms):
+    """Conjugacy classes of a permutation group given as the set of all its
+    elements (tuples of images), each sorted, ordered by least member.
+
+    A greedy generating set walks the sorted elements and keeps each one
+    that is not in the closure of those kept before; a product outside the
+    set raises ArithmeticError.  Once every element is reached the set is
+    the group the kept ones generate, and `_closure` under conjugation by
+    them gives the classes."""
+    elements = sorted(perms)
+    members = set(elements)
+
+    def mul(p, q):                     # x -> p[q[x]]
+        r = tuple(map(p.__getitem__, q))
+        if r not in members:
+            raise ArithmeticError("permutations not closed under composition")
+        return r
+
+    if not elements or elements[0] != tuple(range(len(elements[0]))):
+        raise ArithmeticError("permutations do not contain the identity")
+    cap = len(elements)
+    gens, reached = [], {elements[0]}
+    for p in elements:
+        if p not in reached:
+            gens.append(p)
+            reached = set(_closure([elements[0]], gens, mul, cap)[0])
+    # (g, g^-1) pairs; x -> g x g^-1 is x's images relabelled by g
+    pairs = [(g, tuple(sorted(range(len(g)), key=g.__getitem__)))
+             for g in gens]
+    seen, classes = set(), []
+    for p in elements:
+        if p not in seen:
+            cls = sorted(_closure(
+                [p], pairs, lambda x, gg: tuple(
+                    map(gg[0].__getitem__, map(x.__getitem__, gg[1]))),
+                cap)[0])
+            seen.update(cls)
+            classes.append(cls)
     return classes
 
 

@@ -12,9 +12,11 @@ ways:
   * by the rank of the idempotent projection matrix on the NBC basis.
 
 Traces are class functions, so an average over G takes one term per
-conjugacy class; the averages over N_T and the projection weight each
-distinct hyperplane permutation.  All arithmetic is exact; every dimension
-is checked to be a nonnegative rational integer before it is returned.
+conjugacy class of G, and an average over N_T one term per conjugacy class
+of the permutation group that N_T induces on the subarrangement; the
+projection weights each distinct hyperplane permutation.  All arithmetic
+is exact; every dimension is checked to be a nonnegative rational integer
+before it is returned.
 
 The module also builds the explicit invariant bases (one monomial, or an
 explicit pair, per orbit with nonzero invariants), decomposes the invariants
@@ -171,16 +173,19 @@ def isotypic_dim_projection(A: Arrangement, G: MatrixGroup,
 
 def _orbit_isotypic_dim(A, G, orbit, chi) -> int:
     """dim K_T^chi: the chi|_{N_T}-isotypic dimension of the top cohomology
-    of the subarrangement at the representative flat, averaged over N_T by
-    the permutations its elements induce on that subarrangement."""
-    f = orbit.representative
-    sub = subarrangement(A, f)
-    perms = hyperplane_action(G, A).perms
-    pos = {h: j for j, h in enumerate(f.key)}
-    weights = _perm_weights(
-        G, orbit.N, lambda g: tuple(pos[perms[g][i]] for i in f.key), chi)
-    total = sum((w * Cyc.rational(perm_trace(sub, sp, f.codim))
-                 for sp, w in weights.items() if w), Cyc.zero())
+    of the subarrangement at the representative flat, averaged over N_T.
+    The trace depends only on the permutation p that g induces on the
+    subarrangement and is a class function of the group P_T of those
+    permutations, so the weights are summed over each class of P_T and the
+    class's least member is traced."""
+    sub = subarrangement(A, orbit.representative)
+    weights = _perm_weights(G, orbit.N, orbit.induced, chi)
+    total = Cyc.zero()
+    for cls in orbit.perm_classes:
+        w = sum((weights[p] for p in cls), Cyc.zero())
+        if w:
+            total = total + w * Cyc.rational(
+                perm_trace(sub, cls[0], orbit.codim))
     return _as_dim(total * Cyc.rational(Fraction(1, len(orbit.N))))
 
 

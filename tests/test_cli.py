@@ -226,6 +226,47 @@ def test_infinite_order_generator_hits_order_cap(tmp_path):
     assert code == EXIT_USAGE and "cap" in err
 
 
+@pytest.mark.parametrize("entry", [2, "1e400"])
+def test_non_unitary_generator_exits_2_at_default_cap(tmp_path, entry):
+    # det 2 (or 10^400) is no root of unity: refused before the closure
+    # runs, which would otherwise walk to the 100,000-element cap
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 1, "generators": [[[entry]]]}))
+    code, out, err = invoke("info", "--group", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "infinite order" in err
+
+
+def test_info_action_summary():
+    argv = ("info", "--group", "G(3,1,4)", "--arrangement", "A_4(3)")
+    code, out, _ = invoke(*argv, "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["action"] == {
+        "distinct_permutations": 648, "lattice_orbits": 12, "flats": 214,
+        "top_orbit_classes": 17}
+    code, out, _ = invoke(*argv)
+    assert code == EXIT_OK
+    assert "distinct_permutations  648" in out
+    assert "top_orbit_classes      17" in out
+    # with one of the two options there is no action summary
+    for argv in (("info", "--group", "G(3,1,2)"),
+                 ("info", "--arrangement", "A_2(3)")):
+        code, out, _ = invoke(*argv, "--format", "json")
+        assert code == EXIT_OK and "action" not in json.loads(out)
+    code, _, err = invoke("info", "--group", "W(3)", "--arrangement", "A_4(1)")
+    assert code == EXIT_USAGE and err.startswith("error: ")
+
+
+def test_python_m_reflact():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "reflact", "info", "--group",
+                           "W(3)", "--format", "json"],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["group"]["order"] == 6
+
+
 def test_directory_as_group_spec_exits_2(tmp_path):
     code, out, err = invoke("info", "--group", str(tmp_path))
     assert code == EXIT_USAGE and out == ""

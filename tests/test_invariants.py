@@ -36,7 +36,8 @@ from reflact.invariants import (
     trivial_character,
     vanishing_check_detlike,
 )
-from reflact.invariants import _class_average, _perm_trace_on_span
+from reflact.invariants import (_class_average, _orbit_isotypic_dim,
+                                _perm_trace_on_span)
 from reflact.osalg import apply_perm, nbc_basis, perm_trace, straighten
 
 
@@ -363,3 +364,51 @@ def test_global_average_traces_one_permutation_per_class():
     isotypic_dim_global(A, G, trivial_character(G), k)
     traced = [key for key in A._os.traces if key[0] == k]
     assert 0 < len(traced) <= len(conjugacy_classes(G))
+
+
+# -- orbitwise averages over classes of N_T's permutation image ----------------
+
+def _orbit_permutation_average(A, G, orbit, chi):
+    """The reference (1/|N_T|) sum over the distinct permutations p that N_T
+    induces on the representative's hyperplanes of (sum of chi(g^{-1}) over
+    the g inducing p) * tr(p | H^top(A_T)), with no use of classes."""
+    key = orbit.representative.key
+    pos = {h: j for j, h in enumerate(key)}
+    perms = hyperplane_action(G, A).perms
+    weights = {}
+    for g in orbit.N:
+        p = tuple(pos[perms[g][i]] for i in key)
+        weights[p] = weights.get(p, Cyc.zero()) + chi(G.inverse[g])
+    sub = subarrangement(A, orbit.representative)
+    total = Cyc.zero()
+    for p, w in weights.items():
+        total = total + w * Cyc.rational(perm_trace(sub, p, orbit.codim))
+    return total * Cyc.rational(Fraction(1, len(orbit.N)))
+
+
+def test_orbitwise_class_average_matches_permutation_reference():
+    H3, F4 = shipped_group("h3"), shipped_group("f4")
+    pairs = [
+        (make_arrangement("zero", 1, 4), make_grpn(1, 1, 4)),
+        (make_arrangement("zero", 2, 4), make_grpn(2, 2, 4)),
+        (make_arrangement("full", 2, 4), make_grpn(2, 1, 4)),
+        (reflection_arrangement(H3), H3),
+        (make_arrangement("full", 3, 4), make_grpn(3, 1, 4)),
+        (reflection_arrangement(F4), F4),
+    ]
+    for A, G in pairs:
+        for o in orbits_on_lattice(G, A):
+            for chi in linear_characters(G):
+                assert Cyc.rational(_orbit_isotypic_dim(A, G, o, chi)) == \
+                    _orbit_permutation_average(A, G, o, chi)
+
+
+def test_orbitwise_traces_one_permutation_per_class():
+    G = make_grpn(3, 1, 4)
+    A = make_arrangement.__wrapped__("full", 3, 4)   # fresh: no traces cached
+    isotypic_dims_orbitwise(A, G, trivial_character(G))
+    top = [o for o in orbits_on_lattice(G, A) if o.codim == A.rank()]
+    assert len(top) == 1 and len(top[0].perm_classes) == 17
+    sub = subarrangement(A, top[0].representative)
+    traced = [key for key in sub._os.traces if key[0] == A.rank()]
+    assert 0 < len(traced) <= 17
