@@ -262,13 +262,12 @@ def _cmd_info(args, out):
             perms = hyperplane_action(G, A).perms
         except NotStableError as exc:
             raise CLIError(str(exc))
-        orbits = orbits_on_lattice(G, A)
-        # the last orbit holds the one flat of codimension rank(A)
+        # every trace average takes one term per conjugacy class
         payload["action"] = {
             "distinct_permutations": len(set(perms)),
-            "lattice_orbits": len(orbits),
+            "lattice_orbits": len(orbits_on_lattice(G, A)),
             "flats": len(build_lattice(A).by_key),
-            "top_orbit_classes": len(orbits[-1].perm_classes)}
+            "conjugacy_classes": len(conjugacy_classes(G))}
         for k, v in sorted(payload["action"].items()):
             rows.append(["action", k, v])
     _emit(out, args.format, "info", ["object", "field", "value"], rows,

@@ -36,7 +36,6 @@ __all__ = [
     "setwise_stabilizer",
     "center",
     "conjugacy_classes",
-    "permutation_classes",
     "linear_characters",
     "determinant_like_characters",
     "group_from_json",
@@ -77,6 +76,7 @@ class MatrixGroup:
         self._reflections = None
         self._refl_arrangement = None
         self._classes = None
+        self._inverse_class = None        # set with _classes
         self._linear_chars = None
 
     def mul(self, i: int, j: int) -> int:
@@ -269,8 +269,10 @@ def hyperplane_action(G: MatrixGroup, A: Arrangement) -> _Action:
 
 
 def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
-    """Disjoint orbits of G on L(A), each with representative (lex least key)
-    and setwise stabilizer N and pointwise stabilizer Z as index sets."""
+    """Disjoint orbits of G on L(A), each with representative (lex least key),
+    setwise stabilizer N and pointwise stabilizer Z as index sets, and for
+    each member key a hyperplane permutation carrying the representative
+    onto it."""
     cached = G._orbits.get(A)
     if cached is not None:
         return cached
@@ -279,20 +281,20 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
     remaining = dict(lattice.by_key)
     distinct_perms = sorted(set(act.perms))
     orbits = []
-    for key in sorted(lattice.by_key):
-        if key not in remaining:
+    # keys are met in sorted order, so each orbit's first key is its least
+    for rep_key in sorted(lattice.by_key):
+        if rep_key not in remaining:
             continue
-        orbit_keys = {key}
+        transport = {}
         for p in distinct_perms:
-            orbit_keys.add(tuple(sorted(p[i] for i in key)))
-        rep_key = min(orbit_keys)
+            transport.setdefault(tuple(sorted(p[i] for i in rep_key)), p)
         rep = lattice.by_key[rep_key]
-        members = [lattice.by_key[k] for k in sorted(orbit_keys)]
-        for k in orbit_keys:
+        members = [lattice.by_key[k] for k in sorted(transport)]
+        for k in transport:
             remaining.pop(k, None)
         N = frozenset(i for i, p in enumerate(act.perms)
                       if tuple(sorted(p[i2] for i2 in rep_key)) == rep_key)
-        orbits.append(OrbitDatum(rep, members, G, N, rep.codim, act.perms))
+        orbits.append(OrbitDatum(rep, members, G, N, rep.codim, transport))
     orbits.sort(key=lambda o: (o.codim, o.representative.key))
     G._orbits[A] = orbits
     return orbits
@@ -310,20 +312,17 @@ def _fixes_pointwise(G: MatrixGroup, i: int, X: Flat) -> bool:
 
 class OrbitDatum:
     """A lattice orbit with stabilizers N (setwise) and Z (pointwise) of its
-    representative.  N permutes the hyperplanes through the representative:
-    `induced(g)` is g's permutation of them, numbered by their position in
-    the key as in `subarrangement`, and `perm_classes` are the conjugacy
-    classes of the group of those permutations.  Z takes cyclotomic
-    products and the classes a closure, so both are made on first read."""
+    representative.  `transport` maps each member's key to the first
+    distinct hyperplane permutation (in sorted order) that carries the
+    representative onto it; the representative's is the identity.  Z takes
+    cyclotomic products, so it is made on first read."""
 
-    def __init__(self, representative, orbit, G, N, codim, perms):
+    def __init__(self, representative, orbit, G, N, codim, transport):
         self.representative = representative
         self.orbit = orbit
         self._G = G
         self._Z = None
-        self._perms = perms               # hyperplane permutation of each g
-        self._pos = {h: j for j, h in enumerate(representative.key)}
-        self._perm_classes = None
+        self.transport = transport
         self.N = N
         self.codim = codim
 
@@ -333,25 +332,6 @@ class OrbitDatum:
             self._Z = frozenset(i for i in self.N
                                 if _fixes_pointwise(self._G, i, self.representative))
         return self._Z
-
-    def induced(self, g: int) -> tuple:
-        return tuple(map(self._pos.__getitem__,
-                         map(self._perms[g].__getitem__,
-                             self.representative.key)))
-
-    @property
-    def perm_classes(self):
-        if self._perm_classes is None:
-            if len(self.N) == self._G.order:
-                # N = G maps onto the permutation group, so its classes are
-                # the images of G's classes (which the global average uses)
-                images = {tuple(sorted(set(map(self.induced, cls))))
-                          for cls in conjugacy_classes(self._G)}
-                self._perm_classes = [list(c) for c in sorted(images)]
-            else:
-                self._perm_classes = permutation_classes(
-                    {self.induced(g) for g in self.N})
-        return self._perm_classes
 
     def __repr__(self):
         return "OrbitDatum(codim=%d, rep=%s, |orbit|=%d, |N|=%d)" % (
@@ -380,59 +360,20 @@ def center(G: MatrixGroup) -> frozenset:
 
 def conjugacy_classes(G: MatrixGroup):
     """Partition of the element indices into conjugacy classes, each sorted;
-    classes ordered by least member."""
+    classes ordered by least member.  G._inverse_class[c] is the index of
+    the class of the inverses of class c's members."""
     if G._classes is not None:
         return G._classes
-    seen = [False] * G.order
+    class_of = [-1] * G.order
     classes = []
     for i in range(G.order):
-        if not seen[i]:
+        if class_of[i] < 0:
             cls = _closure([i], G.generators, _conjugation(G), G.order)[0]
             for y in cls:
-                seen[y] = True
+                class_of[y] = len(classes)
             classes.append(sorted(cls))
+    G._inverse_class = [class_of[G.inverse[cls[0]]] for cls in classes]
     G._classes = classes
-    return classes
-
-
-def permutation_classes(perms):
-    """Conjugacy classes of a permutation group given as the set of all its
-    elements (tuples of images), each sorted, ordered by least member.
-
-    A greedy generating set walks the sorted elements and keeps each one
-    that is not in the closure of those kept before; a product outside the
-    set raises ArithmeticError.  Once every element is reached the set is
-    the group the kept ones generate, and `_closure` under conjugation by
-    them gives the classes."""
-    elements = sorted(perms)
-    members = set(elements)
-
-    def mul(p, q):                     # x -> p[q[x]]
-        r = tuple(map(p.__getitem__, q))
-        if r not in members:
-            raise ArithmeticError("permutations not closed under composition")
-        return r
-
-    if not elements or elements[0] != tuple(range(len(elements[0]))):
-        raise ArithmeticError("permutations do not contain the identity")
-    cap = len(elements)
-    gens, reached = [], {elements[0]}
-    for p in elements:
-        if p not in reached:
-            gens.append(p)
-            reached = set(_closure([elements[0]], gens, mul, cap)[0])
-    # (g, g^-1) pairs; x -> g x g^-1 is x's images relabelled by g
-    pairs = [(g, tuple(sorted(range(len(g)), key=g.__getitem__)))
-             for g in gens]
-    seen, classes = set(), []
-    for p in elements:
-        if p not in seen:
-            cls = sorted(_closure(
-                [p], pairs, lambda x, gg: tuple(
-                    map(gg[0].__getitem__, map(x.__getitem__, gg[1]))),
-                cap)[0])
-            seen.update(cls)
-            classes.append(cls)
     return classes
 
 

@@ -7,16 +7,18 @@ ways:
 
   * globally, as (1/|G|) sum_g chi(g^{-1}) tr(g | H^k);
   * orbitwise, as the sum over orbits T of codimension-k flats of the
-    chi-isotypic dimension of the top cohomology of the subarrangement at a
-    representative flat, averaged over the setwise stabilizer N_T;
+    chi-multiplicity of K_T, the top cohomology of the subarrangements at
+    the flats of T, which is Ind_{N_T}^G of that at a representative flat
+    (N_T its setwise stabilizer);
   * by the rank of the idempotent projection matrix on the NBC basis.
 
-Traces are class functions, so an average over G takes one term per
-conjugacy class of G, and an average over N_T one term per conjugacy class
-of the permutation group that N_T induces on the subarrangement; the
-projection weights each distinct hyperplane permutation.  All arithmetic
-is exact; every dimension is checked to be a nonnegative rational integer
-before it is returned.
+Traces are class functions, so the global and orbitwise averages, and that
+of `relative_character`, take one term per conjugacy class of G.  The
+character of K_T at g sums the traces of g on the flats of T that g fixes,
+each moved to the representative's subarrangement.  The projection weights
+each distinct hyperplane permutation.  All arithmetic is exact; every
+dimension is checked to be a nonnegative rational integer before it is
+returned.
 
 The module also builds the explicit invariant bases (one monomial, or an
 explicit pair, per orbit with nonzero invariants), decomposes the invariants
@@ -124,21 +126,10 @@ def _class_average(G: MatrixGroup, phi, trace) -> Cyc:
     trace(c), for phi one value per class and c the least member of C; the
     trace is read only where the weight is nonzero."""
     classes = conjugacy_classes(G)
-    cls_of = {g: ci for ci, cls in enumerate(classes) for g in cls}
-    weights = [(phi[cls_of[G.inverse[cls[0]]]], cls) for cls in classes]
-    total = sum((w * Cyc.rational(len(cls) * trace(cls[0]))
-                 for w, cls in weights if w), Cyc.zero())
+    total = sum((phi[j] * Cyc.rational(len(cls) * trace(cls[0]))
+                 for cls, j in zip(classes, G._inverse_class) if phi[j]),
+                Cyc.zero())
     return total * Cyc.rational(Fraction(1, G.order))
-
-
-def _perm_weights(G: MatrixGroup, elements, perm_of, chi):
-    """Map perm -> sum of chi(g^{-1}) over the given element indices g, with
-    perm_of(g) the permutation that g induces."""
-    out = {}
-    for g in elements:
-        p = perm_of(g)
-        out[p] = out.get(p, Cyc.zero()) + chi(G.inverse[g])
-    return out
 
 
 def isotypic_dim_global(A: Arrangement, G: MatrixGroup, chi: LinearCharacter,
@@ -151,13 +142,15 @@ def isotypic_dim_global(A: Arrangement, G: MatrixGroup, chi: LinearCharacter,
 def isotypic_dim_projection(A: Arrangement, G: MatrixGroup,
                             chi: LinearCharacter, k: int) -> int:
     """The same dimension as the rank of the projection sum_g chi(g^{-1}) g
-    on the NBC basis (rank of an idempotent equals its trace)."""
+    on the NBC basis (rank of an idempotent equals its trace), with the
+    weights of the elements inducing each hyperplane permutation summed."""
     basis = nbc_basis(A, k)
     n = len(basis)
     rows = [[Cyc.zero()] * n for _ in range(n)]
-    perms = hyperplane_action(G, A).perms
-    for perm, w in _perm_weights(G, range(G.order), perms.__getitem__,
-                                 chi).items():
+    weights = {}
+    for g, perm in enumerate(hyperplane_action(G, A).perms):
+        weights[perm] = weights.get(perm, Cyc.zero()) + chi(G.inverse[g])
+    for perm, w in weights.items():
         if not w:
             continue
         for j, mono in enumerate(basis.monomials):
@@ -172,21 +165,28 @@ def isotypic_dim_projection(A: Arrangement, G: MatrixGroup,
 
 
 def _orbit_isotypic_dim(A, G, orbit, chi) -> int:
-    """dim K_T^chi: the chi|_{N_T}-isotypic dimension of the top cohomology
-    of the subarrangement at the representative flat, averaged over N_T.
-    The trace depends only on the permutation p that g induces on the
-    subarrangement and is a class function of the group P_T of those
-    permutations, so the weights are summed over each class of P_T and the
-    class's least member is traced."""
+    """dim K_T^chi, for K_T the sum of H^top(A_X) over the flats X of the
+    orbit, which is Ind_{N_T}^G H^top(A_T) (Lehrer-Solomon).  Its character
+    at g sums, over the members X with gX = X, the trace of x^{-1} g x on
+    the top cohomology of the representative's subarrangement, with
+    x = orbit.transport[X]; it is a class function of G, so the average
+    takes one term per conjugacy class."""
+    key = orbit.representative.key
     sub = subarrangement(A, orbit.representative)
-    weights = _perm_weights(G, orbit.N, orbit.induced, chi)
-    total = Cyc.zero()
-    for cls in orbit.perm_classes:
-        w = sum((weights[p] for p in cls), Cyc.zero())
-        if w:
-            total = total + w * Cyc.rational(
-                perm_trace(sub, cls[0], orbit.codim))
-    return _as_dim(total * Cyc.rational(Fraction(1, len(orbit.N))))
+    pos = {h: j for j, h in enumerate(key)}
+    # x^{-1} on the hyperplanes through X, as positions in the key
+    back = {X: {x[h]: pos[h] for h in key} for X, x in orbit.transport.items()}
+    perms = hyperplane_action(G, A).perms
+
+    def trace(g):
+        p = perms[g]
+        return sum(perm_trace(sub, tuple(back[X][p[x[h]]] for h in key),
+                              orbit.codim)
+                   for X, x in orbit.transport.items()
+                   if tuple(sorted(p[i] for i in X)) == X)
+
+    return _as_dim(_class_average(
+        G, [chi(cls[0]) for cls in conjugacy_classes(G)], trace))
 
 
 class PoincarePoly:

@@ -243,11 +243,11 @@ def test_info_action_summary():
     assert code == EXIT_OK
     assert json.loads(out)["action"] == {
         "distinct_permutations": 648, "lattice_orbits": 12, "flats": 214,
-        "top_orbit_classes": 17}
+        "conjugacy_classes": 51}
     code, out, _ = invoke(*argv)
     assert code == EXIT_OK
     assert "distinct_permutations  648" in out
-    assert "top_orbit_classes      17" in out
+    assert "conjugacy_classes      51" in out
     # with one of the two options there is no action summary
     for argv in (("info", "--group", "G(3,1,2)"),
                  ("info", "--arrangement", "A_2(3)")):

@@ -22,7 +22,6 @@ from reflact.groups import (
     hyperplane_action,
     linear_characters,
     orbits_on_lattice,
-    permutation_classes,
     pointwise_stabilizer,
     reflection_arrangement,
     reflections,
@@ -177,55 +176,6 @@ def test_center_and_classes():
             for r in range(2) for s in range(2))
     sizes = sorted(len(c) for c in conjugacy_classes(w3()))
     assert sizes == [1, 2, 3]
-
-
-def test_permutation_classes_of_s3():
-    from itertools import permutations
-    classes = permutation_classes(set(permutations(range(3))))
-    assert sorted(len(c) for c in classes) == [1, 2, 3]
-    assert classes[0] == [(0, 1, 2)]
-
-
-def test_permutation_classes_partition_with_least_first():
-    for G, A in [(w3(), catalog.make_arrangement("braid", 1, 3)),
-                 (catalog.make_grpn(3, 1, 3), catalog.make_arrangement("full", 3, 3)),
-                 (catalog.make_grpn(2, 2, 4), catalog.make_arrangement("zero", 2, 4))]:
-        P = set(hyperplane_action(G, A).perms)
-        classes = permutation_classes(P)
-        members = [p for cls in classes for p in cls]
-        assert sum(len(c) for c in classes) == len(P) == len(set(members))
-        assert set(members) == P
-        assert all(cls == sorted(cls) for cls in classes)
-        assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
-        # each class is closed under conjugation by every element
-        inv = {p: tuple(sorted(range(len(p)), key=p.__getitem__)) for p in P}
-        cls_of = {p: i for i, cls in enumerate(classes) for p in cls}
-        for p in P:
-            for g in P:
-                conj = tuple(g[p[inv[g][x]]] for x in range(len(p)))
-                assert cls_of[conj] == cls_of[p]
-
-
-def test_permutation_classes_reject_a_set_that_is_not_a_group():
-    with pytest.raises(ArithmeticError):
-        permutation_classes({(0, 1, 2), (1, 2, 0)})
-    with pytest.raises(ArithmeticError):
-        permutation_classes({(1, 0, 2)})       # no identity
-    with pytest.raises(ArithmeticError):
-        permutation_classes(set())
-
-
-def test_orbit_perm_classes_match_the_helper():
-    # orbits with N = G take the images of G's classes; the rest call the
-    # helper on the induced permutations
-    for G, A in [(catalog.make_grpn(2, 1, 3), catalog.make_arrangement("full", 2, 3)),
-                 (catalog.make_grpn(3, 3, 3), catalog.make_arrangement("full", 3, 3))]:
-        orbits = orbits_on_lattice(G, A)
-        assert {len(o.N) == G.order for o in orbits} == {True, False}
-        for o in orbits:
-            induced = {o.induced(g) for g in o.N}
-            assert o.perm_classes == permutation_classes(induced)
-            assert o.perm_classes is o.perm_classes          # made once
 
 
 def test_center_in_setwise_stabilizers():
@@ -482,6 +432,28 @@ def test_orbits_need_no_cyclotomic_products_until_Z(monkeypatch):
             o.Z
         assert calls
         monkeypatch.undo()
+
+
+def test_orbit_transport_carries_the_representative_onto_each_member():
+    H3, F4 = catalog.shipped_group("h3"), catalog.shipped_group("f4")
+    pairs = [
+        (catalog.make_grpn(1, 1, 4), catalog.make_arrangement("zero", 1, 4)),
+        (catalog.make_grpn(2, 2, 4), catalog.make_arrangement("zero", 2, 4)),
+        (catalog.make_grpn(2, 1, 4), catalog.make_arrangement("full", 2, 4)),
+        (H3, reflection_arrangement(H3)),
+        (catalog.make_grpn(3, 1, 4), catalog.make_arrangement("full", 3, 4)),
+        (F4, reflection_arrangement(F4)),
+    ]
+    for G, A in pairs:
+        perms = set(hyperplane_action(G, A).perms)
+        for o in orbits_on_lattice(G, A):
+            rep = o.representative.key
+            assert set(o.transport) == {f.key for f in o.orbit}
+            assert rep == min(o.transport)
+            assert o.transport[rep] == tuple(range(len(A)))
+            for X, x in o.transport.items():
+                assert x in perms
+                assert tuple(sorted(x[h] for h in rep)) == X
 
 
 def _setwise_reference(G, X):

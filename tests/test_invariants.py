@@ -366,7 +366,7 @@ def test_global_average_traces_one_permutation_per_class():
     assert 0 < len(traced) <= len(conjugacy_classes(G))
 
 
-# -- orbitwise averages over classes of N_T's permutation image ----------------
+# -- orbitwise averages as induced characters over G's classes ----------------
 
 def _orbit_permutation_average(A, G, orbit, chi):
     """The reference (1/|N_T|) sum over the distinct permutations p that N_T
@@ -404,11 +404,31 @@ def test_orbitwise_class_average_matches_permutation_reference():
 
 
 def test_orbitwise_traces_one_permutation_per_class():
+    # the top orbit has one flat, fixed by all of G, so its character is
+    # traced at most once per conjugacy class of G
     G = make_grpn(3, 1, 4)
     A = make_arrangement.__wrapped__("full", 3, 4)   # fresh: no traces cached
     isotypic_dims_orbitwise(A, G, trivial_character(G))
     top = [o for o in orbits_on_lattice(G, A) if o.codim == A.rank()]
-    assert len(top) == 1 and len(top[0].perm_classes) == 17
+    assert len(top) == 1 and len(conjugacy_classes(G)) == 51
     sub = subarrangement(A, top[0].representative)
     traced = [key for key in sub._os.traces if key[0] == A.rank()]
-    assert 0 < len(traced) <= 17
+    assert 0 < len(traced) <= 51
+
+
+def test_orbitwise_makes_one_cyc_addition_per_class(monkeypatch):
+    G, A = make_grpn(3, 1, 4), make_arrangement("full", 3, 4)
+    orbits = orbits_on_lattice(G, A)
+    calls = []
+    original = Cyc.__add__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Cyc, "__add__", counting)
+    for chi in linear_characters(G):
+        for o in orbits:
+            calls.clear()
+            _orbit_isotypic_dim(A, G, o, chi)
+            assert len(calls) <= len(conjugacy_classes(G))
