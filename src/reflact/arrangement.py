@@ -13,18 +13,20 @@ matroid: every flat is also an int bitmask over the hyperplane indices, and
 a join table gives the flat spanned by any flat and any hyperplane.  Rank,
 independence, closures, circuits and NBC sets are all read from it with int
 lookups.  Exact row reduction happens only while the lattice is built, one
-residual update (`_clear`) per flat and hyperplane, and in `essentialize`,
-which reads the center from the `exactnum.Span` of the covectors.  A
-subarrangement A_X is a view: it shares the parent's hyperplanes, and its
-lattice is the parent's interval below X, renumbered, so building it needs
-no cyclotomic arithmetic.
+`exactnum._eliminate` per flat and hyperplane on sparse residual rows, in
+`essentialize`, which reads the center from the `exactnum.Span` of the
+covectors, and in a flat's basis, the kernel of its hyperplanes' covectors,
+computed on first use.  A subarrangement A_X is a view: it shares the
+parent's hyperplanes, and its lattice is the parent's interval below X,
+renumbered, so building it needs no cyclotomic arithmetic.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .exactnum import Cyc, CycMatrix, Span, cyc_from_json, cyc_to_json, kernel
+from .exactnum import (Cyc, CycMatrix, Span, _eliminate, cyc_from_json,
+                       cyc_to_json, kernel)
 
 __all__ = [
     "Hyperplane",
@@ -177,15 +179,17 @@ class IntersectionLattice:
     they define.
 
     Flat masks are ints with bit i set when H_i contains the flat;
-    `masks[k]` lists the codim-k masks in key order, `basis(F)` gives the
-    basis argument of F's Flat, and `join[F][j]` is the mask of the flat
-    spanned by F and H_j (F itself when j is in F).
+    `masks[k]` lists the codim-k masks in key order, and `join[F][j]` is the
+    mask of the flat spanned by F and H_j (F itself when j is in F).  A
+    flat's basis is the kernel of its own hyperplanes' covectors in A.
     """
 
-    def __init__(self, masks, join, basis):
+    def __init__(self, A, masks, join):
         self.join = join
         self.rank = len(masks) - 1
-        self.levels = [[Flat(_bits(F), basis(F), k) for F in level]
+        self.levels = [[Flat(key, _basis_from_rows(
+                            A.n, [A.covector(i) for i in key]), k)
+                        for key in map(_bits, level)]
                        for k, level in enumerate(masks)]
         self.by_key = {f.key: f for lv in self.levels for f in lv}
         self.key_of = {F: f.key for level, lv in zip(masks, self.levels)
@@ -210,11 +214,6 @@ class IntersectionLattice:
         return len(self.by_key)
 
 
-def _lead(vec):
-    """Column of the first nonzero entry, or None."""
-    return next((j for j, c in enumerate(vec) if not c.is_zero()), None)
-
-
 def _basis_from_rows(n, rows):
     """A callable computing the rows spanning the common kernel of `rows`."""
     def basis():
@@ -225,39 +224,43 @@ def _basis_from_rows(n, rows):
     return basis
 
 
-def _clear(res, r, p):
-    """Subtract from res the multiple of r (pivot column p) that clears
-    column p, then rescale to leading entry 1."""
-    f = res[p]
-    if f.is_zero():
+def _cleared(res, r, p):
+    """res with column p cleared by r, whose least key p holds 1, and
+    rescaled to leading entry 1.  A copy when it changes, because a flat
+    shares its residuals with its covers."""
+    if p not in res:
         return res
-    res = [a - f * b for a, b in zip(res, r)]
-    inv = res[_lead(res)].inverse()
-    return [c if c.is_zero() else inv * c for c in res]
+    rescale = p == min(res)
+    res = dict(res)
+    _eliminate(res, p, r)
+    if rescale:
+        inv = res[min(res)].inverse()
+        res = {k: inv * c for k, c in res.items()}
+    return res
 
 
 def _lattice_of_covectors(A: Arrangement) -> IntersectionLattice:
     """Breadth-first by covers.  Each flat F keeps, for every hyperplane
-    H_j outside it, the residual of its covector: zero in the pivot columns
-    of F's echelon rows and scaled to leading entry 1, so it depends only on
-    the covector modulo F's span.  Hyperplanes with equal residuals span the
-    same cover F v H_j, and the residuals of a cover follow from F's by one
-    elimination step each."""
+    H_j outside it, the residual of its covector as a sparse row {column:
+    Cyc}: zero in the pivot columns of the residuals that reached F and
+    scaled to leading entry 1, so it depends only on the covector modulo
+    F's span.  Hyperplanes with equal residuals span the same cover F v H_j,
+    and the residuals of a cover follow from F's by one elimination each."""
     nh = len(A)
-    rows_of = {0: []}
     # canonical covectors already have leading entry 1
-    residuals = {0: {j: A.covector(j) for j in range(nh)}}
+    residuals = {0: {j: {k: c for k, c in enumerate(A.covector(j)) if c}
+                     for j in range(nh)}}
     join = {}
     masks = [[0]]
     while True:
         nxt = []
         for F in masks[-1]:
             res_F = residuals.pop(F)
-            covers = {}   # residual coefficients -> [cover mask, residual]
+            covers = {}   # residual tag -> [cover mask, residual]
             for j, res in res_F.items():
                 # every entry lives at A.conductor, so the coefficient
                 # tuples compare the values without Cyc hashing
-                tag = tuple(c.c for c in res)
+                tag = frozenset((k, c.c) for k, c in res.items())
                 got = covers.get(tag)
                 if got is None:
                     covers[tag] = [F | 1 << j, res]
@@ -268,22 +271,20 @@ def _lattice_of_covectors(A: Arrangement) -> IntersectionLattice:
                 for j in _bits(G & ~F):
                     row[j] = G
                 if G not in residuals:
-                    p = _lead(r)
-                    rows_of[G] = sorted(rows_of[F] + [r], key=_lead)
-                    residuals[G] = {j: _clear(res, r, p)
+                    p = min(r)
+                    residuals[G] = {j: _cleared(res, r, p)
                                     for j, res in res_F.items() if not G >> j & 1}
                     nxt.append(G)
             join[F] = tuple(row)
         if not nxt:
             break
         masks.append(sorted(nxt, key=_bits))
-    return IntersectionLattice(masks, join,
-                               lambda F: _basis_from_rows(A.n, rows_of[F]))
+    return IntersectionLattice(A, masks, join)
 
 
 def _lattice_of_view(A: Arrangement) -> IntersectionLattice:
     """The parent's interval [top, X] for the view A = A_X, renumbered to
-    positions in X's key.  Flats keep the parent's subspace bases."""
+    positions in X's key."""
     parent, ground = A._parent
     plat = build_lattice(parent)
     pos = {g: p for p, g in enumerate(ground)}
@@ -302,12 +303,7 @@ def _lattice_of_view(A: Arrangement) -> IntersectionLattice:
                     nxt.append(G)
             join[local[F]] = tuple(local[G] for G in images)
         frontier = sorted(nxt, key=_bits)
-
-    def basis(F):
-        flat = plat.by_key[tuple(ground[p] for p in _bits(F))]
-        return lambda: flat.basis
-
-    return IntersectionLattice(masks, join, basis)
+    return IntersectionLattice(A, masks, join)
 
 
 def build_lattice(A: Arrangement) -> IntersectionLattice:

@@ -377,17 +377,8 @@ def cox_monomials(r, p, n, kind):
         cov[i] = Cyc.one()
         return cov
 
-    def cov_t(i):
-        cov = [Cyc.zero()] * n
-        cov[i - 2] = Cyc.one()
-        cov[i - 1] = Cyc.rational(-1)
-        return cov
-
-    def cov_t21():
-        cov = [Cyc.zero()] * n
-        cov[0] = Cyc.one()
-        cov[1] = -Cyc.root_of_unity(r)
-        return cov
+    def index_of(name):
+        return _index_in(A, _named_covector(r, n, name))
 
     def flat_key(lam, u=0):
         flat = _flat_of_rows(A, lattice, _x_lambda_rows(n, r, lam, u))
@@ -398,8 +389,8 @@ def cox_monomials(r, p, n, kind):
     out = {}
     if kind == "full":
         h1 = _index_in(A, cov_coord(0))
-        t = {i: _index_in(A, cov_t(i)) for i in range(2, n + 1)}
-        t21 = _index_in(A, cov_t21()) if r > 1 else None
+        t = {i: index_of("t_%d" % i) for i in range(2, n + 1)}
+        t21 = index_of("t_2^1") if even else None
         # one-part-free chains: X_(1^{n-k}) has stabilizer type G(r,p,k)
         for k in range(2, n):
             lam = tuple([1] * (n - k))
@@ -425,8 +416,8 @@ def cox_monomials(r, p, n, kind):
             out[flat_key(())] = [tuple(sorted(full_chain))]
     elif r > 1:
         if even:
-            t = {i: _index_in(A, cov_t(i)) for i in range(2, n + 1)}
-            t21 = _index_in(A, cov_t21())
+            t = {i: index_of("t_%d" % i) for i in range(2, n + 1)}
+            t21 = index_of("t_2^1")
             lam = (2,)
             mono = [t[2], t21] + [t[i] for i in range(3, n - 1)] + [t[n]]
             out[flat_key(lam)] = [tuple(sorted(mono))]

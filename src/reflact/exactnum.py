@@ -14,9 +14,10 @@ extended Euclidean algorithm against Phi_m.
 
 `Span` keeps sparse vectors {key: value}, with values all `Fraction` or all
 `Cyc`, in reduced row echelon form, pivoting at each row's least key.  Every
-elimination in the package runs through it: `rref`, `kernel` and
-`CycMatrix.inverse` here, determinants and stabilizers in `groups`,
-essentialization in `arrangement`, and spans of Orlik-Solomon elements.
+elimination in the package runs through it or its step `_eliminate`:
+`rref`, `kernel` and `CycMatrix.inverse` here, determinants and stabilizers
+in `groups`, essentialization and the intersection lattice's residual rows
+in `arrangement`, and spans of Orlik-Solomon elements.
 
 >>> z = Cyc.root_of_unity(3, 1)
 >>> (1 + z) * (1 + z * z) == 1

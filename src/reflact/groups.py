@@ -18,9 +18,9 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from .arrangement import (Arrangement, Flat, _lead, build_lattice,
+from .arrangement import (Arrangement, Flat, build_lattice,
                           canonicalize_hyperplane)
-from .exactnum import Cyc, CycMatrix, Span, cyc_from_json, rref
+from .exactnum import Cyc, CycMatrix, Span, cyc_from_json, euler_phi, rref
 
 __all__ = [
     "MatrixGroup",
@@ -136,17 +136,33 @@ def _closure(seeds, gens, act, cap, key=None):
     return items, edges, parents
 
 
+def _order_bound(n: int, m: int) -> int:
+    """L = lcm{k : phi(lcm(m, k)) <= n phi(m)}, a multiple of the order of
+    every matrix of finite order in GL_n(Q(zeta_m)): its eigenvalues are
+    roots of unity of degree at most n over Q(zeta_m).  An order k qualifies
+    exactly when each of its prime-power parts does, so L is the product,
+    over primes p <= max(n + 1, m), of the largest qualifying power of p."""
+    bound, L = n * euler_phi(m), 1
+    for p in range(2, max(n + 1, m) + 1):
+        if all(p % d for d in range(2, p)):
+            q = p
+            while euler_phi(m * q // gcd(m, q)) <= bound:
+                q *= p
+            L *= q // p
+    return L
+
+
 def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     """Enumerate the group generated by square invertible matrices by
     breadth-first closure from the identity, generators in the given order.
     The closure runs on permutations of the orbit of e_1..e_n, so exact
     arithmetic is needed only for generator times orbit vector.
 
-    A singular generator raises ValueError.  A generator of finite order has
-    a root-of-unity determinant, of order dividing lcm(2, m) in Q(zeta_m);
-    any other has infinite order and raises OrderCapExceededError before the
-    closure runs.  Generators of determinant 1 and infinite order, such as
-    diag(2, 1/2), are still bounded only by `order_cap`."""
+    A singular generator raises ValueError.  A generator of finite order
+    over Q(zeta_m) has order dividing L = `_order_bound(n, m)`, so each
+    generator's own orbit of e_1..e_n is walked first, up to n * L vectors
+    (or the cap): one that outgrows n * L, such as diag(2, 1/2), has
+    infinite order and raises OrderCapExceededError."""
     gens = list(gens)
     if gens:
         dim = gens[0].rows
@@ -155,22 +171,33 @@ def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     for i, g in enumerate(gens):
         if g.rows != g.cols or g.rows != dim:
             raise ValueError("generators must be square of equal dimension")
-        det = _det(g)
-        if not det:
+        if not _det(g):
             raise ValueError("singular generator %d" % i)
-        if det ** (2 * g.m // gcd(2, g.m)) != Cyc.one():
-            raise OrderCapExceededError(
-                "generator %d has infinite order (its determinant is not a "
-                "root of unity), so it exceeds any order cap" % i)
     m = 1
     for g in gens:
         m = m * g.m // gcd(m, g.m)
     one, zero = Cyc.one().lift(m), Cyc.zero().lift(m)
     basis = [tuple(one if i == j else zero for i in range(dim))
              for j in range(dim)]
-    vectors, images, _ = _closure(
-        basis, gens, lambda v, g: tuple(c.lift(m) for c in g.apply(v)),
-        order_cap, key=lambda v: _tag(v, m))
+
+    def act(v, g):
+        return tuple(c.lift(m) for c in g.apply(v))
+
+    def key(v):
+        return _tag(v, m)
+
+    for i, g in enumerate(gens):
+        bound = _order_bound(dim, g.m)
+        try:
+            _closure(basis, [g], act, min(bound, order_cap), key)
+        except OrderCapExceededError:
+            if bound > order_cap:   # g's order, finite or not, is above the cap
+                raise
+            raise OrderCapExceededError(
+                "generator %d has infinite order (more than %d images of "
+                "e_1..e_%d), so it exceeds any order cap"
+                % (i, dim * bound, dim)) from None
+    vectors, images, _ = _closure(basis, gens, act, order_cap, key)
     gen_perms = list(zip(*images))
     perms, cayley, parents = _closure(
         [tuple(range(len(vectors)))], gen_perms,
@@ -212,7 +239,7 @@ def reflections(G: MatrixGroup):
     for cls in conjugacy_classes(G)[1:]:    # the identity's class is first
         if rref(CycMatrix.from_rows(rows(cls[0])))[2] == 1:
             out += [(i, canonicalize_hyperplane(next(
-                r for r in rows(i) if _lead(r) is not None))) for i in cls]
+                r for r in rows(i) if any(r)))) for i in cls]
     G._reflections = sorted(out, key=lambda t: t[0])
     return G._reflections
 

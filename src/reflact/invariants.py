@@ -316,9 +316,7 @@ def euler_identity_check(A: Arrangement, G: MatrixGroup,
     (1+t) divides the isotypic Poincare polynomial."""
     if len(A) == 0:
         raise ValueError("empty arrangement")
-    poly = isotypic_dims_orbitwise(A, G, chi).poincare
-    alternating = sum((-1) ** k * c for k, c in enumerate(poly.coefficients))
-    return alternating == 0 and poly(-1) == 0
+    return isotypic_dims_orbitwise(A, G, chi).poincare(-1) == 0
 
 
 def project_invariant(A: Arrangement, G: MatrixGroup, x: OSElement) -> OSElement:

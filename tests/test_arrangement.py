@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from test_exactnum import exact, exact_matrix, ref_rref
+from test_exactnum import exact, exact_matrix, ref_kernel, ref_rref
 
 from reflact.arrangement import (
     Arrangement,
@@ -13,8 +13,9 @@ from reflact.arrangement import (
     essentialize,
     subarrangement,
 )
-from reflact.catalog import make_arrangement
+from reflact.catalog import make_arrangement, shipped_group
 from reflact.exactnum import Cyc, CycMatrix, rref
+from reflact.groups import reflection_arrangement
 
 
 def braid3():
@@ -197,3 +198,88 @@ def test_essentialize_matches_dense_reference(kind, r, n):
     assert [[exact(c) for c in h.covector] for h in ess.hyperplanes] == \
         [[exact(c) for c in h.covector] for h in want.hyperplanes]
     assert exact_matrix(proj) == exact_matrix(want_proj)
+
+
+def _ref_lead(vec):
+    return next((j for j, c in enumerate(vec) if not c.is_zero()), None)
+
+
+def _ref_clear(res, r, p):
+    """Dense residual update: clear column p of res with r, then rescale to
+    leading entry 1."""
+    f = res[p]
+    if f.is_zero():
+        return res
+    res = [a - f * b for a, b in zip(res, r)]
+    inv = res[_ref_lead(res)].inverse()
+    return [c if c.is_zero() else inv * c for c in res]
+
+
+def _ref_lattice(covectors):
+    """Reference L(A) by dense residuals: (masks by codim in key order, join
+    table, echelon rows of every flat)."""
+    nh = len(covectors)
+    bits = lambda F: tuple(i for i in range(nh) if F >> i & 1)
+    rows_of = {0: []}
+    residuals = {0: {j: list(c) for j, c in enumerate(covectors)}}
+    join, masks = {}, [[0]]
+    while True:
+        nxt = []
+        for F in masks[-1]:
+            res_F = residuals.pop(F)
+            covers = {}
+            for j, res in res_F.items():
+                got = covers.setdefault(tuple(c.c for c in res), [F, res])
+                got[0] |= 1 << j
+            row = [F] * nh
+            for G, r in covers.values():
+                for j in bits(G & ~F):
+                    row[j] = G
+                if G not in residuals:
+                    p = _ref_lead(r)
+                    rows_of[G] = rows_of[F] + [r]
+                    residuals[G] = {j: _ref_clear(res, r, p)
+                                    for j, res in res_F.items() if not G >> j & 1}
+                    nxt.append(G)
+            join[F] = tuple(row)
+        if not nxt:
+            break
+        masks.append(sorted(nxt, key=bits))
+    return [[bits(F) for F in level] for level in masks], join, rows_of
+
+
+def _ref_basis(n, rows):
+    if not rows:
+        return CycMatrix.identity(n)
+    space = ref_kernel(CycMatrix.from_rows(rows))
+    return CycMatrix.from_rows(space) if space else CycMatrix(0, n, [])
+
+
+def _assert_matches_reference(A):
+    keys, join, rows_of = _ref_lattice([h.covector for h in A.hyperplanes])
+    lat = build_lattice(A)
+    assert [[f.key for f in lv] for lv in lat.levels] == keys
+    assert lat.join == join
+    for F, rows in rows_of.items():
+        f = lat.by_key[lat.key_of[F]]
+        assert exact_matrix(f.basis) == exact_matrix(_ref_basis(A.n, rows))
+
+
+def _reference_cases():
+    cases = [(kind, r, n) for kind in ("full", "zero")
+             for r in range(1, 5) for n in range(1, 4)]
+    cases += [("full", 3, 4), ("zero", 2, 4)]
+    return [pytest.param(lambda c=c: make_arrangement(*c), id="%s(%d,%d)" % c)
+            for c in cases] + [
+        pytest.param(lambda name=name: reflection_arrangement(shipped_group(name)),
+                     id=name) for name in ("h3", "f4")]
+
+
+@pytest.mark.parametrize("make", _reference_cases())
+def test_lattice_matches_dense_reference(make):
+    # masks, key order, join tables and flat bases equal the dense residual
+    # builder's, on the arrangement and on every one of its views
+    A = make()
+    _assert_matches_reference(A)
+    for f in build_lattice(A).all_flats():
+        _assert_matches_reference(subarrangement(A, f))

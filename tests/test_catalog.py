@@ -166,6 +166,11 @@ def test_cox_monomials_shapes():
             assert len(mono) == lat.by_key[k].codim
 
 
+def test_cox_monomials_rank_one_full():
+    # t_2^1 needs n >= 2 and is looked up only for the plans that use it
+    assert cox_monomials(2, 1, 1, "full") == {(0,): [(0,)]}
+
+
 def test_shipped_groups():
     H3 = shipped_group("h3")
     assert H3.order == 120

@@ -237,6 +237,22 @@ def test_non_unitary_generator_exits_2_at_default_cap(tmp_path, entry):
     assert err.startswith("error: ") and "infinite order" in err
 
 
+@pytest.mark.parametrize("a", ["2", "-2"])
+def test_determinant_one_infinite_order_exits_2(tmp_path, a):
+    # diag(a, 1/2) has determinant +-1, a root of unity, but infinite order;
+    # the walk of the generator alone refuses it far below the default cap
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"dim": 2,
+                                "generators": [[[a, "0"], ["0", "1/2"]]]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "reflact", "info", "--group",
+                           str(path)],
+                          capture_output=True, text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "infinite order" in proc.stderr
+
+
 def test_info_action_summary():
     argv = ("info", "--group", "G(3,1,4)", "--arrangement", "A_4(3)")
     code, out, _ = invoke(*argv, "--format", "json")

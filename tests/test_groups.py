@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -67,6 +68,48 @@ def test_generate_identity_first_and_inverses():
 def test_order_cap():
     with pytest.raises(OrderCapExceededError):
         generate([perm_matrix(3, 0, 1), perm_matrix(3, 1, 2)], order_cap=4)
+
+
+def _phi(k):
+    out, x, p = k, k, 2
+    while p * p <= x:
+        if x % p == 0:
+            while x % p == 0:
+                x //= p
+            out -= out // p
+        p += 1
+    return out - out // x if x > 1 else out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 12])
+def test_order_bound_is_brute_force_lcm(m):
+    # phi(k) >= sqrt(k / 2) and phi(k) <= phi(lcm(m, k)), so every order
+    # that qualifies is at most 2 (n phi(m))^2
+    for n in range(1, 6):
+        bound = n * _phi(m)
+        L = 1
+        for k in range(1, 2 * bound * bound + 1):
+            if _phi(m * k // gcd(m, k)) <= bound:
+                L = L * k // gcd(L, k)
+        assert groups_mod._order_bound(n, m) == L, (n, m)
+
+
+def test_order_bound_examples():
+    # lcm(1, 2, 3, 4, 6) for 2 x 2 rational matrices; 16 * 3 * 5 for G(4,1,4)
+    assert groups_mod._order_bound(2, 1) == 12
+    assert groups_mod._order_bound(4, 4) == 240
+
+
+def test_generator_walk_stops_at_the_order_cap():
+    # in dimension 12 the order bound is 720,720, so the walk of
+    # diag(2, 1/2, 1, ..., 1) must end at the cap instead
+    n = 12
+    gen = [[Cyc.zero()] * n for _ in range(n)]
+    for i in range(n):
+        gen[i][i] = Cyc.rational({0: 2, 1: Fraction(1, 2)}.get(i, 1))
+    assert groups_mod._order_bound(n, 1) == 720720
+    with pytest.raises(OrderCapExceededError, match="cap 20"):
+        generate([CycMatrix.from_rows(gen)], order_cap=20)
 
 
 def test_trivial_group():
