@@ -139,9 +139,9 @@ def _closure(seeds, gens, act, cap, key=None):
 def _order_bound(n: int, m: int) -> int:
     """L = lcm{k : phi(lcm(m, k)) <= n phi(m)}, a multiple of the order of
     every matrix of finite order in GL_n(Q(zeta_m)): its eigenvalues are
-    roots of unity of degree at most n over Q(zeta_m).  An order k qualifies
-    exactly when each of its prime-power parts does, so L is the product,
-    over primes p <= max(n + 1, m), of the largest qualifying power of p."""
+    roots of unity of degree at most n over Q(zeta_m).  Each prime-power
+    part of a qualifying order qualifies, so L is the product, over primes
+    p <= max(n + 1, m), of the largest qualifying power of p."""
     bound, L = n * euler_phi(m), 1
     for p in range(2, max(n + 1, m) + 1):
         if all(p % d for d in range(2, p)):
@@ -158,11 +158,16 @@ def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     The closure runs on permutations of the orbit of e_1..e_n, so exact
     arithmetic is needed only for generator times orbit vector.
 
-    A singular generator raises ValueError.  A generator of finite order
-    over Q(zeta_m) has order dividing L = `_order_bound(n, m)`, so each
-    generator's own orbit of e_1..e_n is walked first, up to n * L vectors
-    (or the cap): one that outgrows n * L, such as diag(2, 1/2), has
-    infinite order and raises OrderCapExceededError."""
+    A singular generator raises ValueError.  A generator whose determinant
+    is not a root of unity (of order dividing lcm(2, m) in Q(zeta_m)) has
+    infinite order and raises OrderCapExceededError at once.  The order of
+    a generator of finite order divides L = `_order_bound(n, m)`, so each
+    generator's own orbit of e_1..e_n is walked first, up to
+    n * min(L, order_cap) vectors, and one that outgrows n * L, such as
+    diag(2, 1/2), raises OrderCapExceededError too.  That is quick only in
+    low dimension: L is 120 for n = 4 but 55,440 for n = 10, and such a
+    generator's vectors grow in size as well as number.  The walks and the
+    closure share one memo, so each g_i v is computed and tagged once."""
     gens = list(gens)
     if gens:
         dim = gens[0].rows
@@ -171,25 +176,33 @@ def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     for i, g in enumerate(gens):
         if g.rows != g.cols or g.rows != dim:
             raise ValueError("generators must be square of equal dimension")
-        if not _det(g):
+        det = _det(g)
+        if not det:
             raise ValueError("singular generator %d" % i)
+        if det ** (2 * g.m // gcd(2, g.m)) != Cyc.one():
+            raise OrderCapExceededError(
+                "generator %d has infinite order (its determinant is not a "
+                "root of unity), so it exceeds any order cap" % i)
     m = 1
     for g in gens:
         m = m * g.m // gcd(m, g.m)
     one, zero = Cyc.one().lift(m), Cyc.zero().lift(m)
     basis = [tuple(one if i == j else zero for i in range(dim))
              for j in range(dim)]
+    # one object per distinct vector, so id(v) names v in both closures
+    canon, memo = {_tag(v, m): v for v in basis}, {}
 
-    def act(v, g):
-        return tuple(c.lift(m) for c in g.apply(v))
-
-    def key(v):
-        return _tag(v, m)
+    def act(v, i):
+        k = (i, id(v))
+        if k not in memo:
+            y = tuple(c.lift(m) for c in gens[i].apply(v))
+            memo[k] = canon.setdefault(_tag(y, m), y)
+        return memo[k]
 
     for i, g in enumerate(gens):
         bound = _order_bound(dim, g.m)
         try:
-            _closure(basis, [g], act, min(bound, order_cap), key)
+            _closure(basis, [i], act, min(bound, order_cap), id)
         except OrderCapExceededError:
             if bound > order_cap:   # g's order, finite or not, is above the cap
                 raise
@@ -197,7 +210,7 @@ def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
                 "generator %d has infinite order (more than %d images of "
                 "e_1..e_%d), so it exceeds any order cap"
                 % (i, dim * bound, dim)) from None
-    vectors, images, _ = _closure(basis, gens, act, order_cap, key)
+    vectors, images, _ = _closure(basis, range(len(gens)), act, order_cap, id)
     gen_perms = list(zip(*images))
     perms, cayley, parents = _closure(
         [tuple(range(len(vectors)))], gen_perms,

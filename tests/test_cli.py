@@ -253,6 +253,25 @@ def test_determinant_one_infinite_order_exits_2(tmp_path, a):
     assert proc.stderr.startswith("error: ") and "infinite order" in proc.stderr
 
 
+def test_high_dimensional_non_unitary_generator_exits_2_at_default_cap(
+        tmp_path):
+    # diag(2, 1, ..., 1) in dimension 12: the order bound L is 720,720, so
+    # only the determinant check keeps the walk of e_1, 2 e_1, 4 e_1, ...
+    # from growing to 1.2 million vectors with entries up to 2^1,200,000
+    n = 12
+    gen = [["2" if i == j == 0 else str(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    path = tmp_path / "diag12.json"
+    path.write_text(json.dumps({"dim": n, "generators": [gen]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "reflact", "info", "--group",
+                           str(path)],
+                          capture_output=True, text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "infinite order" in proc.stderr
+
+
 def test_info_action_summary():
     argv = ("info", "--group", "G(3,1,4)", "--arrangement", "A_4(3)")
     code, out, _ = invoke(*argv, "--format", "json")

@@ -112,6 +112,19 @@ def test_generator_walk_stops_at_the_order_cap():
         generate([CycMatrix.from_rows(gen)], order_cap=20)
 
 
+def test_each_generator_image_is_computed_once(monkeypatch):
+    # the per-generator walks share their images with the closure, so the
+    # exact products are one per (orbit vector, generator) pair
+    G = catalog.make_grpn(4, 2, 3)
+    gens = [G.elements[g] for g in G.generators]
+    calls = []
+    apply = CycMatrix.apply
+    monkeypatch.setattr(CycMatrix, "apply",
+                        lambda self, v: calls.append(1) or apply(self, v))
+    assert generate(gens).order == G.order == 192
+    assert len(calls) == len(G.vectors) * len(gens)
+
+
 def test_trivial_group():
     G = generate([], dim=2)
     assert G.order == 1
