@@ -418,9 +418,9 @@ def cox_monomials(r, p, n, kind):
         if even:
             t = {i: index_of("t_%d" % i) for i in range(2, n + 1)}
             t21 = index_of("t_2^1")
-            lam = (2,)
-            mono = [t[2], t21] + [t[i] for i in range(3, n - 1)] + [t[n]]
-            out[flat_key(lam)] = [tuple(sorted(mono))]
+            if n >= 4:      # for n = 2 the (2,)-orbit is the center
+                mono = [t[2], t21] + [t[i] for i in range(3, n - 1)] + [t[n]]
+                out[flat_key((2,))] = [tuple(sorted(mono))]
             center = [t[2], t21] + [t[i] for i in range(3, n + 1)]
             out[flat_key(())] = [tuple(sorted(center))]
     return out

@@ -50,7 +50,8 @@ from .invariants import (
 )
 from .osalg import euler_derivation, nbc_basis, rank_of_elements, straighten
 
-__all__ = ["main", "run", "verify_suite", "load_expected", "SUITES"]
+__all__ = ["main", "run", "run_verify_case", "verify_suite", "load_expected",
+           "SUITES", "CLIError"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -102,8 +103,10 @@ _ARR_RE = re.compile(r"A_(\d+)(\^0)?\((\d+)\)")
 
 
 def _family_params(group_spec, arrangement_spec):
-    """(kind, r, p, n) when both specs name one monomial-family pair."""
-    if not group_spec or not arrangement_spec:
+    """(kind, r, p, n) when both specs name one monomial-family pair, or the
+    group spec names G(r,p,n) or W(n) and the arrangement is omitted: its
+    reflection arrangement is then A_n^0(r) if p == r, else A_n(r)."""
+    if not group_spec:
         return None
     m = _GRPN_RE.fullmatch(group_spec.strip())
     if m:
@@ -113,6 +116,8 @@ def _family_params(group_spec, arrangement_spec):
         if not m:
             return None
         r, p, n = 1, 1, int(m.group(1))
+    if not arrangement_spec:
+        return ("zero" if p == r else "full", r, p, n)
     a = _ARR_RE.fullmatch(arrangement_spec.strip())
     if not a:
         return None
@@ -170,19 +175,8 @@ def _type_names(args, G, A):
     """Orbit display names: family labels when the specs name a family,
     shipped tables for exceptional groups, generic fallback otherwise."""
     fam = _family_params(args.group, args.arrangement)
-    if fam is None and args.group and not args.arrangement:
-        m = _GRPN_RE.fullmatch(args.group.strip()) or \
-            _WN_RE.fullmatch(args.group.strip())
-        if m:
-            if len(m.groups()) == 3:
-                r, p, n = map(int, m.groups())
-            else:
-                r, p, n = 1, 1, int(m.group(1))
-            fam = ("zero" if p == r else "full", r, p, n)
     if fam is not None:
         kind, r, p, n = fam
-        if kind == "braid" or (kind == "zero" and r == 1):
-            kind = "zero"
         try:
             labels = prop41_labels(r, p, n, kind, cross_check=False)
         except (ValueError, RuntimeError):

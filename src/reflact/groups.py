@@ -2,7 +2,8 @@
 Finite matrix groups over cyclotomic fields: breadth-first closure
 enumeration, reflection detection, reflection arrangements, the permutation
 action on hyperplanes and flats, orbits and stabilizers Z_T / N_T, centers,
-conjugacy classes, and linear characters via the abelianization.
+conjugacy classes, and linear characters from the integer relations of
+the Cayley graph.
 
 A finite G acts faithfully on the orbit of e_1..e_n, which spans C^n.  An
 element is a permutation of that orbit, identified by its images of
@@ -15,8 +16,10 @@ deterministic.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import gcd
+from fractions import Fraction
+from itertools import chain, combinations
+from math import gcd, lcm
+from operator import mul
 
 from .arrangement import (Arrangement, Flat, build_lattice,
                           canonicalize_hyperplane)
@@ -36,8 +39,10 @@ __all__ = [
     "setwise_stabilizer",
     "center",
     "conjugacy_classes",
+    "hyperplane_action",
     "linear_characters",
     "determinant_like_characters",
+    "det_character",
     "group_from_json",
 ]
 
@@ -277,7 +282,7 @@ class _Action:
                                  % (G.n, A.n))
         self.G, self.A = G, A
         nh = len(A)
-        gen_perm = {}
+        gen_perm = []
         for gi in G.generators:
             inv = G.elements[G.inverse[gi]]
             perm = []
@@ -288,16 +293,9 @@ class _Action:
                     raise NotStableError(
                         "generator %d maps hyperplane %d outside A" % (gi, i))
                 perm.append(j)
-            gen_perm[gi] = tuple(perm)
-        identity = tuple(range(nh))
-        perms = [identity] * G.order
-        # BFS discovery order guarantees parents precede children
-        for k in range(1, G.order):
-            i, gi = G.parents[k]
-            pg = gen_perm[G.generators[gi]]
-            pi = perms[i]
-            perms[k] = tuple(pi[x] for x in pg)
-        self.perms = perms
+            gen_perm.append(perm)
+        self.perms = _along_parents(
+            G, tuple(range(nh)), lambda p, t: tuple(p[x] for x in gen_perm[t]))
 
 
 def hyperplane_action(G: MatrixGroup, A: Arrangement) -> _Action:
@@ -408,33 +406,15 @@ def conjugacy_classes(G: MatrixGroup):
     classes = []
     for i in range(G.order):
         if class_of[i] < 0:
-            cls = _closure([i], G.generators, _conjugation(G), G.order)[0]
+            cls = _closure([i], G.generators,
+                           lambda x, g: G.mul(G.mul(g, x), G.inverse[g]),
+                           G.order)[0]
             for y in cls:
                 class_of[y] = len(classes)
             classes.append(sorted(cls))
     G._inverse_class = [class_of[G.inverse[cls[0]]] for cls in classes]
     G._classes = classes
     return classes
-
-
-def _conjugation(G: MatrixGroup):
-    """The action (x, g) -> g x g^-1 on element indices."""
-    return lambda x, g: G.mul(G.mul(g, x), G.inverse[g])
-
-
-def _subgroup_closure(G: MatrixGroup, seed):
-    """Subgroup generated by the given element indices."""
-    gens = sorted(set(seed) | {G.inverse[s] for s in seed})
-    return set(_closure([0], gens, G.mul, G.order)[0])
-
-
-def _derived_subgroup(G: MatrixGroup):
-    """Normal closure of the commutators of generator pairs: the subgroup
-    generated by all their conjugates."""
-    comms = {G.mul(G.mul(a, b), G.mul(G.inverse[a], G.inverse[b]))
-             for a in G.generators for b in G.generators}
-    conjugates = _closure(sorted(comms), G.generators, _conjugation(G), G.order)[0]
-    return _subgroup_closure(G, conjugates)
 
 
 class LinearCharacter:
@@ -459,91 +439,65 @@ class LinearCharacter:
 
 
 def linear_characters(G: MatrixGroup):
-    """All linear characters, via the abelianization G/[G,G] and its dual.
-    Deterministic order: trivial character first, then sorted by value tuple."""
+    """All linear characters, read from the integer relations of the Cayley
+    graph.  With x_k in Z^s counting the generators on element k's BFS
+    path, each edge k -> k g_t gives the relation x_k + e_t - x_{k g_t}; these
+    present G/[G,G] as a quotient of Z^s.  A character is a in (Q/Z)^s with
+    a.r in Z for every relation r, solved from the last column up over
+    their echelon form.  Values live at conductor e, the lcm of the
+    denominators (the exponent of G/[G,G]).  Deterministic order: trivial
+    character first, then sorted by value tuple."""
     if G._linear_chars is not None:
         return G._linear_chars
-    der = _derived_subgroup(G)
-    # enumerate cosets: each element visited exactly once
-    der_sorted = sorted(der)
-    coset_of = [-1] * G.order
-    coset_reps = []
-    for i in range(G.order):
-        if coset_of[i] != -1:
-            continue
-        cid = len(coset_reps)
-        coset_reps.append(i)
-        for h in der_sorted:
-            coset_of[G.mul(i, h)] = cid
-    q = len(coset_reps)
-
-    def qmul(a, b):
-        return coset_of[G.mul(coset_reps[a], coset_reps[b])]
-
-    def qorder(a):
-        k, cur = 1, a
-        while cur != 0:
-            cur = qmul(cur, a)
-            k += 1
-        return k
-
-    exponent = 1
-    for a in range(q):
-        o = qorder(a)
-        exponent = exponent * o // gcd(exponent, o)
-
-    # characters of the abelian quotient as exponent vectors mod `exponent`:
-    # grow the generated subgroup one generator at a time, extending each
-    # character in all consistent ways
-    chars = [{0: 0}]  # maps coset id -> exponent of zeta_e
-    sub = [0]
-    for a in range(1, q):
-        if a in chars[0]:
-            continue
-        # relative order of a over the current subgroup
-        d, cur = 1, a
-        while cur not in chars[0]:
-            cur = qmul(cur, a)
-            d += 1
-        new_chars = []
-        for phi in chars:
-            k0 = phi[cur]  # value exponent on a^d
-            # solve d*k = k0 (mod exponent)
-            g = gcd(d, exponent)
-            if k0 % g:
-                raise ArithmeticError("character does not extend to a^%d" % d)
-            base = (k0 // g) * _modinv(d // g, exponent // g) % (exponent // g)
-            for t in range(g):
-                k = base + t * (exponent // g)
-                ext = dict(phi)
-                for s in list(sub):
-                    cur2, val = s, phi[s]
-                    for j in range(1, d):
-                        cur2 = qmul(cur2, a)
-                        ext[cur2] = (val + j * k) % exponent
-                new_chars.append(ext)
-        chars = new_chars
-        sub = list(chars[0].keys())
-    if len(chars) != q or any(len(c) != q for c in chars):
-        raise ArithmeticError("%d characters for an abelianization of order %d"
-                              % (len(chars), q))
-
-    # value tuples compare at the first coset where they differ, and coset
-    # ids follow the first element of each coset
-    roots = ([Cyc.root_of_unity(exponent, k) for k in range(exponent)]
-             if exponent > 1 else [Cyc.one()])
+    s = len(G.generators)
+    x = _along_parents(G, (0,) * s, lambda v, t: v[:t] + (v[t] + 1,) + v[t + 1:])
+    rels = set()
+    for k, xk in enumerate(x):
+        for t, g in enumerate(G.generators):
+            r = [a - b for a, b in zip(xk, x[G.mul(k, g)])]
+            r[t] += 1
+            rels.add(tuple(r))
+    rels = sorted(rels)
+    H = _echelon(rels, s)
+    sols = [()]
+    for i in reversed(range(s)):
+        h = H[i]
+        sols = [(Fraction(j - sum(map(mul, h[i + 1:], a)), h[i]) % 1,) + a
+                for a in sols for j in range(h[i])]
+    e = lcm(*(a.denominator for a in chain.from_iterable(sols)))
+    roots = ([Cyc.root_of_unity(e, k) for k in range(e)] if e > 1 else [Cyc.one()])
     keys = [r._canonical() for r in roots]
-    chars.sort(key=lambda phi: (any(phi.values()),
-                                [keys[phi[c]] for c in range(q)]))
-    out = [LinearCharacter([roots[phi[c]] for c in coset_of]) for phi in chars]
+    chars = []
+    for a in sols:
+        exps = [int(c * e) for c in a]
+        if any(sum(map(mul, r, exps)) % e for r in rels):
+            raise ArithmeticError("character %s fails a relation of G" % (a,))
+        vals = _along_parents(G, 0, lambda v, t: (v + exps[t]) % e)
+        chars.append((any(exps), [keys[v] for v in vals], vals))
+    chars.sort(key=lambda c: c[:2])
+    out = [LinearCharacter([roots[v] for v in vals]) for _, _, vals in chars]
     G._linear_chars = out
     return out
 
 
-def _modinv(a, m):
-    if m == 1:
-        return 0
-    return pow(a, -1, m)
+def _echelon(rows, s):
+    """Rows h_0..h_{s-1} spanning the same lattice in Z^s as `rows`, h_i
+    zero before column i with h_ii > 0: Euclid on rows, column by column.
+    Rank below s (G/[G,G] infinite) is an engine bug."""
+    out = []
+    for i in range(s):
+        lead, rest = (0,) * s, []
+        for r in rows:
+            while r[i]:     # lead takes the gcd at column i, r the remainder
+                q = lead[i] // r[i]
+                lead, r = r, tuple(a - q * b for a, b in zip(lead, r))
+            if any(r):
+                rest.append(r)
+        if not lead[i]:
+            raise ArithmeticError("relations of rank below %d" % s)
+        out.append(lead if lead[i] > 0 else tuple(-a for a in lead))
+        rows = rest
+    return out
 
 
 def _value_order(x: Cyc, bound: int) -> int:
@@ -573,15 +527,23 @@ def determinant_like_characters(G: MatrixGroup):
 def det_character(G: MatrixGroup, inverse=False) -> LinearCharacter:
     """The restriction of det (or det^{-1}) to G, as a LinearCharacter at
     conductor G.m: one determinant per generator, multiplied along the BFS
-    parents, which precede their children."""
+    parents."""
     dets = [_det(G.elements[gi]).lift(G.m) for gi in G.generators]
-    values = [Cyc.one().lift(G.m)] * G.order
-    for k in range(1, G.order):
-        i, s = G.parents[k]
-        values[k] = values[i] * dets[s]
+    values = _along_parents(G, Cyc.one().lift(G.m), lambda v, t: v * dets[t])
     if inverse:
         values = [values[G.inverse[g]] for g in range(G.order)]
     return LinearCharacter(values)
+
+
+def _along_parents(G: MatrixGroup, start, step):
+    """Values on the elements: start at the identity and step(value of the
+    parent, t) at each child parent * g_t.  BFS parents precede their
+    children."""
+    values = [start] * G.order
+    for k in range(1, G.order):
+        i, t = G.parents[k]
+        values[k] = step(values[i], t)
+    return values
 
 
 def _det(M: CycMatrix) -> Cyc:

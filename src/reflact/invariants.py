@@ -32,7 +32,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .arrangement import Arrangement, subarrangement
-from .exactnum import Cyc, CycMatrix, rref
+from .exactnum import Cyc
 from .groups import (
     LinearCharacter,
     MatrixGroup,
@@ -143,25 +143,16 @@ def isotypic_dim_projection(A: Arrangement, G: MatrixGroup,
                             chi: LinearCharacter, k: int) -> int:
     """The same dimension as the rank of the projection sum_g chi(g^{-1}) g
     on the NBC basis (rank of an idempotent equals its trace), with the
-    weights of the elements inducing each hyperplane permutation summed."""
-    basis = nbc_basis(A, k)
-    n = len(basis)
-    rows = [[Cyc.zero()] * n for _ in range(n)]
+    weights of the elements inducing each hyperplane permutation summed:
+    the pivots of its columns, sum_perm w straighten(perm . mono), in a
+    Span."""
     weights = {}
     for g, perm in enumerate(hyperplane_action(G, A).perms):
         weights[perm] = weights.get(perm, Cyc.zero()) + chi(G.inverse[g])
-    for perm, w in weights.items():
-        if not w:
-            continue
-        for j, mono in enumerate(basis.monomials):
-            img = straighten(A, tuple(perm[i] for i in mono))
-            for m, c in img.coeffs.items():
-                i = basis.position[m]
-                rows[i][j] = rows[i][j] + w * Cyc.rational(c)
-    if n == 0:
-        return 0
-    _, _, rank = rref(CycMatrix.from_rows(rows))
-    return rank
+    return rank_of_elements(
+        _straighten_sum(A, k, ((tuple(perm[i] for i in mono), w)
+                               for perm, w in weights.items() if w))
+        for mono in nbc_basis(A, k).monomials)
 
 
 def _orbit_isotypic_dim(A, G, orbit, chi) -> int:

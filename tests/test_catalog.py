@@ -25,6 +25,7 @@ from reflact.groups import (
     reflection_arrangement,
     reflections,
 )
+from reflact.invariants import theorem4_basis
 
 
 def test_make_grpn_orders():
@@ -169,6 +170,18 @@ def test_cox_monomials_shapes():
 def test_cox_monomials_rank_one_full():
     # t_2^1 needs n >= 2 and is looked up only for the plans that use it
     assert cox_monomials(2, 1, 1, "full") == {(0,): [(0,)]}
+
+
+def test_cox_monomials_certify_every_small_pair():
+    # each plan's monomials have the degree of their flat's codimension;
+    # for n = 2 the zero kind with p even has only the center
+    for kind in ("full", "zero"):
+        for r in range(1, 5):
+            for p in (d for d in range(1, r + 1) if r % d == 0):
+                for n in range(1, 4):
+                    G, A = make_grpn(r, p, n), make_arrangement(kind, r, n)
+                    basis = theorem4_basis(A, G, family=(kind, r, p, n))
+                    assert basis.cardinality == basis.poincare(1)
 
 
 def test_shipped_groups():

@@ -351,3 +351,17 @@ def test_checks_survive_python_O():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("group,arrangement", [
+    ("G(2,1,3)", "A_3(2)"), ("G(2,2,4)", "A_4^0(2)"), ("W(4)", "A_4^0(1)"),
+    ("G(3,1,3)", "A_3(3)"), ("G(3,3,3)", "A_3^0(3)"), ("G(4,2,3)", "A_3(4)"),
+])
+@pytest.mark.parametrize("verb", ["invariant-basis", "orbits"])
+def test_group_only_matches_its_reflection_arrangement(verb, group, arrangement):
+    # without --arrangement the group's own family arrangement is meant
+    alone = invoke(verb, "--group", group, "--format", "json")
+    explicit = invoke(verb, "--group", group, "--arrangement", arrangement,
+                      "--format", "json")
+    assert alone[0] == EXIT_OK, alone[2]
+    assert alone == explicit

@@ -28,3 +28,17 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], "%s: assert at lines %s" % (path.name, lines)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_names_are_exported(name):
+    # every __all__ name exists, and every top-level public def or class is
+    # listed
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert [n for n in exported if not hasattr(module, n)] == []
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    public = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    assert [n for n in public if n not in exported] == []

@@ -456,6 +456,114 @@ def test_linear_characters_order(build):
     assert len(set(keys)) == len(keys)
 
 
+def _linear_characters_via_derived_subgroup(G):
+    """Reference: the cosets of [G,G], the normal closure of the generator
+    commutators, with the dual of G/[G,G] grown one generator at a time.
+    Same roots and same order as linear_characters."""
+    def closure(seeds, gens, act):
+        items, seen = list(seeds), set(seeds)
+        for x in items:
+            for g in gens:
+                y = act(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    items.append(y)
+        return items
+
+    def conj(x, g):
+        return G.mul(G.mul(g, x), G.inverse[g])
+
+    comms = {G.mul(G.mul(a, b), G.mul(G.inverse[a], G.inverse[b]))
+             for a in G.generators for b in G.generators}
+    conjugates = closure(sorted(comms), G.generators, conj)
+    der = sorted(closure([0], sorted(set(conjugates) | {G.inverse[c] for c in conjugates}),
+                         G.mul))
+    coset_of, reps = [-1] * G.order, []
+    for i in range(G.order):
+        if coset_of[i] < 0:
+            for h in der:
+                coset_of[G.mul(i, h)] = len(reps)
+            reps.append(i)
+    q = len(reps)
+
+    def qmul(a, b):
+        return coset_of[G.mul(reps[a], reps[b])]
+
+    exponent = 1
+    for a in range(q):
+        k, cur = 1, a
+        while cur:
+            cur, k = qmul(cur, a), k + 1
+        exponent = exponent * k // gcd(exponent, k)
+    chars, sub = [{0: 0}], [0]
+    for a in range(1, q):
+        if a in chars[0]:
+            continue
+        d, cur = 1, a
+        while cur not in chars[0]:
+            cur, d = qmul(cur, a), d + 1
+        new_chars = []
+        for phi in chars:
+            g = gcd(d, exponent)
+            assert phi[cur] % g == 0
+            mod = exponent // g
+            base = (phi[cur] // g) * (pow(d // g, -1, mod) if mod > 1 else 0) % mod
+            for t in range(g):
+                ext = dict(phi)
+                for s0 in sub:
+                    cur2 = s0
+                    for j in range(1, d):
+                        cur2 = qmul(cur2, a)
+                        ext[cur2] = (phi[s0] + j * (base + t * mod)) % exponent
+                new_chars.append(ext)
+        chars, sub = new_chars, list(new_chars[0])
+    assert len(chars) == q and all(len(c) == q for c in chars)
+    roots = ([Cyc.root_of_unity(exponent, k) for k in range(exponent)]
+             if exponent > 1 else [Cyc.one()])
+    keys = [r._canonical() for r in roots]
+    chars.sort(key=lambda phi: (any(phi.values()), [keys[phi[c]] for c in range(q)]))
+    return [[roots[phi[c]] for c in coset_of] for phi in chars]
+
+
+def _cyclic3():
+    return generate([CycMatrix(1, 1, [Cyc.root_of_unity(3)])])
+
+
+@pytest.mark.parametrize("build", [
+    (lambda r=r, p=p, n=n: catalog.make_grpn(r, p, n))
+    for r in range(1, 5) for p in range(1, r + 1) if r % p == 0
+    for n in range(1, 5)] + [
+    lambda: catalog.shipped_group("h3"),
+    lambda: catalog.shipped_group("f4"),
+    _cyclic3,
+], ids=["G(%d,%d,%d)" % (r, p, n)
+        for r in range(1, 5) for p in range(1, r + 1) if r % p == 0
+        for n in range(1, 5)] + ["H3", "F4", "C3"])
+def test_linear_characters_match_derived_subgroup_reference(build):
+    G = build()
+    want = _linear_characters_via_derived_subgroup(G)
+    got = [ch.values for ch in linear_characters(G)]
+    assert [[(v.m, v.c) for v in vals] for vals in got] == \
+        [[(v.m, v.c) for v in vals] for vals in want]
+
+
+def test_relation_echelon():
+    assert groups_mod._echelon([(0, -3), (4, 6), (6, 3)], 2) == [(2, -3), (0, 3)]
+    assert groups_mod._echelon([(-2, 1), (0, -5)], 2) == [(2, -1), (0, 5)]
+    with pytest.raises(ArithmeticError):
+        groups_mod._echelon([(1, 0), (2, 0)], 2)
+
+
+def test_linear_characters_check_every_relation(monkeypatch):
+    # doubling the echelon rows admits characters of a sublattice, which
+    # fail the original relations
+    echelon = groups_mod._echelon
+    monkeypatch.setattr(groups_mod, "_echelon", lambda rows, s: [
+        tuple(2 * a for a in h) for h in echelon(rows, s)])
+    with pytest.raises(ArithmeticError):
+        linear_characters(w3())
+
+
 def _orbit_cases():
     G213 = catalog.make_grpn(2, 1, 3)
     H3 = catalog.shipped_group("h3")
