@@ -60,11 +60,21 @@ _ONE = Fraction(1)
 def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError("conductor must be >= 1, got %r" % (m,))
-    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+    for p in _prime_factors(m):
+        m -= m // p
+    return m
 
 
-def _divisors(m: int) -> list[int]:
-    return [d for d in range(1, m + 1) if m % d == 0]
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    return out + [m] if m > 1 else out
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
@@ -103,8 +113,8 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     num = [_ZERO] * (m + 1)
     num[0] = Fraction(-1)
     num[m] = _ONE
-    for d in _divisors(m):
-        if d == m:
+    for d in range(1, m):
+        if m % d:
             continue
         quot, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
         if rem:
@@ -267,10 +277,8 @@ class Cyc:
     def _canonical(self):
         """(d, coeffs) over the minimal cyclotomic subfield; used for hashing
         so that equal values at different conductors hash alike."""
-        for d in _divisors(self.m):
-            if d == self.m:
-                return (d, self.c)
-            down = _descend(self.m, d, self.c)
+        for d in range(1, self.m):
+            down = None if self.m % d else _descend(self.m, d, self.c)
             if down is not None:
                 return (d, down)
         return (self.m, self.c)
@@ -365,8 +373,7 @@ class Cyc:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out = _CYC_ONE
-        base = self
+        out, base = _CYC_ONE, self
         while e:
             if e & 1:
                 out = out * base
@@ -674,4 +681,8 @@ def cyc_to_json(x: Cyc):
 def cyc_from_json(obj) -> Cyc:
     if isinstance(obj, (int, str)):
         return Cyc.rational(Fraction(obj))
-    return Cyc(int(obj["m"]), tuple(Fraction(c) for c in obj["c"]))
+    m, coeffs = int(obj["m"]), tuple(Fraction(c) for c in obj["c"])
+    if m > 2 * len(coeffs) ** 2:    # phi(m) >= sqrt(m / 2), so no phi(m) needed
+        raise ValueError("conductor %d needs more than %d coefficients"
+                         % (m, len(coeffs)))
+    return Cyc(m, coeffs)

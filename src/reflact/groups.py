@@ -11,19 +11,25 @@ e_1..e_n; orbit vectors compare by their coefficient tuples at the
 generators' conductor, so products and inverses are int-tuple lookups.
 The element order is fixed by the BFS (identity first, generators in the
 given order), which makes indices, orbits and stabilizer index sets
-deterministic.
+deterministic.  The BFS keeps its Cayley table for classes and characters.
+Before the BFS, each generator must pass two tests that every matrix of
+finite order passes: its determinant is a root of unity, and g^L = I modulo a
+prime p = 1 (mod m), with L a multiple of every finite order in dimension n
+over Q(zeta_m).  One of infinite order that passes both meets the order cap.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
-from math import gcd, lcm
-from operator import mul
+from functools import lru_cache
+from itertools import chain, combinations, count
+from math import gcd, isqrt, lcm
+from operator import add, mul, sub
 
 from .arrangement import (Arrangement, Flat, build_lattice,
                           canonicalize_hyperplane)
-from .exactnum import Cyc, CycMatrix, Span, cyc_from_json, euler_phi, rref
+from .exactnum import (Cyc, CycMatrix, Span, _prime_factors, cyc_from_json,
+                       euler_phi, rref)
 
 __all__ = [
     "MatrixGroup",
@@ -62,14 +68,16 @@ class MatrixGroup:
 
     `vectors` is the G-orbit of e_1..e_n, those first, with entries at
     conductor m.  Element k sends vectors[x] to vectors[perms[k][x]]; its
-    images of e_1..e_n, perms[k][:n], are its matrix columns and identify it."""
+    images of e_1..e_n, perms[k][:n], are its matrix columns and identify it.
+    cayley[k][t] is the index of element k times generator t."""
 
-    def __init__(self, n, m, vectors, perms, generators, parents):
+    def __init__(self, n, m, vectors, perms, cayley, parents):
         self.n = n
         self.m = m
         self.vectors = vectors
         self.perms = perms
-        self.generators = generators      # list of element indices
+        self.cayley = cayley
+        self.generators = cayley[0]       # list of element indices
         self.parents = parents            # index -> (parent index, generator index)
         self.order = len(perms)
         self._index = {p[:n]: k for k, p in enumerate(perms)}
@@ -115,14 +123,13 @@ def _tag(vec, m):
     return tuple(c.lift(m).c for c in vec)
 
 
-def _closure(seeds, gens, act, cap, key=None):
+def _closure(seeds, gens, act, cap, key=lambda x: x):
     """Breadth-first closure of `seeds` under x -> act(x, g), g in `gens` in
     order, with items compared by key(x) (default: the item).  Returns the
     items in discovery order, edges[x][s] = index of act(items[x], gens[s]),
     and for each non-seed item the (item, generator) pair that found it.
     Each seed has at most |G| images, so more than len(seeds) * cap items
     means |G| > cap."""
-    key = key or (lambda x: x)
     items = list(seeds)
     index = {key(x): i for i, x in enumerate(items)}
     edges, parents = [], []
@@ -144,17 +151,50 @@ def _closure(seeds, gens, act, cap, key=None):
 def _order_bound(n: int, m: int) -> int:
     """L = lcm{k : phi(lcm(m, k)) <= n phi(m)}, a multiple of the order of
     every matrix of finite order in GL_n(Q(zeta_m)): its eigenvalues are
-    roots of unity of degree at most n over Q(zeta_m).  Each prime-power
-    part of a qualifying order qualifies, so L is the product, over primes
-    p <= max(n + 1, m), of the largest qualifying power of p."""
+    roots of unity of degree at most n over Q(zeta_m).  L is the product,
+    over primes p, of the largest qualifying power of p; a prime above
+    n + 1 that does not divide m multiplies phi(m) by p - 1 > n."""
     bound, L = n * euler_phi(m), 1
-    for p in range(2, max(n + 1, m) + 1):
-        if all(p % d for d in range(2, p)):
-            q = p
-            while euler_phi(m * q // gcd(m, q)) <= bound:
-                q *= p
-            L *= q // p
+    for p in set(_prime_factors(m)).union(*map(_prime_factors, range(2, n + 2))):
+        q = p
+        while euler_phi(m * q // gcd(m, q)) <= bound:
+            q *= p
+        L *= q // p
     return L
+
+
+@lru_cache(maxsize=64)
+def _prime_root(m: int, above: int):
+    """The least prime p > above with p = 1 (mod m), and a primitive m-th
+    root of unity w modulo p (F_p^* is cyclic of order p - 1)."""
+    p = above - above % m + 1
+    while p <= above or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p += m
+    w = next(w for w in (pow(a, (p - 1) // m, p) for a in count(2))
+             if all(pow(w, m // q, p) != 1 for q in _prime_factors(m)))
+    return p, w
+
+
+def _power_is_identity_mod_p(g: CycMatrix, L: int):
+    """(p, whether g^L = I modulo p) for a prime p = 1 (mod m) that divides
+    no denominator of g, by log2 L squarings.  zeta_m -> w, a primitive m-th
+    root of unity mod p, is a ring map, so False proves g^L != I."""
+    n, dens = g.rows, {c.denominator for e in g.entries for c in e.c}
+    p, w = _prime_root(g.m, 1 << 30)
+    while any(d % p == 0 for d in dens):
+        p, w = _prime_root(g.m, p)
+    g_p = [[sum(c.numerator * pow(c.denominator, -1, p) * pow(w, j, p)
+                for j, c in enumerate(e.c)) % p for e in g.row(i)] for i in range(n)]
+
+    def times(a, b):
+        return [[sum(map(mul, r, c)) % p for c in zip(*b)] for r in a]
+
+    power = ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    for bit in bin(L)[2:]:
+        power = times(power, power)
+        if bit == "1":
+            power = times(power, g_p)
+    return p, power == ident
 
 
 def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
@@ -163,16 +203,14 @@ def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     The closure runs on permutations of the orbit of e_1..e_n, so exact
     arithmetic is needed only for generator times orbit vector.
 
-    A singular generator raises ValueError.  A generator whose determinant
-    is not a root of unity (of order dividing lcm(2, m) in Q(zeta_m)) has
-    infinite order and raises OrderCapExceededError at once.  The order of
-    a generator of finite order divides L = `_order_bound(n, m)`, so each
-    generator's own orbit of e_1..e_n is walked first, up to
-    n * min(L, order_cap) vectors, and one that outgrows n * L, such as
-    diag(2, 1/2), raises OrderCapExceededError too.  That is quick only in
-    low dimension: L is 120 for n = 4 but 55,440 for n = 10, and such a
-    generator's vectors grow in size as well as number.  The walks and the
-    closure share one memo, so each g_i v is computed and tagged once."""
+    A singular generator raises ValueError.  Two tests refuse a generator
+    of infinite order with OrderCapExceededError before the closure.
+    First, its determinant must be a root of unity (of order dividing
+    lcm(2, m) in Q(zeta_m)); without this check, a non-unitary generator
+    that passed the second test by chance would grow orbit vectors like
+    2^k up to the cap.  Second, g^L must be I modulo a prime p = 1 (mod m),
+    where L = `_order_bound(n, m)` is a multiple of every finite order.  A
+    generator of infinite order that passes both stops at the order cap."""
     gens = list(gens)
     if gens:
         dim = gens[0].rows
@@ -188,40 +226,23 @@ def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
             raise OrderCapExceededError(
                 "generator %d has infinite order (its determinant is not a "
                 "root of unity), so it exceeds any order cap" % i)
-    m = 1
-    for g in gens:
-        m = m * g.m // gcd(m, g.m)
-    one, zero = Cyc.one().lift(m), Cyc.zero().lift(m)
-    basis = [tuple(one if i == j else zero for i in range(dim))
-             for j in range(dim)]
-    # one object per distinct vector, so id(v) names v in both closures
-    canon, memo = {_tag(v, m): v for v in basis}, {}
-
-    def act(v, i):
-        k = (i, id(v))
-        if k not in memo:
-            y = tuple(c.lift(m) for c in gens[i].apply(v))
-            memo[k] = canon.setdefault(_tag(y, m), y)
-        return memo[k]
-
-    for i, g in enumerate(gens):
-        bound = _order_bound(dim, g.m)
-        try:
-            _closure(basis, [i], act, min(bound, order_cap), id)
-        except OrderCapExceededError:
-            if bound > order_cap:   # g's order, finite or not, is above the cap
-                raise
+        L = _order_bound(dim, g.m)
+        p, ok = _power_is_identity_mod_p(g, L)
+        if not ok:
             raise OrderCapExceededError(
-                "generator %d has infinite order (more than %d images of "
-                "e_1..e_%d), so it exceeds any order cap"
-                % (i, dim * bound, dim)) from None
-    vectors, images, _ = _closure(basis, range(len(gens)), act, order_cap, id)
-    gen_perms = list(zip(*images))
+                "generator %d has infinite order (g^%d is not I modulo %d), "
+                "so it exceeds any order cap" % (i, L, p))
+    m = lcm(*(g.m for g in gens))
+    basis = [tuple(c.lift(m) for c in CycMatrix.identity(dim).row(j))
+             for j in range(dim)]
+    vectors, images, _ = _closure(
+        basis, gens, lambda v, g: tuple(c.lift(m) for c in g.apply(v)),
+        order_cap, key=lambda v: _tag(v, m))
     perms, cayley, parents = _closure(
-        [tuple(range(len(vectors)))], gen_perms,
+        [tuple(range(len(vectors)))], list(zip(*images)),
         lambda p, g: tuple(map(p.__getitem__, g)),   # p * g
         order_cap, key=lambda p: p[:dim])
-    return MatrixGroup(dim, m, vectors, perms, cayley[0], [(-1, -1)] + parents)
+    return MatrixGroup(dim, m, vectors, perms, cayley, [(-1, -1)] + parents)
 
 
 def group_from_json(obj, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
@@ -233,9 +254,8 @@ def group_from_json(obj, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
                 for mat in obj["generators"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError("malformed group file: %s" % exc)
-    for g in gens:
-        if g.rows != n or g.cols != n:
-            raise ValueError("malformed group file: generator shape")
+    if any((g.rows, g.cols) != (n, n) for g in gens):
+        raise ValueError("malformed group file: generator shape")
     return generate(gens, dim=n, order_cap=order_cap)
 
 
@@ -264,12 +284,8 @@ def reflections(G: MatrixGroup):
 
 def reflection_arrangement(G: MatrixGroup) -> Arrangement:
     if G._refl_arrangement is None:
-        seen, hps = set(), []
-        for _, h in reflections(G):
-            if h not in seen:
-                seen.add(h)
-                hps.append(h)
-        G._refl_arrangement = Arrangement(G.n, hps)
+        hps = dict.fromkeys(h for _, h in reflections(G))
+        G._refl_arrangement = Arrangement(G.n, list(hps))
     return G._refl_arrangement
 
 
@@ -280,19 +296,15 @@ class _Action:
         if G.n != A.n:
             raise NotStableError("group acts on C^%d, arrangement lives in C^%d"
                                  % (G.n, A.n))
-        self.G, self.A = G, A
         nh = len(A)
         gen_perm = []
         for gi in G.generators:
             inv = G.elements[G.inverse[gi]]
-            perm = []
-            for i in range(nh):
-                img = canonicalize_hyperplane(inv.apply_row(list(A.covector(i))))
-                j = A.index_of(img)
-                if j is None:
-                    raise NotStableError(
-                        "generator %d maps hyperplane %d outside A" % (gi, i))
-                perm.append(j)
+            perm = [A.index_of(canonicalize_hyperplane(inv.apply_row(list(h))))
+                    for h in map(A.covector, range(nh))]
+            if None in perm:
+                raise NotStableError("generator %d maps hyperplane %d outside A"
+                                     % (gi, perm.index(None)))
             gen_perm.append(perm)
         self.perms = _along_parents(
             G, tuple(range(nh)), lambda p, t: tuple(p[x] for x in gen_perm[t]))
@@ -311,12 +323,11 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
     setwise stabilizer N and pointwise stabilizer Z as index sets, and for
     each member key a hyperplane permutation carrying the representative
     onto it."""
-    cached = G._orbits.get(A)
-    if cached is not None:
-        return cached
+    if A in G._orbits:
+        return G._orbits[A]
     lattice = build_lattice(A)
     act = hyperplane_action(G, A)
-    remaining = dict(lattice.by_key)
+    remaining = set(lattice.by_key)
     distinct_perms = sorted(set(act.perms))
     orbits = []
     # keys are met in sorted order, so each orbit's first key is its least
@@ -328,8 +339,7 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
             transport.setdefault(tuple(sorted(p[i] for i in rep_key)), p)
         rep = lattice.by_key[rep_key]
         members = [lattice.by_key[k] for k in sorted(transport)]
-        for k in transport:
-            remaining.pop(k, None)
+        remaining.difference_update(transport)
         N = frozenset(i for i, p in enumerate(act.perms)
                       if tuple(sorted(p[i2] for i2 in rep_key)) == rep_key)
         orbits.append(OrbitDatum(rep, members, G, N, rep.codim, transport))
@@ -339,13 +349,9 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
 
 
 def _fixes_pointwise(G: MatrixGroup, i: int, X: Flat) -> bool:
-    g = G.elements[i]
-    for r in range(X.basis.rows):
-        row = list(X.basis.row(r))
-        img = g.apply(row)
-        if any(not (a - b).is_zero() for a, b in zip(img, row)):
-            return False
-    return True
+    rows = (X.basis.row(r) for r in range(X.basis.rows))
+    return all((a - b).is_zero() for row in rows
+               for a, b in zip(G.elements[i].apply(list(row)), row))
 
 
 class OrbitDatum:
@@ -356,13 +362,9 @@ class OrbitDatum:
     cyclotomic products, so it is made on first read."""
 
     def __init__(self, representative, orbit, G, N, codim, transport):
-        self.representative = representative
-        self.orbit = orbit
-        self._G = G
-        self._Z = None
-        self.transport = transport
-        self.N = N
-        self.codim = codim
+        self.representative, self.orbit, self.N = representative, orbit, N
+        self.codim, self.transport = codim, transport
+        self._G, self._Z = G, None
 
     @property
     def Z(self) -> frozenset:
@@ -392,22 +394,25 @@ def setwise_stabilizer(G: MatrixGroup, X: Flat) -> frozenset:
 
 
 def center(G: MatrixGroup) -> frozenset:
-    return frozenset(i for i in range(G.order)
-                     if all(G.mul(i, g) == G.mul(g, i) for g in G.generators))
+    """The elements whose conjugacy class is a singleton."""
+    return frozenset(cls[0] for cls in conjugacy_classes(G) if len(cls) == 1)
 
 
 def conjugacy_classes(G: MatrixGroup):
     """Partition of the element indices into conjugacy classes, each sorted;
     classes ordered by least member.  G._inverse_class[c] is the index of
-    the class of the inverses of class c's members."""
+    the class of the inverses of class c's members.  A class is the closure
+    under x -> g_t^-1 x g_t, read from the Cayley table as
+    inv[cayley[inv[cayley[x][t]]][t]]."""
     if G._classes is not None:
         return G._classes
+    cay, inv = G.cayley, G.inverse
     class_of = [-1] * G.order
     classes = []
     for i in range(G.order):
         if class_of[i] < 0:
-            cls = _closure([i], G.generators,
-                           lambda x, g: G.mul(G.mul(g, x), G.inverse[g]),
+            cls = _closure([i], range(len(G.generators)),
+                           lambda x, t: inv[cay[inv[cay[x][t]]][t]],
                            G.order)[0]
             for y in cls:
                 class_of[y] = len(classes)
@@ -451,17 +456,11 @@ def linear_characters(G: MatrixGroup):
         return G._linear_chars
     s = len(G.generators)
     x = _along_parents(G, (0,) * s, lambda v, t: v[:t] + (v[t] + 1,) + v[t + 1:])
-    rels = set()
-    for k, xk in enumerate(x):
-        for t, g in enumerate(G.generators):
-            r = [a - b for a, b in zip(xk, x[G.mul(k, g)])]
-            r[t] += 1
-            rels.add(tuple(r))
-    rels = sorted(rels)
-    H = _echelon(rels, s)
+    units = [tuple(int(u == t) for u in range(s)) for t in range(s)]
+    rels = sorted({tuple(map(add, map(sub, xk, x[j]), units[t]))
+                   for xk, row in zip(x, G.cayley) for t, j in enumerate(row)})
     sols = [()]
-    for i in reversed(range(s)):
-        h = H[i]
+    for i, h in reversed(list(enumerate(_echelon(rels, s)))):
         sols = [(Fraction(j - sum(map(mul, h[i + 1:], a)), h[i]) % 1,) + a
                 for a in sols for j in range(h[i])]
     e = lcm(*(a.denominator for a in chain.from_iterable(sols)))
@@ -500,28 +499,19 @@ def _echelon(rows, s):
     return out
 
 
-def _value_order(x: Cyc, bound: int) -> int:
-    cur = x
-    for k in range(1, bound + 1):
-        if cur == Cyc.one():
-            return k
-        cur = cur * x
-    raise ValueError("not a root of unity of order <= %d" % bound)
-
-
 def determinant_like_characters(G: MatrixGroup):
     """Linear characters whose value at every reflection has multiplicative
     order equal to the order of the reflection.  Empty when G has no
     reflections (the notion is only meaningful for reflection groups)."""
-    refl = reflections(G)
-    if not refl:
+    # one reflection per class, as characters and orders are class functions
+    reps = {cls[0] for cls in conjugacy_classes(G)}
+    orders = [(i, G.element_order(i)) for i, _ in reflections(G) if i in reps]
+    if not orders:
         return []
-    orders = [(i, G.element_order(i)) for i, _ in refl]
-    out = []
-    for ch in linear_characters(G):
-        if all(_value_order(ch(i), o) == o for i, o in orders):
-            out.append(ch)
-    return out
+    # ch(r)^o = 1 for r of order o; its order is o iff ch(r)^(o/q) != 1, q | o prime
+    return [ch for ch in linear_characters(G)
+            if all(ch(i) ** (o // q) != Cyc.one()
+                   for i, o in orders for q in _prime_factors(o))]
 
 
 def det_character(G: MatrixGroup, inverse=False) -> LinearCharacter:
@@ -530,9 +520,7 @@ def det_character(G: MatrixGroup, inverse=False) -> LinearCharacter:
     parents."""
     dets = [_det(G.elements[gi]).lift(G.m) for gi in G.generators]
     values = _along_parents(G, Cyc.one().lift(G.m), lambda v, t: v * dets[t])
-    if inverse:
-        values = [values[G.inverse[g]] for g in range(G.order)]
-    return LinearCharacter(values)
+    return LinearCharacter([values[j] for j in G.inverse] if inverse else values)
 
 
 def _along_parents(G: MatrixGroup, start, step):

@@ -19,6 +19,24 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def python(*args, timeout=300):
+    """A fresh interpreter run with the package's source on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+def group_file_refused(tmp_path, obj, message):
+    """`reflact info --group` on obj as a group file exits 2 with message,
+    in a fresh interpreter that must finish within 20 s."""
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(obj))
+    proc = python("-m", "reflact", "info", "--group", str(path), timeout=20)
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
 def test_info_group():
     code, out, _ = invoke("info", "--group", "G(2,1,2)")
     assert code == EXIT_OK
@@ -240,36 +258,49 @@ def test_non_unitary_generator_exits_2_at_default_cap(tmp_path, entry):
 @pytest.mark.parametrize("a", ["2", "-2"])
 def test_determinant_one_infinite_order_exits_2(tmp_path, a):
     # diag(a, 1/2) has determinant +-1, a root of unity, but infinite order;
-    # the walk of the generator alone refuses it far below the default cap
-    path = tmp_path / "diag.json"
-    path.write_text(json.dumps({"dim": 2,
-                                "generators": [[[a, "0"], ["0", "1/2"]]]}))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-m", "reflact", "info", "--group",
-                           str(path)],
-                          capture_output=True, text=True, timeout=20,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and "infinite order" in proc.stderr
+    # g^12 != I modulo p refuses it before the closure
+    gen = [[a, "0"], ["0", "1/2"]]
+    group_file_refused(tmp_path, {"dim": 2, "generators": [gen]},
+                       "infinite order")
+
+
+def _diag(n, entries):
+    return [[entries.get(i, "1") if i == j else "0" for j in range(n)]
+            for i in range(n)]
 
 
 def test_high_dimensional_non_unitary_generator_exits_2_at_default_cap(
         tmp_path):
-    # diag(2, 1, ..., 1) in dimension 12: the order bound L is 720,720, so
-    # only the determinant check keeps the walk of e_1, 2 e_1, 4 e_1, ...
-    # from growing to 1.2 million vectors with entries up to 2^1,200,000
-    n = 12
-    gen = [["2" if i == j == 0 else str(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    path = tmp_path / "diag12.json"
-    path.write_text(json.dumps({"dim": n, "generators": [gen]}))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-m", "reflact", "info", "--group",
-                           str(path)],
-                          capture_output=True, text=True, timeout=20,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and "infinite order" in proc.stderr
+    # diag(2, 1, ..., 1) in dimension 12: the determinant check refuses it
+    # before the closure could grow e_1, 2 e_1, 4 e_1, ... to the cap
+    gen = _diag(12, {0: "2"})
+    group_file_refused(tmp_path, {"dim": 12, "generators": [gen]},
+                       "infinite order")
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_high_dimensional_determinant_one_infinite_order_exits_2(tmp_path, n):
+    # diag(2, 1/2, 1, ..., 1): g^L != I modulo p, with L = 5,040 for n = 8
+    # and 720,720 for n = 12
+    gen = _diag(n, {0: "2", 1: "1/2"})
+    group_file_refused(tmp_path, {"dim": n, "generators": [gen]},
+                       "infinite order")
+
+
+def test_huge_entry_determinant_one_block_exits_2(tmp_path):
+    # [[10^400, 1], [-1, 0]] + I_4 has determinant 1 and infinite order;
+    # modulo p its entries are small
+    gen = _diag(6, {})
+    gen[0][:2], gen[1][:2] = [str(10 ** 400), "1"], ["-1", "0"]
+    group_file_refused(tmp_path, {"dim": 6, "generators": [gen]},
+                       "infinite order")
+
+
+def test_oversized_conductor_in_group_file_exits_2(tmp_path):
+    # phi(10^8) is far above one coefficient; refused before phi is computed
+    entry = {"m": 100000000, "c": ["1"]}
+    group_file_refused(tmp_path, {"dim": 1, "generators": [[[entry]]]},
+                       "malformed group file")
 
 
 def test_info_action_summary():
@@ -293,11 +324,7 @@ def test_info_action_summary():
 
 
 def test_python_m_reflact():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-m", "reflact", "info", "--group",
-                           "W(3)", "--format", "json"],
-                          capture_output=True, text=True, timeout=300,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = python("-m", "reflact", "info", "--group", "W(3)", "--format", "json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["group"]["order"] == 6
 
@@ -345,10 +372,7 @@ def test_checks_survive_python_O():
                 sys.exit("%s: exit %s, output %r" % (argv, got, out.getvalue()))
         print("ok")
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=300,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,12 @@ from reflact.exactnum import (
 
 def test_euler_phi():
     assert [euler_phi(m) for m in (1, 2, 3, 4, 5, 6, 12)] == [1, 1, 2, 2, 4, 2, 4]
+
+
+def test_euler_phi_matches_gcd_count():
+    # the factorisation against the defining count
+    for m in range(1, 3000):
+        assert euler_phi(m) == [gcd(k, m) for k in range(1, m + 1)].count(1), m
 
 
 def test_cyclotomic_polynomials():
@@ -204,6 +211,17 @@ def test_serialization_roundtrip():
     x = cyc_normalize(12, [1, Fraction(2, 3), 0, -1])
     assert cyc_from_json(cyc_to_json(x)) == x
     assert cyc_from_json("5/3") == Cyc.rational(Fraction(5, 3))
+
+
+def test_cyc_from_json_refuses_a_conductor_above_its_coefficients():
+    # phi(m) >= sqrt(m / 2): m > 2 len(c)^2 is refused before phi(m), which
+    # for the prime 2^61 - 1 trial division could not finish
+    for m in (3, 10 ** 8, 2 ** 61 - 1):
+        with pytest.raises(ValueError, match="needs more than 1 coefficients"):
+            cyc_from_json({"m": m, "c": ["1"]})
+    assert cyc_from_json({"m": 2, "c": ["3"]}) == 3
+    with pytest.raises(ValueError, match="conductor 5 needs 4 coefficients"):
+        cyc_from_json({"m": 5, "c": ["1", "0"]})
 
 
 # -- references: the dense eliminations that Span replaced --------------------

@@ -100,21 +100,73 @@ def test_order_bound_examples():
     assert groups_mod._order_bound(4, 4) == 240
 
 
-def test_generator_walk_stops_at_the_order_cap():
-    # in dimension 12 the order bound is 720,720, so the walk of
-    # diag(2, 1/2, 1, ..., 1) must end at the cap instead
+def test_infinite_order_is_refused_at_any_cap():
+    # diag(2, 1/2, 1, ..., 1) has determinant 1; in dimension 12 the order
+    # bound is 720,720, and g^L != I modulo p refuses it whatever the cap
     n = 12
     gen = [[Cyc.zero()] * n for _ in range(n)]
     for i in range(n):
         gen[i][i] = Cyc.rational({0: 2, 1: Fraction(1, 2)}.get(i, 1))
     assert groups_mod._order_bound(n, 1) == 720720
-    with pytest.raises(OrderCapExceededError, match="cap 20"):
-        generate([CycMatrix.from_rows(gen)], order_cap=20)
+    for cap in (20, groups_mod.DEFAULT_ORDER_CAP):
+        with pytest.raises(OrderCapExceededError, match="infinite order"):
+            generate([CycMatrix.from_rows(gen)], order_cap=cap)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _generators_of(monkeypatch, build):
+    """The generators a catalog build passes to generate, without the
+    enumeration."""
+    def spy(gens, **kwargs):
+        raise _Captured(list(gens))
+
+    monkeypatch.setattr(catalog, "generate", spy)
+    monkeypatch.setattr(groups_mod, "generate", spy)
+    with pytest.raises(_Captured) as info:
+        build()
+    return info.value.args[0]
+
+
+@pytest.mark.parametrize("build", [
+    (lambda r=r, p=p, n=n: catalog.make_grpn.__wrapped__(r, p, n))
+    for r in range(1, 5) for p in range(1, r + 1) if r % p == 0
+    for n in range(1, 5)] + [
+    lambda: catalog.load_group_file(catalog.data_dir() / "h3.json"),
+    lambda: catalog.load_group_file(catalog.data_dir() / "f4.json"),
+], ids=["G(%d,%d,%d)" % (r, p, n)
+        for r in range(1, 5) for p in range(1, r + 1) if r % p == 0
+        for n in range(1, 5)] + ["H3", "F4"])
+def test_every_catalog_generator_passes_the_modular_order_test(
+        monkeypatch, build):
+    for g in _generators_of(monkeypatch, build):
+        L = groups_mod._order_bound(g.rows, g.m)
+        p, ok = groups_mod._power_is_identity_mod_p(g, L)
+        assert ok and (p - 1) % g.m == 0 and p > 1 << 30, (g, p)
+
+
+def test_modular_order_test_skips_a_prime_in_a_denominator():
+    # [[0, q], [1/q, 0]] has order 2, and q is the first prime the test
+    # would try; it must move on to the next prime = 1 (mod 3)
+    w = Cyc.root_of_unity(3)
+    q, _ = groups_mod._prime_root(3, 1 << 30)
+    g = CycMatrix.from_rows([[0, w * q], [Cyc.rational(Fraction(1, q)) / w, 0]])
+    p, ok = groups_mod._power_is_identity_mod_p(g, groups_mod._order_bound(2, 3))
+    assert ok and p == groups_mod._prime_root(3, q)[0] and p != q
+    assert p % 3 == 1 and all(p % d for d in range(2, 1 << 16))
+    # q is also the first prime for conductor 1; diag(q, 1/q) has infinite
+    # order and is refused modulo the next one
+    assert groups_mod._prime_root(1, 1 << 30)[0] == q
+    g = CycMatrix.from_rows([[q, 0], [0, Fraction(1, q)]])
+    p, ok = groups_mod._power_is_identity_mod_p(g, groups_mod._order_bound(2, 1))
+    assert not ok and p == groups_mod._prime_root(1, q)[0]
 
 
 def test_each_generator_image_is_computed_once(monkeypatch):
-    # the per-generator walks share their images with the closure, so the
-    # exact products are one per (orbit vector, generator) pair
+    # the closure keys orbit vectors by value, so the exact products are
+    # one per (orbit vector, generator) pair
     G = catalog.make_grpn(4, 2, 3)
     gens = [G.elements[g] for g in G.generators]
     calls = []
@@ -332,7 +384,8 @@ def test_group_from_json():
 def _matrix_bfs(gens):
     """Reference enumeration by CycMatrix products, elements keyed by their
     exact entries: the same BFS as generate (identity first, base * g in
-    generator order), without the orbit permutations."""
+    generator order), without the orbit permutations.  cayley[k][t] is the
+    index of elements[k] * gens[t]."""
     n = gens[0].rows
     m = 1
     for g in gens:
@@ -343,20 +396,23 @@ def _matrix_bfs(gens):
 
     elements = [CycMatrix.identity(n)]
     index = {key(elements[0]): 0}
-    parents = [(-1, -1)]
+    parents, cayley = [(-1, -1)], {}
     frontier = [0]
     while frontier:
         nxt = []
         for i in frontier:
             for gi, g in enumerate(gens):
                 prod = elements[i] * g
-                if key(prod) not in index:
-                    index[key(prod)] = len(elements)
+                k = key(prod)
+                if k not in index:
+                    index[k] = len(elements)
                     nxt.append(len(elements))
                     elements.append(prod)
                     parents.append((i, gi))
+                cayley[i, gi] = index[k]
         frontier = nxt
-    return elements, parents, lambda M: index[key(M)]
+    cayley = [[cayley[i, gi] for gi in range(len(gens))] for i in range(len(elements))]
+    return elements, parents, cayley, lambda M: index[key(M)]
 
 
 def _built_with_generators(monkeypatch, build):
@@ -383,16 +439,40 @@ def _built_with_generators(monkeypatch, build):
 ], ids=["W(4)", "G(2,2,4)", "H3", "F4", "G(3,1,3)"])
 def test_generate_matches_matrix_bfs(monkeypatch, build):
     G, gens = _built_with_generators(monkeypatch, build)
-    elements, parents, index_of = _matrix_bfs(gens)
+    elements, parents, cayley, index_of = _matrix_bfs(gens)
     assert G.elements == elements
     assert G.parents == parents
     assert G.generators == [index_of(g) for g in gens]
+    assert G.cayley == cayley
     assert G.inverse == [index_of(M.inverse()) for M in elements]
     rng = random.Random(3)
     for _ in range(200):
         i, j = rng.randrange(G.order), rng.randrange(G.order)
         assert G.mul(i, j) == index_of(elements[i] * elements[j])
     assert all(G.contains_matrix(M) == k for k, M in enumerate(elements))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.make_grpn(1, 1, 4),
+    lambda: catalog.make_grpn(2, 2, 4),
+    lambda: catalog.shipped_group("h3"),
+    lambda: catalog.shipped_group("f4"),
+    lambda: catalog.make_grpn(3, 1, 3),
+], ids=["W(4)", "G(2,2,4)", "H3", "F4", "G(3,1,3)"])
+def test_classes_and_center_match_brute_force(build):
+    # classes {y x y^-1 : y in G} and the center by products over all of G,
+    # without the Cayley table
+    G = build()
+    want, class_of = [], {}
+    for x in range(G.order):
+        if x not in class_of:
+            cls = sorted({G.mul(G.mul(y, x), G.inverse[y]) for y in range(G.order)})
+            class_of.update(dict.fromkeys(cls, len(want)))
+            want.append(cls)
+    assert conjugacy_classes(G) == want
+    assert G._inverse_class == [class_of[G.inverse[c[0]]] for c in want]
+    assert center(G) == {x for x in range(G.order)
+                         if all(G.mul(x, y) == G.mul(y, x) for y in range(G.order))}
 
 
 def test_contains_matrix_across_conductors():
