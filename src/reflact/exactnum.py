@@ -65,6 +65,10 @@ def euler_phi(m: int) -> int:
     return m
 
 
+def _divisors(m: int) -> list[int]:
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
 def _prime_factors(m: int) -> list[int]:
     """The distinct primes dividing m >= 1, ascending, by trial division."""
     out, d = [], 2
@@ -113,8 +117,8 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     num = [_ZERO] * (m + 1)
     num[0] = Fraction(-1)
     num[m] = _ONE
-    for d in range(1, m):
-        if m % d:
+    for d in _divisors(m):
+        if d == m:
             continue
         quot, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
         if rem:
@@ -277,8 +281,10 @@ class Cyc:
     def _canonical(self):
         """(d, coeffs) over the minimal cyclotomic subfield; used for hashing
         so that equal values at different conductors hash alike."""
-        for d in range(1, self.m):
-            down = None if self.m % d else _descend(self.m, d, self.c)
+        for d in _divisors(self.m):
+            if d == self.m:
+                return (d, self.c)
+            down = _descend(self.m, d, self.c)
             if down is not None:
                 return (d, down)
         return (self.m, self.c)
@@ -373,7 +379,8 @@ class Cyc:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out, base = _CYC_ONE, self
+        out = _CYC_ONE
+        base = self
         while e:
             if e & 1:
                 out = out * base

@@ -12,10 +12,10 @@ generators' conductor, so products and inverses are int-tuple lookups.
 The element order is fixed by the BFS (identity first, generators in the
 given order), which makes indices, orbits and stabilizer index sets
 deterministic.  The BFS keeps its Cayley table for classes and characters.
-Before the BFS, each generator must pass two tests that every matrix of
-finite order passes: its determinant is a root of unity, and g^L = I modulo a
-prime p = 1 (mod m), with L a multiple of every finite order in dimension n
-over Q(zeta_m).  One of infinite order that passes both meets the order cap.
+Before the BFS, each generator must pass the tests that decide finite
+order: its determinant is a root of unity, g^L = I modulo a prime
+p = 1 (mod m), with L a multiple of every finite order in dimension n over
+Q(zeta_m), and g^k = I exactly for k its order modulo p.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, count
 from math import gcd, isqrt, lcm
-from operator import add, mul, sub
+from operator import mul
 
 from .arrangement import (Arrangement, Flat, build_lattice,
                           canonicalize_hyperplane)
@@ -123,13 +123,14 @@ def _tag(vec, m):
     return tuple(c.lift(m).c for c in vec)
 
 
-def _closure(seeds, gens, act, cap, key=lambda x: x):
+def _closure(seeds, gens, act, cap, key=None):
     """Breadth-first closure of `seeds` under x -> act(x, g), g in `gens` in
     order, with items compared by key(x) (default: the item).  Returns the
     items in discovery order, edges[x][s] = index of act(items[x], gens[s]),
     and for each non-seed item the (item, generator) pair that found it.
     Each seed has at most |G| images, so more than len(seeds) * cap items
     means |G| > cap."""
+    key = key or (lambda x: x)
     items = list(seeds)
     index = {key(x): i for i, x in enumerate(items)}
     edges, parents = [], []
@@ -163,6 +164,22 @@ def _order_bound(n: int, m: int) -> int:
     return L
 
 
+def _dimension_needed(k: int, m: int) -> int:
+    """A lower bound on the dimension of a matrix of order k over Q(zeta_m).
+    Each prime power q^e exactly dividing k divides the order of some
+    eigenvalue, whose Galois orbit over Q(zeta_m) has a size that is a
+    multiple of c = phi(lcm(m, q^e)) / phi(m); the c of one eigenvalue
+    multiply, and a product of numbers >= 2 is at least their sum."""
+    need = 0
+    for q in _prime_factors(k):
+        qe = q
+        while k % (qe * q) == 0:
+            qe *= q
+        c = euler_phi(lcm(m, qe)) // euler_phi(m)
+        need += c if c > 1 else 0
+    return need
+
+
 @lru_cache(maxsize=64)
 def _prime_root(m: int, above: int):
     """The least prime p > above with p = 1 (mod m), and a primitive m-th
@@ -175,10 +192,22 @@ def _prime_root(m: int, above: int):
     return p, w
 
 
-def _power_is_identity_mod_p(g: CycMatrix, L: int):
-    """(p, whether g^L = I modulo p) for a prime p = 1 (mod m) that divides
-    no denominator of g, by log2 L squarings.  zeta_m -> w, a primitive m-th
-    root of unity mod p, is a ring map, so False proves g^L != I."""
+def _power(x, e, times, one):
+    """x^e by log2 e squarings."""
+    out = one
+    for bit in bin(e)[2:]:
+        out = times(out, out)
+        if bit == "1":
+            out = times(out, x)
+    return out
+
+
+def _order_mod_p(g: CycMatrix, L: int):
+    """(p, k) for a prime p = 1 (mod m) that divides no denominator of g,
+    with k the order of g modulo p if it divides L, else None.  zeta_m -> w,
+    a primitive m-th root of unity mod p, is a ring map, so None proves
+    g^L != I.  As p is odd and prime to m, no element of finite order other
+    than I is I modulo p, so a g of finite order has order k."""
     n, dens = g.rows, {c.denominator for e in g.entries for c in e.c}
     p, w = _prime_root(g.m, 1 << 30)
     while any(d % p == 0 for d in dens):
@@ -189,12 +218,14 @@ def _power_is_identity_mod_p(g: CycMatrix, L: int):
     def times(a, b):
         return [[sum(map(mul, r, c)) % p for c in zip(*b)] for r in a]
 
-    power = ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    for bit in bin(L)[2:]:
-        power = times(power, power)
-        if bit == "1":
-            power = times(power, g_p)
-    return p, power == ident
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    if _power(g_p, L, times, ident) != ident:
+        return p, None
+    k = L
+    for q in _prime_factors(L):
+        while k % q == 0 and _power(g_p, k // q, times, ident) == ident:
+            k //= q
+    return p, k
 
 
 def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
@@ -203,14 +234,16 @@ def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     The closure runs on permutations of the orbit of e_1..e_n, so exact
     arithmetic is needed only for generator times orbit vector.
 
-    A singular generator raises ValueError.  Two tests refuse a generator
-    of infinite order with OrderCapExceededError before the closure.
+    A singular generator raises ValueError.  Before the closure, three
+    tests refuse a generator of infinite order with OrderCapExceededError.
     First, its determinant must be a root of unity (of order dividing
-    lcm(2, m) in Q(zeta_m)); without this check, a non-unitary generator
-    that passed the second test by chance would grow orbit vectors like
-    2^k up to the cap.  Second, g^L must be I modulo a prime p = 1 (mod m),
-    where L = `_order_bound(n, m)` is a multiple of every finite order.  A
-    generator of infinite order that passes both stops at the order cap."""
+    lcm(2, m) in Q(zeta_m)), which costs no matrix product.  Second, g^L
+    must be I modulo a prime p = 1 (mod m), where L = `_order_bound(n, m)`
+    is a multiple of every finite order, and the order k of g modulo p must
+    be one that a matrix of finite order can have in dimension n
+    (`_dimension_needed`).  Third, g^k must be I exactly: a g of finite
+    order has order k, and its powers are elements of G.  A k above the
+    order cap exceeds the cap before any exact power."""
     gens = list(gens)
     if gens:
         dim = gens[0].rows
@@ -227,13 +260,25 @@ def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
                 "generator %d has infinite order (its determinant is not a "
                 "root of unity), so it exceeds any order cap" % i)
         L = _order_bound(dim, g.m)
-        p, ok = _power_is_identity_mod_p(g, L)
-        if not ok:
+        p, k = _order_mod_p(g, L)
+        if k is None or _dimension_needed(k, g.m) > dim:
             raise OrderCapExceededError(
-                "generator %d has infinite order (g^%d is not I modulo %d), "
-                "so it exceeds any order cap" % (i, L, p))
-    m = lcm(*(g.m for g in gens))
-    basis = [tuple(c.lift(m) for c in CycMatrix.identity(dim).row(j))
+                "generator %d has infinite order (its order modulo %d is "
+                "no order of a matrix of finite order in dimension %d), "
+                "so it exceeds any order cap" % (i, p, dim))
+        if k > order_cap:
+            raise OrderCapExceededError(
+                "group order exceeds cap %d (generator %d has order %d "
+                "modulo %d)" % (order_cap, i, k, p))
+        if not _power(g, k, CycMatrix.__mul__, CycMatrix.identity(dim)).is_identity():
+            raise OrderCapExceededError(
+                "generator %d has infinite order (g^%d is I modulo %d but "
+                "not exactly), so it exceeds any order cap" % (i, k, p))
+    m = 1
+    for g in gens:
+        m = m * g.m // gcd(m, g.m)
+    one, zero = Cyc.one().lift(m), Cyc.zero().lift(m)
+    basis = [tuple(one if i == j else zero for i in range(dim))
              for j in range(dim)]
     vectors, images, _ = _closure(
         basis, gens, lambda v, g: tuple(c.lift(m) for c in g.apply(v)),
@@ -254,8 +299,9 @@ def group_from_json(obj, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
                 for mat in obj["generators"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError("malformed group file: %s" % exc)
-    if any((g.rows, g.cols) != (n, n) for g in gens):
-        raise ValueError("malformed group file: generator shape")
+    for g in gens:
+        if g.rows != n or g.cols != n:
+            raise ValueError("malformed group file: generator shape")
     return generate(gens, dim=n, order_cap=order_cap)
 
 
@@ -284,8 +330,12 @@ def reflections(G: MatrixGroup):
 
 def reflection_arrangement(G: MatrixGroup) -> Arrangement:
     if G._refl_arrangement is None:
-        hps = dict.fromkeys(h for _, h in reflections(G))
-        G._refl_arrangement = Arrangement(G.n, list(hps))
+        seen, hps = set(), []
+        for _, h in reflections(G):
+            if h not in seen:
+                seen.add(h)
+                hps.append(h)
+        G._refl_arrangement = Arrangement(G.n, hps)
     return G._refl_arrangement
 
 
@@ -296,15 +346,19 @@ class _Action:
         if G.n != A.n:
             raise NotStableError("group acts on C^%d, arrangement lives in C^%d"
                                  % (G.n, A.n))
+        self.G, self.A = G, A
         nh = len(A)
         gen_perm = []
         for gi in G.generators:
             inv = G.elements[G.inverse[gi]]
-            perm = [A.index_of(canonicalize_hyperplane(inv.apply_row(list(h))))
-                    for h in map(A.covector, range(nh))]
-            if None in perm:
-                raise NotStableError("generator %d maps hyperplane %d outside A"
-                                     % (gi, perm.index(None)))
+            perm = []
+            for i in range(nh):
+                img = canonicalize_hyperplane(inv.apply_row(list(A.covector(i))))
+                j = A.index_of(img)
+                if j is None:
+                    raise NotStableError(
+                        "generator %d maps hyperplane %d outside A" % (gi, i))
+                perm.append(j)
             gen_perm.append(perm)
         self.perms = _along_parents(
             G, tuple(range(nh)), lambda p, t: tuple(p[x] for x in gen_perm[t]))
@@ -323,11 +377,12 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
     setwise stabilizer N and pointwise stabilizer Z as index sets, and for
     each member key a hyperplane permutation carrying the representative
     onto it."""
-    if A in G._orbits:
-        return G._orbits[A]
+    cached = G._orbits.get(A)
+    if cached is not None:
+        return cached
     lattice = build_lattice(A)
     act = hyperplane_action(G, A)
-    remaining = set(lattice.by_key)
+    remaining = dict(lattice.by_key)
     distinct_perms = sorted(set(act.perms))
     orbits = []
     # keys are met in sorted order, so each orbit's first key is its least
@@ -339,7 +394,8 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
             transport.setdefault(tuple(sorted(p[i] for i in rep_key)), p)
         rep = lattice.by_key[rep_key]
         members = [lattice.by_key[k] for k in sorted(transport)]
-        remaining.difference_update(transport)
+        for k in transport:
+            remaining.pop(k, None)
         N = frozenset(i for i, p in enumerate(act.perms)
                       if tuple(sorted(p[i2] for i2 in rep_key)) == rep_key)
         orbits.append(OrbitDatum(rep, members, G, N, rep.codim, transport))
@@ -349,9 +405,13 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
 
 
 def _fixes_pointwise(G: MatrixGroup, i: int, X: Flat) -> bool:
-    rows = (X.basis.row(r) for r in range(X.basis.rows))
-    return all((a - b).is_zero() for row in rows
-               for a, b in zip(G.elements[i].apply(list(row)), row))
+    g = G.elements[i]
+    for r in range(X.basis.rows):
+        row = list(X.basis.row(r))
+        img = g.apply(row)
+        if any(not (a - b).is_zero() for a, b in zip(img, row)):
+            return False
+    return True
 
 
 class OrbitDatum:
@@ -362,9 +422,13 @@ class OrbitDatum:
     cyclotomic products, so it is made on first read."""
 
     def __init__(self, representative, orbit, G, N, codim, transport):
-        self.representative, self.orbit, self.N = representative, orbit, N
-        self.codim, self.transport = codim, transport
-        self._G, self._Z = G, None
+        self.representative = representative
+        self.orbit = orbit
+        self._G = G
+        self._Z = None
+        self.transport = transport
+        self.N = N
+        self.codim = codim
 
     @property
     def Z(self) -> frozenset:
@@ -456,11 +520,17 @@ def linear_characters(G: MatrixGroup):
         return G._linear_chars
     s = len(G.generators)
     x = _along_parents(G, (0,) * s, lambda v, t: v[:t] + (v[t] + 1,) + v[t + 1:])
-    units = [tuple(int(u == t) for u in range(s)) for t in range(s)]
-    rels = sorted({tuple(map(add, map(sub, xk, x[j]), units[t]))
-                   for xk, row in zip(x, G.cayley) for t, j in enumerate(row)})
+    rels = set()
+    for xk, row in zip(x, G.cayley):
+        for t, j in enumerate(row):
+            r = [a - b for a, b in zip(xk, x[j])]
+            r[t] += 1
+            rels.add(tuple(r))
+    rels = sorted(rels)
+    H = _echelon(rels, s)
     sols = [()]
-    for i, h in reversed(list(enumerate(_echelon(rels, s)))):
+    for i in reversed(range(s)):
+        h = H[i]
         sols = [(Fraction(j - sum(map(mul, h[i + 1:], a)), h[i]) % 1,) + a
                 for a in sols for j in range(h[i])]
     e = lcm(*(a.denominator for a in chain.from_iterable(sols)))
@@ -499,19 +569,28 @@ def _echelon(rows, s):
     return out
 
 
+def _value_order(x: Cyc, bound: int) -> int:
+    cur = x
+    for k in range(1, bound + 1):
+        if cur == Cyc.one():
+            return k
+        cur = cur * x
+    raise ValueError("not a root of unity of order <= %d" % bound)
+
+
 def determinant_like_characters(G: MatrixGroup):
     """Linear characters whose value at every reflection has multiplicative
     order equal to the order of the reflection.  Empty when G has no
     reflections (the notion is only meaningful for reflection groups)."""
-    # one reflection per class, as characters and orders are class functions
-    reps = {cls[0] for cls in conjugacy_classes(G)}
-    orders = [(i, G.element_order(i)) for i, _ in reflections(G) if i in reps]
-    if not orders:
+    refl = reflections(G)
+    if not refl:
         return []
-    # ch(r)^o = 1 for r of order o; its order is o iff ch(r)^(o/q) != 1, q | o prime
-    return [ch for ch in linear_characters(G)
-            if all(ch(i) ** (o // q) != Cyc.one()
-                   for i, o in orders for q in _prime_factors(o))]
+    orders = [(i, G.element_order(i)) for i, _ in refl]
+    out = []
+    for ch in linear_characters(G):
+        if all(_value_order(ch(i), o) == o for i, o in orders):
+            out.append(ch)
+    return out
 
 
 def det_character(G: MatrixGroup, inverse=False) -> LinearCharacter:
@@ -520,7 +599,9 @@ def det_character(G: MatrixGroup, inverse=False) -> LinearCharacter:
     parents."""
     dets = [_det(G.elements[gi]).lift(G.m) for gi in G.generators]
     values = _along_parents(G, Cyc.one().lift(G.m), lambda v, t: v * dets[t])
-    return LinearCharacter([values[j] for j in G.inverse] if inverse else values)
+    if inverse:
+        values = [values[G.inverse[g]] for g in range(G.order)]
+    return LinearCharacter(values)
 
 
 def _along_parents(G: MatrixGroup, start, step):

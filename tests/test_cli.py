@@ -10,7 +10,7 @@ import pytest
 
 from reflact.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main, run, verify_suite
 from reflact.exactnum import CycMatrix
-from reflact.groups import OrderCapExceededError, generate
+from reflact.groups import OrderCapExceededError, _prime_root, generate
 
 
 def invoke(*argv):
@@ -293,6 +293,14 @@ def test_huge_entry_determinant_one_block_exits_2(tmp_path):
     gen = _diag(6, {})
     gen[0][:2], gen[1][:2] = [str(10 ** 400), "1"], ["-1", "0"]
     group_file_refused(tmp_path, {"dim": 6, "generators": [gen]},
+                       "infinite order")
+
+
+def test_generator_that_is_a_permutation_modulo_p_exits_2(tmp_path):
+    # [[0, 1], [1, p]] is the swap modulo the first prime p the order test
+    # uses, and has infinite order; g^2 != I exactly refuses it
+    p, _ = _prime_root(1, 1 << 30)
+    group_file_refused(tmp_path, {"dim": 2, "generators": [[[0, 1], [1, p]]]},
                        "infinite order")
 
 

@@ -100,6 +100,15 @@ def test_order_bound_examples():
     assert groups_mod._order_bound(4, 4) == 240
 
 
+def test_dimension_needed_examples():
+    # orders 3 and 4 fit in GL_2(Q) but 12 needs phi(3) + phi(4); a factor 2
+    # costs nothing over Q, and 4 costs nothing over Q(i)
+    assert [groups_mod._dimension_needed(k, 1) for k in (1, 2, 3, 4, 6, 12)] \
+        == [0, 0, 2, 2, 2, 4]
+    assert groups_mod._dimension_needed(60, 1) == 8
+    assert groups_mod._dimension_needed(12, 4) == 2
+
+
 def test_infinite_order_is_refused_at_any_cap():
     # diag(2, 1/2, 1, ..., 1) has determinant 1; in dimension 12 the order
     # bound is 720,720, and g^L != I modulo p refuses it whatever the cap
@@ -111,6 +120,27 @@ def test_infinite_order_is_refused_at_any_cap():
     for cap in (20, groups_mod.DEFAULT_ORDER_CAP):
         with pytest.raises(OrderCapExceededError, match="infinite order"):
             generate([CycMatrix.from_rows(gen)], order_cap=cap)
+
+
+def test_generator_that_passes_modulo_p_is_refused_exactly():
+    # [[0, 1], [1, p]] has determinant -1 and is the swap modulo p, so it
+    # passes modulo p with order 2; g^2 != I exactly refuses it
+    p, _ = groups_mod._prime_root(1, 1 << 30)
+    g = CycMatrix.from_rows([[0, 1], [1, p]])
+    assert groups_mod._order_mod_p(g, groups_mod._order_bound(2, 1)) == (p, 2)
+    for cap in (20, groups_mod.DEFAULT_ORDER_CAP):
+        with pytest.raises(OrderCapExceededError,
+                           match="infinite order.*not exactly"):
+            generate([g], order_cap=cap)
+
+
+def test_generator_order_above_the_cap_is_refused_before_the_closure():
+    # a 5-cycle has order 5 > 4; the closure would find the same
+    cycle = CycMatrix.from_rows([[int(i == (j + 1) % 5) for j in range(5)]
+                                 for i in range(5)])
+    with pytest.raises(OrderCapExceededError, match="exceeds cap 4"):
+        generate([cycle], order_cap=4)
+    assert generate([cycle], order_cap=5).order == 5
 
 
 class _Captured(Exception):
@@ -143,8 +173,13 @@ def test_every_catalog_generator_passes_the_modular_order_test(
         monkeypatch, build):
     for g in _generators_of(monkeypatch, build):
         L = groups_mod._order_bound(g.rows, g.m)
-        p, ok = groups_mod._power_is_identity_mod_p(g, L)
-        assert ok and (p - 1) % g.m == 0 and p > 1 << 30, (g, p)
+        p, k = groups_mod._order_mod_p(g, L)
+        assert (p - 1) % g.m == 0 and p > 1 << 30, (g, p)
+        power, order = g, 1
+        while not power.is_identity():
+            power, order = power * g, order + 1
+        assert k == order and L % k == 0, (g, k, order)
+        assert groups_mod._dimension_needed(k, g.m) <= g.rows
 
 
 def test_modular_order_test_skips_a_prime_in_a_denominator():
@@ -153,15 +188,15 @@ def test_modular_order_test_skips_a_prime_in_a_denominator():
     w = Cyc.root_of_unity(3)
     q, _ = groups_mod._prime_root(3, 1 << 30)
     g = CycMatrix.from_rows([[0, w * q], [Cyc.rational(Fraction(1, q)) / w, 0]])
-    p, ok = groups_mod._power_is_identity_mod_p(g, groups_mod._order_bound(2, 3))
-    assert ok and p == groups_mod._prime_root(3, q)[0] and p != q
+    p, k = groups_mod._order_mod_p(g, groups_mod._order_bound(2, 3))
+    assert k == 2 and p == groups_mod._prime_root(3, q)[0] and p != q
     assert p % 3 == 1 and all(p % d for d in range(2, 1 << 16))
     # q is also the first prime for conductor 1; diag(q, 1/q) has infinite
     # order and is refused modulo the next one
     assert groups_mod._prime_root(1, 1 << 30)[0] == q
     g = CycMatrix.from_rows([[q, 0], [0, Fraction(1, q)]])
-    p, ok = groups_mod._power_is_identity_mod_p(g, groups_mod._order_bound(2, 1))
-    assert not ok and p == groups_mod._prime_root(1, q)[0]
+    p, k = groups_mod._order_mod_p(g, groups_mod._order_bound(2, 1))
+    assert k is None and p == groups_mod._prime_root(1, q)[0]
 
 
 def test_each_generator_image_is_computed_once(monkeypatch):
