@@ -81,6 +81,19 @@ def _prime_factors(m: int) -> list[int]:
     return out + [m] if m > 1 else out
 
 
+def _power(x, e, times, one):
+    """x^e for e >= 0 by log2 e squarings, starting from x at the leading
+    bit, so x^1 takes no product; x^0 is `one`."""
+    if not e:
+        return one
+    out = x
+    for bit in bin(e)[3:]:
+        out = times(out, out)
+        if bit == "1":
+            out = times(out, x)
+    return out
+
+
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
     # plain long division, den monic-ish (nonzero lead), coeffs low -> high
     num = list(num)
@@ -379,14 +392,7 @@ class Cyc:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out = _CYC_ONE
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, Cyc.__mul__, _CYC_ONE)
 
     # -- comparison / hashing ----------------------------------------------
 

@@ -28,8 +28,8 @@ from operator import mul
 
 from .arrangement import (Arrangement, Flat, build_lattice,
                           canonicalize_hyperplane)
-from .exactnum import (Cyc, CycMatrix, Span, _prime_factors, cyc_from_json,
-                       euler_phi, rref)
+from .exactnum import (Cyc, CycMatrix, Span, _power, _prime_factors,
+                       cyc_from_json, euler_phi, rref)
 
 __all__ = [
     "MatrixGroup",
@@ -190,16 +190,6 @@ def _prime_root(m: int, above: int):
     w = next(w for w in (pow(a, (p - 1) // m, p) for a in count(2))
              if all(pow(w, m // q, p) != 1 for q in _prime_factors(m)))
     return p, w
-
-
-def _power(x, e, times, one):
-    """x^e by log2 e squarings."""
-    out = one
-    for bit in bin(e)[2:]:
-        out = times(out, out)
-        if bit == "1":
-            out = times(out, x)
-    return out
 
 
 def _order_mod_p(g: CycMatrix, L: int):
@@ -569,28 +559,21 @@ def _echelon(rows, s):
     return out
 
 
-def _value_order(x: Cyc, bound: int) -> int:
-    cur = x
-    for k in range(1, bound + 1):
-        if cur == Cyc.one():
-            return k
-        cur = cur * x
-    raise ValueError("not a root of unity of order <= %d" % bound)
-
-
 def determinant_like_characters(G: MatrixGroup):
     """Linear characters whose value at every reflection has multiplicative
     order equal to the order of the reflection.  Empty when G has no
-    reflections (the notion is only meaningful for reflection groups)."""
-    refl = reflections(G)
-    if not refl:
+    reflections (the notion is only meaningful for reflection groups).
+    Both orders are class functions, so one reflection per class decides,
+    and ch(r)^o = 1 for r of order o, so ch(r) has order o unless
+    ch(r)^(o/q) = 1 for a prime q dividing o."""
+    refl = {i for i, _ in reflections(G)}
+    orders = [(cls[0], G.element_order(cls[0]))
+              for cls in conjugacy_classes(G) if cls[0] in refl]
+    if not orders:
         return []
-    orders = [(i, G.element_order(i)) for i, _ in refl]
-    out = []
-    for ch in linear_characters(G):
-        if all(_value_order(ch(i), o) == o for i, o in orders):
-            out.append(ch)
-    return out
+    return [ch for ch in linear_characters(G)
+            if all(ch(i) ** (o // q) != Cyc.one()
+                   for i, o in orders for q in _prime_factors(o))]
 
 
 def det_character(G: MatrixGroup, inverse=False) -> LinearCharacter:

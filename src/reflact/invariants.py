@@ -12,18 +12,18 @@ ways:
     (N_T its setwise stabilizer);
   * by the rank of the idempotent projection matrix on the NBC basis.
 
-Traces are class functions, so the global and orbitwise averages, and that
-of `relative_character`, take one term per conjugacy class of G.  The
-character of K_T at g sums the traces of g on the flats of T that g fixes,
-each moved to the representative's subarrangement.  The projection weights
-each distinct hyperplane permutation.  All arithmetic is exact; every
-dimension is checked to be a nonnegative rational integer before it is
-returned.
+Traces are class functions, so the global and orbitwise averages take one
+term per conjugacy class of G.  The character of K_T at g sums the traces of
+g on the flats of T that g fixes, each moved to the representative's
+subarrangement.  The projection weights each distinct hyperplane
+permutation.  All arithmetic is exact; every dimension is checked to be a
+nonnegative rational integer before it is returned.
 
 The module also builds the explicit invariant bases (one monomial, or an
 explicit pair, per orbit with nonzero invariants), decomposes the invariants
-of a normal reflection subgroup as a module over the ambient group, and runs
-the determinant-like vanishing checks.
+of a normal reflection subgroup as a module over the ambient group from the
+orbitwise averages of both groups, and runs the determinant-like vanishing
+checks.
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ from .groups import (
 )
 from .osalg import (
     OSElement,
-    Span,
     _straighten_sum,
-    apply_perm,
     closure_key,
     euler_derivation,
     nbc_basis,
@@ -434,18 +432,6 @@ def theorem4_basis(A: Arrangement, G: MatrixGroup, cox_monomials=None,
     return basis
 
 
-def _perm_trace_on_span(A, perm, span, k):
-    """Trace of a hyperplane permutation on the span (traces are basis
-    independent, so the pivot vectors serve as the basis)."""
-    total = Fraction(0)
-    for i, (_, pv) in enumerate(span.pivots):
-        coords = span.solve(apply_perm(A, perm, OSElement(k, pv)).coeffs)
-        if coords is None:
-            raise NonIntegralityError("span is not stable under the action")
-        total += coords[i]
-    return total
-
-
 class RelativeCharacterReport:
     """Decomposition of each orbit's G-invariants over the linear characters
     of the ambient group."""
@@ -468,54 +454,37 @@ class RelativeCharacterReport:
 def relative_character(A: Arrangement, G: MatrixGroup,
                        Gt: MatrixGroup) -> RelativeCharacterReport:
     """For G normal in Gt, decompose each K_T^G (T an orbit of Gt on the
-    lattice) into linear-character multiplicities of Gt."""
-    for gi in G.generators:
-        if Gt.contains_matrix(G.elements[gi]) is None:
-            raise NotNormalError("G is not contained in the ambient group")
+    lattice) into linear-character multiplicities of Gt, read from the
+    orbitwise averages.  A linear character psi of Gt occurs in K_T^G only
+    if it is 1 on G, and then with its multiplicity in K_T (Lehrer-Solomon),
+    whose psi-isotypic part lies in K_T^G.  dim K_T^G sums the invariant
+    dimensions of the G-orbits inside T.  The multiplicities sum to at most
+    that dimension, and to exactly it when Gt/G is abelian, that is, when
+    |Gt|/|G| linear characters are 1 on G."""
+    inside = [Gt.contains_matrix(G.elements[gi]) for gi in G.generators]
+    if None in inside:
+        raise NotNormalError("G is not contained in the ambient group")
     for a in Gt.generators:
-        for gi in G.generators:
-            conj = Gt.mul(Gt.mul(a, Gt.contains_matrix(G.elements[gi])),
-                          Gt.inverse[a])
+        for g in inside:
+            conj = Gt.mul(Gt.mul(a, g), Gt.inverse[a])
             if G.contains_matrix(Gt.elements[conj]) is None:
                 raise NotNormalError("G is not normal in the ambient group")
 
     chars = linear_characters(Gt)
-    classes = conjugacy_classes(Gt)
-    phis = [[ch(cls[0]) for cls in classes] for ch in chars]
-    perms = hyperplane_action(Gt, A).perms
-    # the class representatives give the traces; the generators are traced
-    # too, so the stability check covers all of Gt
-    traced = ({perms[cls[0]] for cls in classes}
-              | {perms[g] for g in Gt.generators})
-    orbits = orbits_on_lattice(Gt, A)
-    # a Gt-orbit can split into several G-orbits; span K_T^G from one
-    # representative flat of each
-    g_orbits = orbits_on_lattice(G, A)
-    g_rep_of = {}
-    for go in g_orbits:
-        for f in go.orbit:
-            g_rep_of[f.key] = go.representative
+    lifted = [all(ch(g) == Cyc.one() for g in inside) for ch in chars]
+    abelian = sum(lifted) * G.order == Gt.order
+    g_dims = {o.representative.key: d for o, d in
+              isotypic_dims_orbitwise(A, G, trivial_character(G)).orbit_dims}
     entries = []
-    for o in orbits:
-        k = o.representative.codim
-        g_reps = sorted({g_rep_of[f.key] for f in o.orbit},
-                        key=lambda f: f.key)
-        span = Span()
-        for f in g_reps:
-            sub = subarrangement(A, f)
-            for mono in nbc_basis(sub, k).monomials:
-                parent = tuple(f.key[i] for i in mono)
-                proj = project_invariant(A, G, straighten(A, parent))
-                if not proj.is_zero():
-                    span.add(proj.coeffs)
-        dim = len(span.pivots)
-        if dim:
-            traces = {p: _perm_trace_on_span(A, p, span, k) for p in traced}
-            mults = [_as_dim(_class_average(
-                Gt, phi, lambda g: traces[perms[g]])) for phi in phis]
-        else:
-            mults = [0] * len(chars)
-        entries.append({"codim": k, "rep_key": o.representative.key,
+    for o in orbits_on_lattice(Gt, A):
+        dim = sum(g_dims.get(f.key, 0) for f in o.orbit)
+        mults = [_orbit_isotypic_dim(A, Gt, o, ch) if dim and up else 0
+                 for ch, up in zip(chars, lifted)]
+        if sum(mults) > dim or (abelian and sum(mults) != dim):
+            raise NonIntegralityError(
+                "multiplicities %s of orbit %s do not fit dimension %d"
+                % (mults, o.representative.key, dim))
+        entries.append({"codim": o.codim, "rep_key": o.representative.key,
                         "orbit": o, "dim": dim, "multiplicities": mults})
     return RelativeCharacterReport(chars, entries)
 

@@ -2,6 +2,7 @@ import ast
 import doctest
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,17 @@ def test_public_names_are_exported(name):
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and not node.name.startswith("_")]
     assert [n for n in public if n not in exported] == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(reflact.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    # reflact has no runtime dependencies: every absolute import names a
+    # standard-library module or __future__
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and not node.level]
+    allowed = sys.stdlib_module_names | {"__future__"}
+    assert [n for n in names if n.split(".")[0] not in allowed] == []

@@ -387,6 +387,25 @@ def test_cyc_inverse_matches_linear_solve():
         assert exact(z.inverse()) == exact(ref_inverse(z))
 
 
+@pytest.mark.parametrize("m", [1, 3, 4, 5, 12])
+def test_cyc_pow_matches_repeated_products(m):
+    x = Cyc(m, [Fraction((-1) ** k * (k + 2), k + 1) for k in range(euler_phi(m))])
+    for e in range(-3, 21):
+        base, want = x if e >= 0 else x.inverse(), Cyc.one()
+        for _ in range(abs(e)):
+            want = want * base
+        assert x ** e == want, (m, e)
+
+
+def test_cyc_first_power_takes_no_product(monkeypatch):
+    x = Cyc.root_of_unity(12, 5) + 2
+    mul, calls = Cyc.__mul__, []
+    monkeypatch.setattr(Cyc, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    assert x ** 1 == x
+    assert calls == []
+    assert x ** 2 == mul(x, x) and len(calls) == 1
+
+
 def test_cyc_bool_is_nonzero():
     assert not Cyc.zero() and not Cyc.zero().lift(12)
     assert not Cyc.root_of_unity(4) ** 2 + 1

@@ -394,6 +394,38 @@ def test_determinant_like():
     assert det_character(G2)(refl_i) == Cyc.rational(-1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: catalog.make_grpn(1, 1, 3),
+    lambda: catalog.make_grpn(1, 1, 4),
+    lambda: catalog.make_grpn(2, 1, 2),
+    lambda: catalog.make_grpn(3, 1, 3),
+    lambda: catalog.make_grpn(3, 3, 3),
+    lambda: catalog.make_grpn(4, 2, 4),
+    lambda: catalog.make_grpn(4, 1, 3),
+    lambda: catalog.make_grpn(4, 4, 3),
+    lambda: catalog.make_grpn(2, 2, 4),
+    lambda: catalog.make_grpn(6, 2, 2),
+    lambda: catalog.make_grpn(6, 3, 2),
+    lambda: catalog.shipped_group("h3"),
+    lambda: catalog.shipped_group("f4"),
+], ids=["W(3)", "W(4)", "G(2,1,2)", "G(3,1,3)", "G(3,3,3)", "G(4,2,4)",
+        "G(4,1,3)", "G(4,4,3)", "G(2,2,4)", "G(6,2,2)", "G(6,3,2)", "H3", "F4"])
+def test_determinant_like_matches_brute_force(build):
+    # one check per reflection, the value's order counted by repeated products
+    G = build()
+
+    def value_order(x):
+        k, cur = 1, x
+        while cur != Cyc.one():
+            cur, k = cur * x, k + 1
+        return k
+
+    want = [ch for ch in linear_characters(G)
+            if all(value_order(ch(i)) == G.element_order(i)
+                   for i, _ in reflections(G))]
+    assert want and determinant_like_characters(G) == want
+
+
 def test_det_character_multiplicative():
     G = g333()
     ch = det_character(G)

@@ -18,6 +18,7 @@ from reflact.invariants import (
     BasisVerificationError,
     CharacterSelectionError,
     ClassMismatchError,
+    NonIntegralityError,
     NotNormalError,
     PoincarePoly,
     UnlabeledPairError,
@@ -36,9 +37,9 @@ from reflact.invariants import (
     trivial_character,
     vanishing_check_detlike,
 )
-from reflact.invariants import (_class_average, _orbit_isotypic_dim,
-                                _perm_trace_on_span)
-from reflact.osalg import apply_perm, nbc_basis, perm_trace, straighten
+from reflact import invariants as invariants_mod
+from reflact.invariants import _class_average, _orbit_isotypic_dim
+from reflact.osalg import OSElement, apply_perm, nbc_basis, perm_trace, straighten
 
 
 def braid3():
@@ -329,9 +330,40 @@ def test_class_indicators_read_the_inverse_class():
                 _element_average(G, phi_of, trace)
 
 
-def test_relative_character_matches_per_element_reference():
-    A = make_arrangement("full", 2, 4)
-    G, Gt = make_grpn(2, 2, 4), make_grpn(2, 1, 4)
+def _perm_trace_on_span(A, perm, span, k):
+    """Trace of a hyperplane permutation on the span (traces are basis
+    independent, so the pivot vectors serve as the basis)."""
+    total = Fraction(0)
+    for i, (_, pv) in enumerate(span.pivots):
+        coords = span.solve(apply_perm(A, perm, OSElement(k, pv)).coeffs)
+        if coords is None:
+            raise NonIntegralityError("span is not stable under the action")
+        total += coords[i]
+    return total
+
+
+def _sign_changes(n):
+    """The diagonal sign changes, normal in G(2,1,n) with quotient S_n."""
+    return generate([CycMatrix.from_rows(
+        [[-1 if r == c == i else int(r == c) for c in range(n)] for r in range(n)])
+        for i in range(n)])
+
+
+RELATIVE_PAIRS = {
+    "g224_in_g214": lambda: (make_arrangement("full", 2, 4),
+                             make_grpn(2, 2, 4), make_grpn(2, 1, 4)),
+    "g443_in_g423": lambda: (make_arrangement("full", 4, 3),
+                             make_grpn(4, 4, 3), make_grpn(4, 2, 3)),
+    "g333_in_g313": lambda: (make_arrangement("full", 3, 3),
+                             make_grpn(3, 3, 3), make_grpn(3, 1, 3)),
+    "signs_in_g213": lambda: (make_arrangement("full", 2, 3),
+                              _sign_changes(3), make_grpn(2, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(RELATIVE_PAIRS))
+def test_relative_character_matches_per_element_reference(pair):
+    A, G, Gt = RELATIVE_PAIRS[pair]()
     report = relative_character(A, G, Gt)
     by_key = {e["rep_key"]: e for e in report.entries}
     perms = hyperplane_action(Gt, A).perms
@@ -355,6 +387,18 @@ def test_relative_character_matches_per_element_reference():
 
         for chi, m in zip(report.characters, entry["multiplicities"]):
             assert _element_average(Gt, chi, trace) == Cyc.rational(m)
+
+
+@pytest.mark.parametrize("pair,offset", [
+    ("g224_in_g214", 1), ("g224_in_g214", -1), ("signs_in_g213", 1)])
+def test_relative_character_checks_the_multiplicity_sum(pair, offset, monkeypatch):
+    # above the dimension always fails; below it fails when Gt/G is abelian
+    A, G, Gt = RELATIVE_PAIRS[pair]()
+    orbit_dim = invariants_mod._orbit_isotypic_dim
+    monkeypatch.setattr(invariants_mod, "_orbit_isotypic_dim",
+                        lambda *args: orbit_dim(*args) + offset)
+    with pytest.raises(NonIntegralityError):
+        relative_character(A, G, Gt)
 
 
 def test_global_average_traces_one_permutation_per_class():
