@@ -23,6 +23,16 @@ cross-checked against a brute-force orbit enumeration.
 Matrix data for the two shipped exceptional groups (h3.json over Q(zeta_5),
 f4.json rational) lives in the package data directory; the REFLACT_DATA_DIR
 environment variable overrides its location.
+
+Named pairs are written in one grammar, read here and nowhere else:
+
+    group specs:        G(r,p,n), W(n) = G(1,1,n), a shipped name (H3, F4;
+                        any case), or a path to a group file;
+    arrangement specs:  A_n(r) = full(r,n) and A_n^0(r) = zero(r,n).
+
+`parse_group_spec` and `parse_arrangement_spec` build the objects, and
+`pair_family` reads the G(r,p,n) family parameters of a pair from the same
+patterns.
 """
 
 from __future__ import annotations
@@ -65,9 +75,15 @@ __all__ = [
     "orbit_type_names",
     "parse_group_spec",
     "parse_arrangement_spec",
+    "pair_family",
+    "shipped_name",
 ]
 
 KINDS = ("braid", "full", "zero")
+SHIPPED_GROUPS = ("H3", "F4")
+
+_GROUP_RE = re.compile(r"G\((\d+),(\d+),(\d+)\)|W\((\d+)\)")
+_ARR_RE = re.compile(r"A_(\d+)(\^0)?\((\d+)\)")
 
 
 class LabelCrossCheckError(RuntimeError):
@@ -223,32 +239,41 @@ def _type_name(r, p, n, lam):
     return " ".join(pieces) if pieces else "A_0"
 
 
-def _x_lambda_rows(n, r, lam, twist=0):
-    """Basis vectors of d_0^u X_lambda."""
-    m = sum(lam)
+def _family_lattice(r, p, n, kind):
+    """(kind, r, A, lattice of A) for G(r,p,n) on kind(r, n), braid = zero(1, n)."""
+    _check_params(r, p, n)
+    if kind == "braid":
+        kind, r = "zero", 1
+    A = make_arrangement(kind, r, n)
+    return kind, r, A, build_lattice(A)
+
+
+def _x_lambda_flat(A, lattice, kind, r, lam, u=0):
+    """The lattice flat d_0^u X_lambda, keyed by the hyperplanes that
+    contain its basis vectors."""
+    n = A.n
     w = Cyc.root_of_unity(r)
     rows = []
-    start = n - m
+    start = n - sum(lam)
     for part in lam:
         vec = [Cyc.zero()] * n
         for j in range(start, start + part):
             vec[j] = Cyc.one()
-        if twist and start == 0:
-            vec[0] = w ** twist
+        if u and start == 0:
+            vec[0] = w ** u
         rows.append(vec)
         start += part
-    return rows
-
-
-def _flat_of_rows(A, lattice, rows):
-    """The lattice flat whose subspace is the span of the given rows."""
     key = []
     for i in range(len(A)):
         cov = A.covector(i)
-        if all(sum((cov[j] * row[j] for j in range(A.n)), Cyc.zero()).is_zero()
+        if all(sum((cov[j] * row[j] for j in range(n)), Cyc.zero()).is_zero()
                for row in rows):
             key.append(i)
-    return lattice.by_key.get(tuple(key))
+    flat = lattice.by_key.get(tuple(key))
+    if flat is None:
+        raise LabelCrossCheckError(
+            "X_%s (u=%d) is not a flat of %s(%d,%d)" % (lam, u, kind, r, n))
+    return flat
 
 
 def prop41_labels(r, p, n, kind, cross_check=True,
@@ -256,13 +281,7 @@ def prop41_labels(r, p, n, kind, cross_check=True,
     """Partition labels for the orbits of G(r,p,n) on the lattice of the
     full/zero arrangement, each with its representative flat.  With
     cross_check the list is verified to hit every brute-force orbit once."""
-    _check_params(r, p, n)
-    if kind not in KINDS:
-        raise ValueError("kind must be one of %s" % (KINDS,))
-    if kind == "braid":
-        kind, r = "zero", 1
-    A = make_arrangement(kind, r, n)
-    lattice = build_lattice(A)
+    kind, r, A, lattice = _family_lattice(r, p, n, kind)
     raw = []
     if r > 1:
         max_m = n - 2 if kind == "zero" else n - 1
@@ -282,10 +301,7 @@ def prop41_labels(r, p, n, kind, cross_check=True,
     out = []
     seen_keys = set()
     for lam, u in raw:
-        flat = _flat_of_rows(A, lattice, _x_lambda_rows(n, r, lam, u))
-        if flat is None:
-            raise LabelCrossCheckError(
-                "X_%s (u=%d) is not a flat of %s(%d,%d)" % (lam, u, kind, r, n))
+        flat = _x_lambda_flat(A, lattice, kind, r, lam, u)
         if flat.key in seen_keys:
             raise LabelCrossCheckError(
                 "duplicate representative for label %s u=%d" % (lam, u))
@@ -345,12 +361,7 @@ def named_hyperplane(r, p, n, name) -> int:
     """Index in full(r,n) of H_1 = Fix(s) = (x_1 = 0), H_i = Fix(t_i) =
     (x_{i-1} = x_i), or H_2^1 = Fix(s t_2 s^{-1}) = (x_1 = omega x_2)."""
     _check_params(r, p, n)
-    A = make_arrangement("full", r, n)
-    h = canonicalize_hyperplane(_named_covector(r, n, name))
-    idx = A.index_of(h)
-    if idx is None:
-        raise UndefinedNameError("hyperplane %r not in full(%d,%d)" % (name, r, n))
-    return idx
+    return _index_in(make_arrangement("full", r, n), _named_covector(r, n, name))
 
 
 def _index_in(A, cov):
@@ -365,11 +376,7 @@ def cox_monomials(r, p, n, kind):
     codimension >= 2, keyed by the representative-flat key of the orbit they
     belong to.  Values are lists with one tuple (or two, for the pairs that
     appear when p and n are both even)."""
-    _check_params(r, p, n)
-    if kind == "braid":
-        kind, r = "zero", 1
-    A = make_arrangement(kind, r, n)
-    lattice = build_lattice(A)
+    kind, r, A, lattice = _family_lattice(r, p, n, kind)
     even = p % 2 == 0 and n % 2 == 0
 
     def cov_coord(i):
@@ -381,10 +388,7 @@ def cox_monomials(r, p, n, kind):
         return _index_in(A, _named_covector(r, n, name))
 
     def flat_key(lam, u=0):
-        flat = _flat_of_rows(A, lattice, _x_lambda_rows(n, r, lam, u))
-        if flat is None:
-            raise LabelCrossCheckError("missing flat for %s" % (lam,))
-        return flat.key
+        return _x_lambda_flat(A, lattice, kind, r, lam, u).key
 
     out = {}
     if kind == "full":
@@ -435,16 +439,24 @@ def data_dir() -> Path:
     return Path(__file__).resolve().parent / "data"
 
 
-def load_group_file(path, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
-    """Ingest a group from a JSON file matching the groups-module schema."""
+def _read_group_json(path) -> dict:
+    """The JSON object in a group data file; a file that cannot be read or
+    holds no JSON object raises ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ValueError("cannot read group file %s: %s" % (path, exc.strerror))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ValueError("malformed group file %s: %s" % (path, exc))
-    return group_from_json(obj, order_cap=order_cap)
+    if not isinstance(obj, dict):
+        raise ValueError("malformed group file %s: not a JSON object" % path)
+    return obj
+
+
+def load_group_file(path, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
+    """Ingest a group from a JSON file matching the groups-module schema."""
+    return group_from_json(_read_group_json(path), order_cap=order_cap)
 
 
 @lru_cache(maxsize=None)
@@ -454,21 +466,42 @@ def shipped_group(name: str) -> MatrixGroup:
     return load_group_file(data_dir() / ("%s.json" % name))
 
 
+def _type_entry(t):
+    """A stabilizer-type entry {"codim", "order", "reflections", "name"} as
+    a (codim, order, reflection counts, name) tuple; ValueError if it is
+    not of that shape."""
+    try:
+        codim, order, counts, name = (t["codim"], t["order"],
+                                      tuple(t["reflections"]), t["name"])
+        ok = (all(isinstance(x, int) for x in (codim, order) + counts)
+              and isinstance(name, str))
+    except (KeyError, TypeError):
+        ok = False
+    if not ok:
+        raise ValueError("bad stabilizer type %r" % (t,))
+    return codim, order, counts, name
+
+
 def load_group_types(path):
-    """Stabilizer-type display table of a group data file, or None."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError("malformed group file %s: %s" % (path, exc))
-    return obj.get("stabilizer_types")
+    """Stabilizer-type display table of a group data file as (codim, order,
+    reflection counts, name) tuples, or None when the file has none; a
+    malformed table raises ValueError."""
+    types = _read_group_json(path).get("stabilizer_types")
+    if types is None:
+        return None
+    if not isinstance(types, list):
+        raise ValueError("malformed group file %s: stabilizer_types is not a "
+                         "list" % path)
+    try:
+        return tuple(_type_entry(t) for t in types)
+    except ValueError as exc:
+        raise ValueError("malformed group file %s: %s" % (path, exc))
 
 
 @lru_cache(maxsize=None)
 def shipped_group_types(name: str):
-    types = load_group_types(data_dir() / ("%s.json" % name))
-    return tuple((t["codim"], t["order"], tuple(t["reflections"]), t["name"])
-                 for t in types or ())
+    """The stabilizer-type table of a shipped group, read once per name."""
+    return load_group_types(data_dir() / ("%s.json" % name)) or ()
 
 
 def orbit_type_names(G: MatrixGroup, A: Arrangement, types=None) -> dict:
@@ -487,9 +520,7 @@ def orbit_type_names(G: MatrixGroup, A: Arrangement, types=None) -> dict:
             refl[gi] = hi
     lookup = {}
     for t in types or ():
-        if isinstance(t, dict):
-            t = (t["codim"], t["order"], tuple(t["reflections"]), t["name"])
-        codim, order, counts, name = t
+        codim, order, counts, name = _type_entry(t) if isinstance(t, dict) else t
         lookup[(codim, order, tuple(counts))] = name
     out = {}
     for o in orbits:
@@ -506,18 +537,48 @@ def orbit_type_names(G: MatrixGroup, A: Arrangement, types=None) -> dict:
     return out
 
 
+def _arrangement_params(spec):
+    """(kind, r, n) when a spec names A_n(r) or A_n^0(r), else None."""
+    m = _ARR_RE.fullmatch(spec.strip())
+    if not m:
+        return None
+    return ("zero" if m.group(2) else "full", int(m.group(3)), int(m.group(1)))
+
+
+def shipped_name(spec):
+    """File stem of the shipped group a spec names ("h3" for "H3"), or None."""
+    s = (spec or "").strip()
+    return s.lower() if s.upper() in SHIPPED_GROUPS else None
+
+
+def pair_family(group_spec, arrangement_spec=None):
+    """(kind, r, p, n) when both specs name one monomial-family pair, or the
+    group spec names G(r,p,n) or W(n) and the arrangement is omitted: its
+    reflection arrangement is then A_n^0(r) if p == r, else A_n(r).  None
+    otherwise, and when there is no group spec.
+
+    >>> pair_family("G(2,2,4)", "A_4^0(2)"), pair_family("W(3)")
+    (('zero', 2, 2, 4), ('zero', 1, 1, 3))
+    """
+    m = _GROUP_RE.fullmatch(group_spec.strip()) if group_spec else None
+    if not m:
+        return None
+    r, p, n = map(int, m.groups()[:3] if m.group(1) else (1, 1, m.group(4)))
+    if not arrangement_spec:
+        return ("zero" if p == r else "full", r, p, n)
+    arr = _arrangement_params(arrangement_spec)
+    return (arr[0], r, p, n) if arr and arr[1:] == (r, n) else None
+
+
 def parse_group_spec(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> MatrixGroup:
     """Parse "G(r,p,n)", "W(n)", "H3", "F4", or a path to a group file."""
     s = spec.strip()
-    m = re.fullmatch(r"G\((\d+),(\d+),(\d+)\)", s)
-    if m:
-        r, p, n = map(int, m.groups())
-        return _capped_grpn(r, p, n, order_cap)
-    m = re.fullmatch(r"W\((\d+)\)", s)
-    if m:
-        return _capped_grpn(1, 1, int(m.group(1)), order_cap)
-    if s.upper() in ("H3", "F4"):
-        G = shipped_group(s.lower())
+    family = pair_family(s)
+    if family is not None:
+        return _capped_grpn(*family[1:], order_cap)
+    name = shipped_name(s)
+    if name is not None:
+        G = shipped_group(name)
         if G.order > order_cap:
             raise OrderCapExceededError("%s has order %d, above the cap %d"
                                         % (s, G.order, order_cap))
@@ -534,13 +595,7 @@ def parse_arrangement_spec(spec, group: MatrixGroup = None) -> Arrangement:
         if group is None:
             raise ValueError("need an arrangement spec or a group")
         return reflection_arrangement(group)
-    s = spec.strip()
-    m = re.fullmatch(r"A_(\d+)\((\d+)\)", s)
-    if m:
-        n, r = map(int, m.groups())
-        return make_arrangement("full", r, n)
-    m = re.fullmatch(r"A_(\d+)\^0\((\d+)\)", s)
-    if m:
-        n, r = map(int, m.groups())
-        return make_arrangement("zero", r, n)
-    raise ValueError("cannot parse arrangement spec %r" % spec)
+    params = _arrangement_params(spec)
+    if params is None:
+        raise ValueError("cannot parse arrangement spec %r" % spec)
+    return make_arrangement(*params)

@@ -16,14 +16,17 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .arrangement import build_lattice
 from .catalog import (
+    SHIPPED_GROUPS,
     make_arrangement,
     make_grpn,
     named_hyperplane,
     orbit_type_names,
+    pair_family,
     parse_arrangement_spec,
     parse_group_spec,
     prop41_labels,
     shipped_group_types,
+    shipped_name,
     data_dir,
 )
 from .groups import (
@@ -78,8 +81,9 @@ def _build_parser():
         description="Exact invariant cohomology of hyperplane-arrangement "
                     "complements under finite complex reflection groups.")
     parser.add_argument("verb", choices=VERBS)
+    shipped = ", ".join('"%s"' % name for name in SHIPPED_GROUPS)
     parser.add_argument("--group", help='group spec: "G(r,p,n)", "W(n)", '
-                                        '"H3", "F4", or a data file path')
+                                        '%s, or a data file path' % shipped)
     parser.add_argument("--arrangement",
                         help='arrangement spec: "A_n(r)" or "A_n^0(r)"; '
                              "defaults to the group's reflection arrangement")
@@ -95,36 +99,6 @@ def _build_parser():
     parser.add_argument("--max-r", type=int, default=4)
     parser.add_argument("--max-n", type=int, default=4)
     return parser
-
-
-_GRPN_RE = re.compile(r"G\((\d+),(\d+),(\d+)\)")
-_WN_RE = re.compile(r"W\((\d+)\)")
-_ARR_RE = re.compile(r"A_(\d+)(\^0)?\((\d+)\)")
-
-
-def _family_params(group_spec, arrangement_spec):
-    """(kind, r, p, n) when both specs name one monomial-family pair, or the
-    group spec names G(r,p,n) or W(n) and the arrangement is omitted: its
-    reflection arrangement is then A_n^0(r) if p == r, else A_n(r)."""
-    if not group_spec:
-        return None
-    m = _GRPN_RE.fullmatch(group_spec.strip())
-    if m:
-        r, p, n = map(int, m.groups())
-    else:
-        m = _WN_RE.fullmatch(group_spec.strip())
-        if not m:
-            return None
-        r, p, n = 1, 1, int(m.group(1))
-    if not arrangement_spec:
-        return ("zero" if p == r else "full", r, p, n)
-    a = _ARR_RE.fullmatch(arrangement_spec.strip())
-    if not a:
-        return None
-    an, zero, ar = int(a.group(1)), a.group(2), int(a.group(3))
-    if an != n or ar != r:
-        return None
-    return ("zero" if zero else "full", r, p, n)
 
 
 def _get_pair(args, need_group=True, need_arrangement=True):
@@ -174,7 +148,7 @@ def _get_character(G, selector):
 def _type_names(args, G, A):
     """Orbit display names: family labels when the specs name a family,
     shipped tables for exceptional groups, generic fallback otherwise."""
-    fam = _family_params(args.group, args.arrangement)
+    fam = pair_family(args.group, args.arrangement)
     if fam is not None:
         kind, r, p, n = fam
         try:
@@ -188,9 +162,11 @@ def _type_names(args, G, A):
                 for f in o.orbit:
                     member_rep[f.key] = o.representative.key
             return {member_rep[f.key]: lab.type_name for lab, f in labels}
-    types = None
-    if args.group and args.group.strip().upper() in ("H3", "F4"):
-        types = shipped_group_types(args.group.strip().lower())
+    name = shipped_name(args.group)
+    try:
+        types = shipped_group_types(name) if name is not None else None
+    except ValueError as exc:
+        raise CLIError(str(exc))
     return orbit_type_names(G, A, types)
 
 
@@ -321,7 +297,7 @@ def _cmd_poincare(args, out):
 
 def _cmd_invariant_basis(args, out):
     G, A = _get_pair(args)
-    fam = _family_params(args.group, args.arrangement)
+    fam = pair_family(args.group, args.arrangement)
     family = fam if (fam and fam[3] >= 3) else None
     try:
         basis = theorem4_basis(A, G, family=family)

@@ -1,21 +1,29 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from reflact import catalog
 from reflact.arrangement import build_lattice
 from reflact.catalog import (
     LabelCrossCheckError,
     UndefinedNameError,
     cox_monomials,
+    data_dir,
     load_group_file,
+    load_group_types,
     make_arrangement,
     make_grpn,
     named_hyperplane,
+    pair_family,
     parse_arrangement_spec,
     parse_group_spec,
     prop41_labels,
     shipped_group,
+    shipped_group_types,
+    shipped_name,
 )
 from reflact.exactnum import Cyc
 from reflact.groups import (
@@ -236,3 +244,135 @@ def test_parse_specs():
         parse_group_spec("Q(1,2)")
     with pytest.raises(ValueError):
         parse_arrangement_spec("B_3(2)")
+
+
+def _named_specs():
+    """Every group and arrangement spec of the golden corpus and README."""
+    groups, arrangements = set(), set()
+
+    def walk(x):
+        if isinstance(x, dict):
+            for k, v in x.items():
+                if k in ("group", "ambient"):
+                    groups.add(v)
+                elif k == "arrangement":
+                    arrangements.add(v)
+                else:
+                    walk(v)
+        elif isinstance(x, list):
+            for v in x:
+                walk(v)
+
+    walk(json.loads((data_dir() / "verify_expected.json").read_text()))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    groups.update(re.findall(r'--group "([^"]+)"', readme))
+    arrangements.update(re.findall(r'--arrangement "([^"]+)"', readme))
+    return sorted(groups), sorted(arrangements)
+
+
+def test_pair_family_agrees_with_the_parsers(monkeypatch):
+    # pair_family gives (kind, r, p, n) exactly when the parsers build
+    # make_grpn(r, p, n) and make_arrangement(kind, r, n), called
+    # positionally as the benchmark's cache counts expect
+    groups, arrangements = _named_specs()
+    assert {"H3", "F4", "W(4)", "G(2,2,4)"} <= set(groups)
+    assert {"A_4(2)", "A_4^0(2)", "A_4(3)"} <= set(arrangements)
+    groups.append(str(data_dir() / "h3.json"))
+    calls = []
+    for name in ("make_grpn", "make_arrangement"):
+        real = getattr(catalog, name)
+        monkeypatch.setattr(catalog, name, lambda *args, real=real:
+                            calls.append(args) or real(*args))
+
+    def built(parse, spec):
+        calls.clear()
+        obj = parse(spec)
+        return obj, (calls[0] if calls else None)
+
+    group_of = {g: built(parse_group_spec, g) for g in groups}
+    arrangement_of = {a: built(parse_arrangement_spec, a) for a in arrangements}
+    monkeypatch.undo()
+    for G, rpn in group_of.values():
+        assert rpn is None or G is make_grpn(*rpn)
+    for A, params in arrangement_of.values():
+        assert A is make_arrangement(*params)
+    for g, (G, rpn) in group_of.items():
+        family = pair_family(g)
+        if rpn is None:
+            assert family is None
+        else:
+            # the omitted arrangement is the group's reflection arrangement
+            kind, r, p, n = family
+            assert (r, p, n) == rpn
+            assert set(reflection_arrangement(G).hyperplanes) == \
+                set(make_arrangement(kind, r, n).hyperplanes)
+        for a, (_, (kind, r, n)) in arrangement_of.items():
+            same = rpn is not None and (rpn[0], rpn[2]) == (r, n)
+            assert pair_family(g, a) == ((kind,) + rpn if same else None)
+
+
+def test_pair_family_refuses_other_specs():
+    for spec in ("H3", "F4", " h3 ", str(data_dir() / "f4.json"), "bogus"):
+        assert pair_family(spec) is None
+        assert pair_family(spec, "A_3(2)") is None
+    assert pair_family("G(2,1,3)", "A_4(2)") is None      # n differs
+    assert pair_family("G(2,1,3)", "A_3(3)") is None      # r differs
+    assert pair_family("W(3)", "A_3^0(2)") is None        # W(n) has r = 1
+    assert pair_family("G(2,1,3)", "B_3(2)") is None
+    assert pair_family(None, "A_3(2)") is None
+    assert pair_family("", None) is None
+    assert pair_family(" G(2,1,3) ", " A_3^0(2) ") == ("zero", 2, 1, 3)
+    assert pair_family("W(3)", "A_3(1)") == ("full", 1, 1, 3)
+
+
+def test_shipped_name():
+    assert shipped_name("H3") == "h3"
+    assert shipped_name(" f4 ") == "f4"
+    assert shipped_name("G(2,1,2)") is None
+    assert shipped_name(None) is None
+
+
+@pytest.fixture
+def fresh_shipped_caches():
+    shipped_group.cache_clear()
+    shipped_group_types.cache_clear()
+    yield
+    shipped_group.cache_clear()
+    shipped_group_types.cache_clear()
+
+
+@pytest.mark.parametrize("table", [
+    [{"codim": 1}], "oops", {"codim": 1}, [1],
+    [{"codim": 1, "order": 2, "reflections": 3, "name": "A_1"}],
+    [{"codim": [1], "order": 2, "reflections": [1], "name": "A_1"}],
+    [{"codim": 1, "order": 2, "reflections": [1], "name": None}],
+], ids=["missing_keys", "string", "object", "number_entry",
+        "number_reflections", "list_codim", "null_name"])
+def test_malformed_type_table_is_a_value_error(tmp_path, monkeypatch,
+                                               fresh_shipped_caches, table):
+    obj = json.loads((data_dir() / "h3.json").read_text())
+    obj["stabilizer_types"] = table
+    (tmp_path / "h3.json").write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="malformed group file"):
+        load_group_types(tmp_path / "h3.json")
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path))
+    with pytest.raises(ValueError, match="malformed group file"):
+        shipped_group_types("h3")
+
+
+def test_type_table_entries_are_tuples():
+    types = load_group_types(data_dir() / "h3.json")
+    assert types == shipped_group_types("h3")
+    assert types[1] == (1, 2, (1,), "A_1")
+    assert load_group_types(data_dir() / "verify_expected.json") is None
+
+
+def test_group_file_readers_refuse_the_same_inputs(tmp_path):
+    # a missing file or a JSON value that is not an object is a ValueError
+    # for both readers, never a bare OSError or AttributeError
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for path in (tmp_path / "missing.json", listed):
+        for load in (load_group_file, load_group_types):
+            with pytest.raises(ValueError):
+                load(path)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from reflact.catalog import data_dir, shipped_group, shipped_group_types
 from reflact.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main, run, verify_suite
 from reflact.exactnum import CycMatrix
 from reflact.groups import OrderCapExceededError, _prime_root, generate
@@ -397,3 +398,27 @@ def test_group_only_matches_its_reflection_arrangement(verb, group, arrangement)
                       "--format", "json")
     assert alone[0] == EXIT_OK, alone[2]
     assert alone == explicit
+
+
+@pytest.fixture
+def fresh_shipped_caches():
+    shipped_group.cache_clear()
+    shipped_group_types.cache_clear()
+    yield
+    shipped_group.cache_clear()
+    shipped_group_types.cache_clear()
+
+
+@pytest.mark.parametrize("table", [[{"codim": 1}], "oops"],
+                         ids=["missing_keys", "string"])
+def test_malformed_type_table_exits_2(tmp_path, monkeypatch, fresh_shipped_caches,
+                                      table):
+    # the group data are fine, so the group builds; its display table is not
+    obj = json.loads((data_dir() / "h3.json").read_text())
+    obj["stabilizer_types"] = table
+    (tmp_path / "h3.json").write_text(json.dumps(obj))
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path))
+    code, out, err = invoke("orbits", "--group", "H3")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: malformed group file ")
+    assert str(tmp_path / "h3.json") in err

@@ -38,7 +38,7 @@ from reflact.invariants import (
     vanishing_check_detlike,
 )
 from reflact import invariants as invariants_mod
-from reflact.invariants import _class_average, _orbit_isotypic_dim
+from reflact.invariants import _as_dim, _class_average, _orbit_isotypic_dim
 from reflact.osalg import OSElement, apply_perm, nbc_basis, perm_trace, straighten
 
 
@@ -392,13 +392,62 @@ def test_relative_character_matches_per_element_reference(pair):
 @pytest.mark.parametrize("pair,offset", [
     ("g224_in_g214", 1), ("g224_in_g214", -1), ("signs_in_g213", 1)])
 def test_relative_character_checks_the_multiplicity_sum(pair, offset, monkeypatch):
-    # above the dimension always fails; below it fails when Gt/G is abelian
+    # above the dimension always fails; below it fails when Gt/G is abelian.
+    # Only the ambient group's multiplicities are shifted: G's invariant
+    # dimensions, which give dim K_T^G, stay right
     A, G, Gt = RELATIVE_PAIRS[pair]()
     orbit_dim = invariants_mod._orbit_isotypic_dim
     monkeypatch.setattr(invariants_mod, "_orbit_isotypic_dim",
-                        lambda *args: orbit_dim(*args) + offset)
+                        lambda A_, H, *rest: orbit_dim(A_, H, *rest)
+                        + (offset if H is Gt else 0))
     with pytest.raises(NonIntegralityError):
         relative_character(A, G, Gt)
+
+
+def test_relative_character_traces_each_ambient_orbit_once(monkeypatch):
+    # the class traces of K_T do not depend on the character, so each orbit
+    # of the ambient group that carries G-invariants is traced once, at one
+    # element per conjugacy class, however many characters are 1 on G
+    A, G, Gt = RELATIVE_PAIRS["g224_in_g214"]()
+    report = relative_character(A, G, Gt)
+    real = invariants_mod._orbit_class_traces
+    traced = []
+
+    def counting(A_, H, orbit):
+        traces = real(A_, H, orbit)
+        if H is Gt:
+            traced.append(orbit.representative.key)
+            assert sorted(traces) == sorted(c[0] for c in conjugacy_classes(Gt))
+        return traces
+
+    monkeypatch.setattr(invariants_mod, "_orbit_class_traces", counting)
+    assert relative_character(A, G, Gt).to_json() == report.to_json()
+    carriers = [e["rep_key"] for e in report.entries if e["dim"]]
+    assert len(carriers) == 8
+    assert sorted(traced) == sorted(carriers)
+
+
+def test_method_disagreement_is_caught(monkeypatch):
+    # the global and orbitwise methods are cross-checked in every degree
+    A, G = make_arrangement("full", 2, 3), make_grpn(2, 1, 3)
+    chi = trivial_character(G)
+    real = invariants_mod.isotypic_dim_global
+    monkeypatch.setattr(invariants_mod, "isotypic_dim_global",
+                        lambda A_, G_, chi_, k: real(A_, G_, chi_, k) + (k == 2))
+    with pytest.raises(NonIntegralityError, match="method disagreement at degree 2"):
+        poincare_invariants(A, G, chi)
+    result = lehrer_solomon_check(A, G, chi)
+    assert not result["passed"]
+    assert result["degree_failures"] == [2] and result["orbit_failures"] == []
+
+
+@pytest.mark.parametrize("value", [
+    Cyc.root_of_unity(3), Cyc.rational(Fraction(1, 2)), Cyc.rational(-1)],
+    ids=["non_rational", "fractional", "negative"])
+def test_as_dim_refuses_what_is_not_a_dimension(value):
+    assert _as_dim(Cyc.rational(3)) == 3
+    with pytest.raises(NonIntegralityError):
+        _as_dim(value)
 
 
 def test_global_average_traces_one_permutation_per_class():
