@@ -194,6 +194,7 @@ class IntersectionLattice:
         self.by_key = {f.key: f for lv in self.levels for f in lv}
         self.key_of = {F: f.key for level, lv in zip(masks, self.levels)
                        for F, f in zip(level, lv)}
+        self.traces = {}    # hyperplane permutation -> its traces on H^0..H^rk
 
     def closure(self, mono):
         """Mask of the flat spanned by the hyperplanes of an index tuple, or

@@ -240,12 +240,16 @@ def _type_name(r, p, n, lam):
 
 
 def _family_lattice(r, p, n, kind):
-    """(kind, r, A, lattice of A) for G(r,p,n) on kind(r, n), braid = zero(1, n)."""
+    """(kind, A, lattice of A) for G(r,p,n) on kind(r, n); braid is
+    zero(1, n), the arrangement of W(n) = G(1,1,n) only."""
     _check_params(r, p, n)
     if kind == "braid":
-        kind, r = "zero", 1
+        if (r, p) != (1, 1):
+            raise ValueError("the braid arrangement goes with r = p = 1 only, "
+                             "not G(%d,%d,%d)" % (r, p, n))
+        kind = "zero"
     A = make_arrangement(kind, r, n)
-    return kind, r, A, build_lattice(A)
+    return kind, A, build_lattice(A)
 
 
 def _x_lambda_flat(A, lattice, kind, r, lam, u=0):
@@ -281,7 +285,7 @@ def prop41_labels(r, p, n, kind, cross_check=True,
     """Partition labels for the orbits of G(r,p,n) on the lattice of the
     full/zero arrangement, each with its representative flat.  With
     cross_check the list is verified to hit every brute-force orbit once."""
-    kind, r, A, lattice = _family_lattice(r, p, n, kind)
+    kind, A, lattice = _family_lattice(r, p, n, kind)
     raw = []
     if r > 1:
         max_m = n - 2 if kind == "zero" else n - 1
@@ -376,7 +380,7 @@ def cox_monomials(r, p, n, kind):
     codimension >= 2, keyed by the representative-flat key of the orbit they
     belong to.  Values are lists with one tuple (or two, for the pairs that
     appear when p and n are both even)."""
-    kind, r, A, lattice = _family_lattice(r, p, n, kind)
+    kind, A, lattice = _family_lattice(r, p, n, kind)
     even = p % 2 == 0 and n % 2 == 0
 
     def cov_coord(i):
@@ -459,11 +463,20 @@ def load_group_file(path, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     return group_from_json(_read_group_json(path), order_cap=order_cap)
 
 
-@lru_cache(maxsize=None)
 def shipped_group(name: str) -> MatrixGroup:
     """One of the shipped exceptional groups, by lowercase file stem, built
-    once per name; `parse_group_spec` checks its order against a cap."""
-    return load_group_file(data_dir() / ("%s.json" % name))
+    once per name and resolved data directory; `parse_group_spec` checks
+    its order against a cap."""
+    return _shipped_group(name, data_dir().resolve())
+
+
+@lru_cache(maxsize=16)
+def _shipped_group(name, directory):
+    return load_group_file(directory / ("%s.json" % name))
+
+
+shipped_group.cache_info = _shipped_group.cache_info
+shipped_group.cache_clear = _shipped_group.cache_clear
 
 
 def _type_entry(t):
@@ -498,10 +511,19 @@ def load_group_types(path):
         raise ValueError("malformed group file %s: %s" % (path, exc))
 
 
-@lru_cache(maxsize=None)
 def shipped_group_types(name: str):
-    """The stabilizer-type table of a shipped group, read once per name."""
-    return load_group_types(data_dir() / ("%s.json" % name)) or ()
+    """The stabilizer-type table of a shipped group, read once per name and
+    resolved data directory."""
+    return _shipped_group_types(name, data_dir().resolve())
+
+
+@lru_cache(maxsize=16)
+def _shipped_group_types(name, directory):
+    return load_group_types(directory / ("%s.json" % name)) or ()
+
+
+shipped_group_types.cache_info = _shipped_group_types.cache_info
+shipped_group_types.cache_clear = _shipped_group_types.cache_clear
 
 
 def orbit_type_names(G: MatrixGroup, A: Arrangement, types=None) -> dict:

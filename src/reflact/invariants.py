@@ -5,19 +5,24 @@ For a group G permuting the hyperplanes of A and a linear character chi, the
 dimension of the chi-isotypic part of H^k(M(A)) is computed three independent
 ways:
 
-  * globally, as (1/|G|) sum_g chi(g^{-1}) tr(g | H^k);
+  * globally, as (1/|G|) sum_g chi(g^{-1}) tr(g | H^k), with the trace
+    read from L(A) alone: tr(g | H^k) = (-1)^k sum mu(V, X) over the
+    codim-k flats X that g fixes, mu the Mobius function of the poset of
+    g-fixed flats (Orlik-Solomon 1980 with the Hopf trace formula of
+    Baclawski-Bjorner 1979);
   * orbitwise, as the sum over orbits T of codimension-k flats of the
     chi-multiplicity of K_T, the top cohomology of the subarrangements at
     the flats of T, which is Ind_{N_T}^G of that at a representative flat
-    (N_T its setwise stabilizer);
+    (N_T its setwise stabilizer), traced by Orlik-Solomon straightening;
   * by the rank of the idempotent projection matrix on the NBC basis.
 
-Traces are class functions, so the global and orbitwise averages take one
-term per conjugacy class of G.  The character of K_T at g sums the traces of
-g on the flats of T that g fixes, each moved to the representative's
-subarrangement.  The projection weights each distinct hyperplane
-permutation.  All arithmetic is exact; every dimension is checked to be a
-nonnegative rational integer before it is returned.
+So the always-on cross-check compares lattice combinatorics with OS
+algebra.  Traces are class functions, so the global and orbitwise averages
+take one term per conjugacy class of G.  The character of K_T at g sums the
+traces of g on the flats of T that g fixes, each moved to the
+representative's subarrangement.  The projection weights each distinct
+hyperplane permutation.  All arithmetic is exact; every dimension is
+checked to be a nonnegative rational integer before it is returned.
 
 The module also builds the explicit invariant bases (one monomial, or an
 explicit pair, per orbit with nonzero invariants), decomposes the invariants
@@ -31,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .arrangement import Arrangement, subarrangement
+from .arrangement import Arrangement, build_lattice, subarrangement
 from .exactnum import Cyc
 from .groups import (
     LinearCharacter,
@@ -132,7 +137,8 @@ def _class_average(G: MatrixGroup, phi, trace) -> Cyc:
 
 def isotypic_dim_global(A: Arrangement, G: MatrixGroup, chi: LinearCharacter,
                         k: int) -> int:
-    """dim of the chi-isotypic part of H^k(M(A)), by trace averaging."""
+    """dim of the chi-isotypic part of H^k(M(A)), by averaging the Mobius
+    traces over the fixed flats of L(A) (see `multiplicity_classfn`)."""
     return _as_dim(multiplicity_classfn(
         A, G, [chi(cls[0]) for cls in conjugacy_classes(G)], k))
 
@@ -518,14 +524,42 @@ def order_two_character(Gt: MatrixGroup, kernel_elements) -> LinearCharacter:
 def multiplicity_classfn(A: Arrangement, G: MatrixGroup, phi, k: int) -> Cyc:
     """<character of H^k, phi> for a class function given as one Cyc per
     conjugacy class (classes in their deterministic order); the conjugate
-    phi(g)-bar is realized as phi(g^{-1})."""
+    phi(g)-bar is realized as phi(g^{-1}).  The character of H^k at a
+    class's least member is its Mobius sum over the fixed flats of L(A),
+    with no Orlik-Solomon straightening; H^k is 0 outside 0..rk."""
     classes = conjugacy_classes(G)
     phi = list(phi)
     if len(phi) != len(classes):
         raise ClassMismatchError(
             "%d values for %d conjugacy classes" % (len(phi), len(classes)))
     perms = hyperplane_action(G, A).perms
-    return _class_average(G, phi, lambda g: perm_trace(A, perms[g], k))
+
+    def trace(g):
+        traces = _fixed_flat_traces(A, perms[g])
+        return traces[k] if 0 <= k < len(traces) else 0
+
+    return _class_average(G, phi, trace)
+
+
+def _fixed_flat_traces(A, perm) -> tuple:
+    """tr(perm | H^k) for k = 0..rk, read from L(A) alone: (-1)^k times the
+    sum of mu(V, X) over the codim-k flats X that perm fixes, with mu the
+    Mobius function of the subposet of fixed flats (Orlik-Solomon and the
+    Hopf trace formula of Baclawski-Bjorner).  Kept per permutation on A's
+    lattice."""
+    lattice = build_lattice(A)
+    got = lattice.traces.get(perm)
+    if got is None:
+        fixed = []      # (mask, mu) of the fixed flats met so far
+        sums = [0] * (lattice.rank + 1)
+        for X, key in lattice.key_of.items():      # by codimension
+            if sum(1 << perm[i] for i in key) == X:
+                mu = -sum(m for Y, m in fixed if Y & X == Y) if X else 1
+                fixed.append((X, mu))
+                sums[lattice.by_key[key].codim] += mu
+        got = lattice.traces[perm] = tuple(-s if k % 2 else s
+                                           for k, s in enumerate(sums))
+    return got
 
 
 def vanishing_check_detlike(A: Arrangement, G: MatrixGroup) -> dict:

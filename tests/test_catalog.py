@@ -232,6 +232,40 @@ def test_shipped_group_one_build_per_name():
         parse_group_spec("H3", order_cap=119)
 
 
+def test_shipped_caches_follow_the_data_directory(tmp_path, monkeypatch):
+    # one name read from two directories in turn, with no cache_clear: each
+    # directory's file comes back, and a directory read before is a hit
+    package = data_dir()
+    H3, f4_types = shipped_group("h3"), load_group_types(package / "f4.json")
+    for sub, stem in (("a", "f4"), ("b", "h3")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "h3.json").write_text(
+            (package / ("%s.json" % stem)).read_text())
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path / "a"))
+    G = shipped_group("h3")
+    assert G.order == 1152 and shipped_group_types("h3") == f4_types
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path / "b"))
+    assert shipped_group("h3").order == 120
+    assert shipped_group_types("h3") == load_group_types(package / "h3.json")
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path / "a"))
+    misses = shipped_group.cache_info().misses
+    assert shipped_group("h3") is G
+    assert shipped_group.cache_info().misses == misses
+    monkeypatch.delenv("REFLACT_DATA_DIR")
+    assert shipped_group("h3") is H3
+
+
+def test_braid_goes_with_the_symmetric_group_only():
+    # braid(n) = zero(1, n), the arrangement of W(n) = G(1,1,n)
+    assert ([(l.partition, f.key) for l, f in prop41_labels(1, 1, 3, "braid")]
+            == [(l.partition, f.key) for l, f in prop41_labels(1, 1, 3, "zero")])
+    assert cox_monomials(1, 1, 4, "braid") == cox_monomials(1, 1, 4, "zero")
+    for r, p in ((2, 2), (2, 1)):
+        for build in (prop41_labels, cox_monomials):
+            with pytest.raises(ValueError, match="r = p = 1"):
+                build(r, p, 3, "braid")
+
+
 def test_parse_specs():
     assert parse_group_spec("G(2,1,2)").order == 8
     assert parse_group_spec("W(3)").order == 6
@@ -332,15 +366,6 @@ def test_shipped_name():
     assert shipped_name(None) is None
 
 
-@pytest.fixture
-def fresh_shipped_caches():
-    shipped_group.cache_clear()
-    shipped_group_types.cache_clear()
-    yield
-    shipped_group.cache_clear()
-    shipped_group_types.cache_clear()
-
-
 @pytest.mark.parametrize("table", [
     [{"codim": 1}], "oops", {"codim": 1}, [1],
     [{"codim": 1, "order": 2, "reflections": 3, "name": "A_1"}],
@@ -348,8 +373,7 @@ def fresh_shipped_caches():
     [{"codim": 1, "order": 2, "reflections": [1], "name": None}],
 ], ids=["missing_keys", "string", "object", "number_entry",
         "number_reflections", "list_codim", "null_name"])
-def test_malformed_type_table_is_a_value_error(tmp_path, monkeypatch,
-                                               fresh_shipped_caches, table):
+def test_malformed_type_table_is_a_value_error(tmp_path, monkeypatch, table):
     obj = json.loads((data_dir() / "h3.json").read_text())
     obj["stabilizer_types"] = table
     (tmp_path / "h3.json").write_text(json.dumps(obj))

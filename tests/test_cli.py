@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from reflact.catalog import data_dir, shipped_group, shipped_group_types
+from reflact.catalog import data_dir
 from reflact.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main, run, verify_suite
 from reflact.exactnum import CycMatrix
 from reflact.groups import OrderCapExceededError, _prime_root, generate
@@ -400,19 +400,9 @@ def test_group_only_matches_its_reflection_arrangement(verb, group, arrangement)
     assert alone == explicit
 
 
-@pytest.fixture
-def fresh_shipped_caches():
-    shipped_group.cache_clear()
-    shipped_group_types.cache_clear()
-    yield
-    shipped_group.cache_clear()
-    shipped_group_types.cache_clear()
-
-
 @pytest.mark.parametrize("table", [[{"codim": 1}], "oops"],
                          ids=["missing_keys", "string"])
-def test_malformed_type_table_exits_2(tmp_path, monkeypatch, fresh_shipped_caches,
-                                      table):
+def test_malformed_type_table_exits_2(tmp_path, monkeypatch, table):
     # the group data are fine, so the group builds; its display table is not
     obj = json.loads((data_dir() / "h3.json").read_text())
     obj["stabilizer_types"] = table

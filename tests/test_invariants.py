@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from reflact.arrangement import Arrangement, subarrangement
+from reflact.arrangement import Arrangement, build_lattice, subarrangement
 from reflact.catalog import make_arrangement, make_grpn, shipped_group
 from reflact.exactnum import Cyc, CycMatrix, Span
 from reflact.groups import (
@@ -38,7 +38,8 @@ from reflact.invariants import (
     vanishing_check_detlike,
 )
 from reflact import invariants as invariants_mod
-from reflact.invariants import _as_dim, _class_average, _orbit_isotypic_dim
+from reflact.invariants import (_as_dim, _class_average, _fixed_flat_traces,
+                                _orbit_isotypic_dim)
 from reflact.osalg import OSElement, apply_perm, nbc_basis, perm_trace, straighten
 
 
@@ -453,10 +454,33 @@ def test_as_dim_refuses_what_is_not_a_dimension(value):
 def test_global_average_traces_one_permutation_per_class():
     G = make_grpn(3, 1, 4)
     A = make_arrangement.__wrapped__("full", 3, 4)   # fresh: no traces cached
-    k = 2
-    isotypic_dim_global(A, G, trivial_character(G), k)
-    traced = [key for key in A._os.traces if key[0] == k]
+    isotypic_dim_global(A, G, trivial_character(G), 2)
+    traced = build_lattice(A).traces
     assert 0 < len(traced) <= len(conjugacy_classes(G))
+    assert A._os is None     # the global method straightens nothing
+
+
+def test_fixed_flat_traces_equal_os_traces():
+    # the Mobius sums over fixed flats against the straightened NBC traces,
+    # on every class representative, and on every distinct permutation
+    # where |G| <= 384
+    H3, F4 = shipped_group("h3"), shipped_group("f4")
+    pairs = [
+        (make_arrangement("zero", 1, 4), make_grpn(1, 1, 4)),
+        (make_arrangement("zero", 2, 4), make_grpn(2, 2, 4)),
+        (make_arrangement("full", 2, 4), make_grpn(2, 1, 4)),
+        (reflection_arrangement(H3), H3),
+        (make_arrangement("full", 3, 4), make_grpn(3, 1, 4)),
+        (reflection_arrangement(F4), F4),
+    ]
+    for A, G in pairs:
+        perms = hyperplane_action(G, A).perms
+        checked = {perms[cls[0]] for cls in conjugacy_classes(G)}
+        if G.order <= 384:
+            checked.update(perms)
+        for p in checked:
+            assert list(_fixed_flat_traces(A, p)) == \
+                [perm_trace(A, p, k) for k in range(A.rank() + 1)]
 
 
 # -- orbitwise averages as induced characters over G's classes ----------------

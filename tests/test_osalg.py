@@ -460,9 +460,13 @@ def test_straighten_matches_broken_circuit_rewrite(matroid_case):
 
 def test_straightening_builds_no_circuits():
     from reflact.catalog import make_arrangement, make_grpn
-    from reflact.invariants import poincare_invariants, trivial_character
+    from reflact.invariants import (isotypic_dim_projection,
+                                    poincare_invariants, trivial_character)
     A = _fresh(make_arrangement("full", 2, 3))
     G = make_grpn(2, 1, 3)
-    assert poincare_invariants(A, G, trivial_character(G)) == (1, 2, 2, 1)
+    chi = trivial_character(G)
+    # the orbitwise method straightens on the views, the projection on A
+    assert poincare_invariants(A, G, chi) == (1, 2, 2, 1)
+    assert isotypic_dim_projection(A, G, chi, 2) == 2
     assert A._os.circuits is None
     assert all(v._os.circuits is None for v in A._views.values() if v._os)
