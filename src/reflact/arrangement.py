@@ -12,20 +12,23 @@ L(A) is built once per arrangement, on first use, and doubles as its
 matroid: every flat is also an int bitmask over the hyperplane indices, and
 a join table gives the flat spanned by any flat and any hyperplane.  Rank,
 independence, closures, circuits and NBC sets are all read from it with int
-lookups.  Exact row reduction happens only while the lattice is built, one
-`exactnum._eliminate` per flat and hyperplane on sparse residual rows, in
-`essentialize`, which reads the center from the `exactnum.Span` of the
-covectors, and in a flat's basis, the kernel of its hyperplanes' covectors,
-computed on first use.  A subarrangement A_X is a view: it shares the
-parent's hyperplanes, and its lattice is the parent's interval below X,
-renumbered, so building it needs no cyclotomic arithmetic.
+lookups.  The lattice is built on the covectors' images modulo a prime,
+one elimination on ints per flat and hyperplane, and then certified with
+one exact `exactnum.Span` per flat: the covectors of the flat's chain, the
+hyperplanes by which it was first reached, must span every other member.
+Exact row reduction happens there, in `essentialize`, which reads the
+center from the `Span` of the covectors, and in a flat's basis, the kernel
+of its chain's covectors, computed on first use.  A subarrangement A_X is a
+view: it shares the parent's hyperplanes, and its lattice is the parent's
+interval below X, renumbered, so building it needs no cyclotomic
+arithmetic.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .exactnum import (Cyc, CycMatrix, Span, _eliminate, cyc_from_json,
+from .exactnum import (Cyc, CycMatrix, Span, _mod_p, cyc_from_json,
                        cyc_to_json, kernel)
 
 __all__ = [
@@ -180,16 +183,21 @@ class IntersectionLattice:
 
     Flat masks are ints with bit i set when H_i contains the flat;
     `masks[k]` lists the codim-k masks in key order, and `join[F][j]` is the
-    mask of the flat spanned by F and H_j (F itself when j is in F).  A
-    flat's basis is the kernel of its own hyperplanes' covectors in A.
+    mask of the flat spanned by F and H_j (F itself when j is in F).
+    `chains[F]` lists the hyperplanes by which the build first reached F,
+    one per codimension; their covectors span F's annihilator, so F's basis
+    is their kernel.  `prime` is the prime whose residuals built L(A) (the
+    parent's, for a view).
     """
 
-    def __init__(self, A, masks, join):
+    def __init__(self, A, masks, join, chains, prime):
         self.join = join
+        self.chains = chains
+        self.prime = prime
         self.rank = len(masks) - 1
-        self.levels = [[Flat(key, _basis_from_rows(
-                            A.n, [A.covector(i) for i in key]), k)
-                        for key in map(_bits, level)]
+        self.levels = [[Flat(_bits(F), _basis_from_rows(
+                            A.n, [A.covector(i) for i in chains[F]]), k)
+                        for F in level]
                        for k, level in enumerate(masks)]
         self.by_key = {f.key: f for lv in self.levels for f in lv}
         self.key_of = {F: f.key for level, lv in zip(masks, self.levels)
@@ -225,62 +233,109 @@ def _basis_from_rows(n, rows):
     return basis
 
 
-def _cleared(res, r, p):
-    """res with column p cleared by r, whose least key p holds 1, and
-    rescaled to leading entry 1.  A copy when it changes, because a flat
-    shares its residuals with its covers."""
-    if p not in res:
+def _cleared_mod_p(res, r, c, p):
+    """res with column c cleared by r, whose least key c holds 1, and
+    rescaled to leading entry 1, all mod p.  A copy when it changes, because
+    a flat shares its residuals with its covers."""
+    f = res.get(c)
+    if f is None:
         return res
-    rescale = p == min(res)
     res = dict(res)
-    _eliminate(res, p, r)
-    if rescale:
-        inv = res[min(res)].inverse()
-        res = {k: inv * c for k, c in res.items()}
+    for k, v in r.items():
+        x = (res.get(k, 0) - f * v) % p
+        if x:
+            res[k] = x
+        else:
+            del res[k]
+    lead = res[min(res)]
+    if lead != 1:
+        inv = pow(lead, -1, p)
+        res = {k: v * inv % p for k, v in res.items()}
     return res
 
 
-def _lattice_of_covectors(A: Arrangement) -> IntersectionLattice:
-    """Breadth-first by covers.  Each flat F keeps, for every hyperplane
-    H_j outside it, the residual of its covector as a sparse row {column:
-    Cyc}: zero in the pivot columns of the residuals that reached F and
-    scaled to leading entry 1, so it depends only on the covector modulo
-    F's span.  Hyperplanes with equal residuals span the same cover F v H_j,
-    and the residuals of a cover follow from F's by one elimination each."""
+def _covers_mod_p(A, p, image):
+    """(masks, join, chains) of L(A) mod p, breadth-first by covers.  Each
+    flat F keeps, for every hyperplane H_j outside it, the residual of its
+    covector's image as a sparse row {column: int}: zero in the pivot
+    columns of the residuals that reached F and scaled to leading entry 1,
+    so it depends only on the covector modulo F's span.  Hyperplanes with
+    equal residuals span the same cover F v H_j, its residuals follow from
+    F's by one elimination each, and its chain is F's and the first such
+    j."""
     nh = len(A)
-    # canonical covectors already have leading entry 1
-    residuals = {0: {j: {k: c for k, c in enumerate(A.covector(j)) if c}
+    # canonical covectors have leading entry 1, and so do their images
+    residuals = {0: {j: {k: v for k, v in enumerate(map(image, A.covector(j)))
+                         if v}
                      for j in range(nh)}}
+    chains = {0: ()}
     join = {}
     masks = [[0]]
     while True:
         nxt = []
         for F in masks[-1]:
             res_F = residuals.pop(F)
-            covers = {}   # residual tag -> [cover mask, residual]
+            covers = {}   # residual tag -> [cover mask, first j, residual]
             for j, res in res_F.items():
-                # every entry lives at A.conductor, so the coefficient
-                # tuples compare the values without Cyc hashing
-                tag = frozenset((k, c.c) for k, c in res.items())
+                tag = frozenset(res.items())
                 got = covers.get(tag)
                 if got is None:
-                    covers[tag] = [F | 1 << j, res]
+                    covers[tag] = [F | 1 << j, j, res]
                 else:
                     got[0] |= 1 << j
             row = [F] * nh
-            for G, r in covers.values():
-                for j in _bits(G & ~F):
-                    row[j] = G
-                if G not in residuals:
-                    p = min(r)
-                    residuals[G] = {j: _cleared(res, r, p)
-                                    for j, res in res_F.items() if not G >> j & 1}
+            for G, j, r in covers.values():
+                for i in _bits(G & ~F):
+                    row[i] = G
+                if G not in chains:
+                    chains[G] = chains[F] + (j,)
+                    c = min(r)
+                    residuals[G] = {i: _cleared_mod_p(res, r, c, p)
+                                    for i, res in res_F.items()
+                                    if not G >> i & 1}
                     nxt.append(G)
             join[F] = tuple(row)
         if not nxt:
             break
         masks.append(sorted(nxt, key=_bits))
-    return IntersectionLattice(A, masks, join)
+    return masks, join, chains
+
+
+def _spanned_by_chain(A, F, chain):
+    """Whether every hyperplane of the flat F has its covector in the exact
+    span of its chain's covectors."""
+    rest = F & ~sum(1 << i for i in chain)
+    if not rest:
+        return True
+    span = Span()
+    for i in chain:
+        span.add(dict(enumerate(A.covector(i))))
+    return all(span.solve(dict(enumerate(A.covector(i)))) is not None
+               for i in _bits(rest))
+
+
+def _lattice_of_covectors(A: Arrangement) -> IntersectionLattice:
+    """L(A) from `_covers_mod_p` at a prime p = 1 (mod A.conductor) that
+    divides no denominator of a covector, with zeta_m sent to a primitive
+    m-th root of unity mod p, certified exactly.
+
+    Reduction mod p only adds dependencies: rows independent mod p have a
+    nonzero minor, so they are independent exactly, and an exact dependency
+    is one mod p.  So a codim-k chain has exact rank k, and a flat whose
+    other members all lie in the exact `Span` of its chain's covectors is
+    the exact closure of its chain; then every join is the exact join, and
+    masks, joins and bases are those of the exact lattice.  A flat of
+    codim n spans the whole dual space and needs no check.  When a check
+    fails, the build starts again at the next prime."""
+    dens = {c.denominator for h in A.hyperplanes for x in h.covector
+            for c in x.c}
+    p = 1 << 30
+    while True:
+        p, image = _mod_p(A.conductor, dens, p)
+        masks, join, chains = _covers_mod_p(A, p, image)
+        if all(_spanned_by_chain(A, F, chains[F])
+               for level in masks[1:A.n] for F in level):
+            return IntersectionLattice(A, masks, join, chains, p)
 
 
 def _lattice_of_view(A: Arrangement) -> IntersectionLattice:
@@ -290,6 +345,7 @@ def _lattice_of_view(A: Arrangement) -> IntersectionLattice:
     plat = build_lattice(parent)
     pos = {g: p for p, g in enumerate(ground)}
     local = {0: 0}   # parent mask -> mask over positions in ground
+    chains = {0: ()}
     join = {}
     masks = []
     frontier = [0]
@@ -301,10 +357,11 @@ def _lattice_of_view(A: Arrangement) -> IntersectionLattice:
             for G in images:
                 if G not in local:
                     local[G] = sum(1 << pos[i] for i in _bits(G))
+                    chains[local[G]] = tuple(pos[i] for i in plat.chains[G])
                     nxt.append(G)
             join[local[F]] = tuple(local[G] for G in images)
         frontier = sorted(nxt, key=_bits)
-    return IntersectionLattice(A, masks, join)
+    return IntersectionLattice(A, masks, join, chains, plat.prime)
 
 
 def build_lattice(A: Arrangement) -> IntersectionLattice:

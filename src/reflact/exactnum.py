@@ -14,10 +14,12 @@ extended Euclidean algorithm against Phi_m.
 
 `Span` keeps sparse vectors {key: value}, with values all `Fraction` or all
 `Cyc`, in reduced row echelon form, pivoting at each row's least key.  Every
-elimination in the package runs through it or its step `_eliminate`:
+exact elimination in the package runs through it or its step `_eliminate`:
 `rref`, `kernel` and `CycMatrix.inverse` here, determinants and stabilizers
-in `groups`, essentialization and the intersection lattice's residual rows
-in `arrangement`, and spans of Orlik-Solomon elements.
+in `groups`, essentialization and the certification of the intersection
+lattice in `arrangement`, and spans of Orlik-Solomon elements.  `_mod_p`
+maps Q(zeta_m) to F_p for a prime p = 1 (mod m); the order test in `groups`
+and the lattice's row reduction run on those images.
 
 >>> z = Cyc.root_of_unity(3, 1)
 >>> (1 + z) * (1 + z * z) == 1
@@ -31,7 +33,8 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import count
+from math import gcd, isqrt
 
 __all__ = [
     "Rat",
@@ -92,6 +95,34 @@ def _power(x, e, times, one):
         if bit == "1":
             out = times(out, x)
     return out
+
+
+@lru_cache(maxsize=64)
+def _prime_root(m: int, above: int):
+    """The least prime p > above with p = 1 (mod m), and a primitive m-th
+    root of unity w modulo p (F_p^* is cyclic of order p - 1)."""
+    p = above - above % m + 1
+    while p <= above or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p += m
+    w = next(w for w in (pow(a, (p - 1) // m, p) for a in count(2))
+             if all(pow(w, m // q, p) != 1 for q in _prime_factors(m)))
+    return p, w
+
+
+def _mod_p(m: int, dens, above: int = 1 << 30):
+    """(p, image): the least prime p > above with p = 1 (mod m) that divides
+    none of the ints `dens`, and the ring map zeta_m -> w, w the primitive
+    m-th root of `_prime_root`, as a function from a Cyc at conductor m
+    whose denominators are among `dens` to its residue in 0..p-1."""
+    p, w = _prime_root(m, above)
+    while any(d % p == 0 for d in dens):
+        p, w = _prime_root(m, p)
+    powers = [pow(w, j, p) for j in range(euler_phi(m))]
+
+    def image(x):
+        return sum(c.numerator * pow(c.denominator, -1, p) * wj
+                   for c, wj in zip(x.c, powers) if c) % p
+    return p, image
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
@@ -397,6 +428,9 @@ class Cyc:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational is its constant coefficient, at any conductor
+            return self.c[0] == other and not any(self.c[1:])
         other = Cyc._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -620,11 +654,12 @@ class Span:
             return None
         pk = min(red)
         lead = red[pk]
-        inv = 1 / lead
-        new = {k: c * inv for k, c in red.items()}
+        if lead != 1:
+            inv = 1 / lead
+            red = {k: c * inv for k, c in red.items()}
         for _, row in self.pivots:
-            _eliminate(row, pk, new)
-        insort(self.pivots, (pk, new), key=lambda t: t[0])
+            _eliminate(row, pk, red)
+        insort(self.pivots, (pk, red), key=lambda t: t[0])
         return lead
 
     def solve(self, vec):

@@ -21,15 +21,15 @@ Q(zeta_m), and g^k = I exactly for k its order modulo p.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, combinations, count
-from math import gcd, isqrt, lcm
+from itertools import chain, combinations
+from math import gcd, lcm
 from operator import mul
 
 from .arrangement import (Arrangement, Flat, build_lattice,
                           canonicalize_hyperplane)
-from .exactnum import (Cyc, CycMatrix, Span, _power, _prime_factors,
+from .exactnum import (Cyc, CycMatrix, Span, _mod_p, _power, _prime_factors,
                        cyc_from_json, euler_phi, rref)
+from .exactnum import _prime_root  # noqa: F401  (re-exported)
 
 __all__ = [
     "MatrixGroup",
@@ -180,30 +180,15 @@ def _dimension_needed(k: int, m: int) -> int:
     return need
 
 
-@lru_cache(maxsize=64)
-def _prime_root(m: int, above: int):
-    """The least prime p > above with p = 1 (mod m), and a primitive m-th
-    root of unity w modulo p (F_p^* is cyclic of order p - 1)."""
-    p = above - above % m + 1
-    while p <= above or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        p += m
-    w = next(w for w in (pow(a, (p - 1) // m, p) for a in count(2))
-             if all(pow(w, m // q, p) != 1 for q in _prime_factors(m)))
-    return p, w
-
-
 def _order_mod_p(g: CycMatrix, L: int):
     """(p, k) for a prime p = 1 (mod m) that divides no denominator of g,
     with k the order of g modulo p if it divides L, else None.  zeta_m -> w,
     a primitive m-th root of unity mod p, is a ring map, so None proves
     g^L != I.  As p is odd and prime to m, no element of finite order other
     than I is I modulo p, so a g of finite order has order k."""
-    n, dens = g.rows, {c.denominator for e in g.entries for c in e.c}
-    p, w = _prime_root(g.m, 1 << 30)
-    while any(d % p == 0 for d in dens):
-        p, w = _prime_root(g.m, p)
-    g_p = [[sum(c.numerator * pow(c.denominator, -1, p) * pow(w, j, p)
-                for j, c in enumerate(e.c)) % p for e in g.row(i)] for i in range(n)]
+    n = g.rows
+    p, image = _mod_p(g.m, {c.denominator for e in g.entries for c in e.c})
+    g_p = [[image(e) for e in g.row(i)] for i in range(n)]
 
     def times(a, b):
         return [[sum(map(mul, r, c)) % p for c in zip(*b)] for r in a]

@@ -14,7 +14,7 @@ from reflact.arrangement import (
     subarrangement,
 )
 from reflact.catalog import make_arrangement, shipped_group
-from reflact.exactnum import Cyc, CycMatrix, rref
+from reflact.exactnum import Cyc, CycMatrix, _prime_root, rref
 from reflact.groups import reflection_arrangement
 
 
@@ -268,7 +268,7 @@ def _assert_matches_reference(A):
 def _reference_cases():
     cases = [(kind, r, n) for kind in ("full", "zero")
              for r in range(1, 5) for n in range(1, 4)]
-    cases += [("full", 3, 4), ("zero", 2, 4)]
+    cases += [("full", 3, 4), ("zero", 2, 4), ("full", 4, 4)]
     return [pytest.param(lambda c=c: make_arrangement(*c), id="%s(%d,%d)" % c)
             for c in cases] + [
         pytest.param(lambda name=name: reflection_arrangement(shipped_group(name)),
@@ -283,3 +283,18 @@ def test_lattice_matches_dense_reference(make):
     _assert_matches_reference(A)
     for f in build_lattice(A).all_flats():
         _assert_matches_reference(subarrangement(A, f))
+
+
+# the first prime the lattice build tries
+_P, _ = _prime_root(1, 1 << 30)
+
+
+@pytest.mark.parametrize("third", [(1, _P, 0), (1, 1, _P)],
+                         ids=["codim1-merge", "codim2-flat"])
+def test_lattice_refuses_a_prime_that_merges_hyperplanes(third):
+    # modulo _P, (1, _P, 0) equals (1, 0, 0), and (1, 1, _P) lies in the
+    # span of (1, 0, 0) and (0, 1, 0); the certification must refuse _P and
+    # build the exact lattice at a later prime
+    A = Arrangement.from_covectors(3, [[1, 0, 0], [0, 1, 0], list(third)])
+    _assert_matches_reference(A)
+    assert build_lattice(A).prime != _P

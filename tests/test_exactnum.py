@@ -118,6 +118,18 @@ def test_field_axioms(a, b, c):
         assert a * a.inverse() == Cyc.one()
 
 
+@settings(max_examples=60, deadline=None)
+@given(cycs(), rats)
+def test_equality_with_a_rational_is_equality_with_its_cyc(a, q):
+    # Cyc == int/Fraction reads the constant coefficient; it must agree
+    # with the comparison of the lifted Cyc
+    same = Cyc.rational(q).lift(a.m)
+    assert same == q
+    for x in (a, same, a + same, a - a):
+        for r in (q, q.numerator, 0, 1):
+            assert (x == r) == (x == Cyc.rational(r))
+
+
 @settings(max_examples=40, deadline=None)
 @given(cycs(), st.sampled_from([1, 2, 3, 5]))
 def test_canonical_form_ignores_conductor(a, k):
