@@ -119,7 +119,7 @@ def _capped_grpn(r, p, n, order_cap):
     return make_grpn(r, p, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def make_grpn(r: int, p: int, n: int) -> MatrixGroup:
     """The monomial reflection group G(r,p,n), of order r^n n!/p, built
     once per (r, p, n).  Enumeration stops at that order; callers that take
@@ -148,7 +148,7 @@ def make_grpn(r: int, p: int, n: int) -> MatrixGroup:
     return G
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def make_arrangement(kind: str, r: int, n: int) -> Arrangement:
     """The arrangement full(r,n) (x_i = zeta x_j plus coordinates) or
     zero(r,n) (x_i = zeta x_j only); braid(n) is zero(1,n)."""

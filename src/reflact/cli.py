@@ -443,7 +443,7 @@ def run_verify_case(suite, case):
         Gt = parse_group_spec(case["ambient"])
         A = parse_arrangement_spec(case["arrangement"])
         report = relative_character(A, G, Gt)
-        kernel = [Gt.contains_matrix(G.elements[gi]) for gi in G.generators]
+        kernel = [Gt.contains_matrix(G.matrix(gi)) for gi in G.generators]
         sigma = order_two_character(Gt, kernel)
         si = report.characters.index(sigma)
         special = {tuple(k) for k in case["one_plus_sigma"]}

@@ -655,7 +655,7 @@ class Span:
         pk = min(red)
         lead = red[pk]
         if lead != 1:
-            inv = 1 / lead
+            inv = _ONE / lead     # exact for an int lead too
             red = {k: c * inv for k, c in red.items()}
         for _, row in self.pivots:
             _eliminate(row, pk, red)

@@ -21,6 +21,7 @@ Q(zeta_m), and g^k = I exactly for k its order modulo p.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 from math import gcd, lcm
 from operator import mul
@@ -69,7 +70,9 @@ class MatrixGroup:
     `vectors` is the G-orbit of e_1..e_n, those first, with entries at
     conductor m.  Element k sends vectors[x] to vectors[perms[k][x]]; its
     images of e_1..e_n, perms[k][:n], are its matrix columns and identify it.
-    cayley[k][t] is the index of element k times generator t."""
+    cayley[k][t] is the index of element k times generator t.  `matrix(k)`
+    builds element k's matrix on demand; `elements` lists them all, built
+    on first read."""
 
     def __init__(self, n, m, vectors, perms, cayley, parents):
         self.n = n
@@ -82,8 +85,6 @@ class MatrixGroup:
         self.order = len(perms)
         self._index = {p[:n]: k for k, p in enumerate(perms)}
         self.inverse = [self._index[tuple(map(p.index, range(n)))] for p in perms]
-        self.elements = [CycMatrix(n, n, [vectors[p[c]][r] for r in range(n)
-                                          for c in range(n)]) for p in perms]
         self._actions = {}                # Arrangement -> action data
         self._orbits = {}                 # Arrangement -> lattice orbits
         self._reflections = None
@@ -91,6 +92,16 @@ class MatrixGroup:
         self._classes = None
         self._inverse_class = None        # set with _classes
         self._linear_chars = None
+
+    def matrix(self, i: int) -> CycMatrix:
+        """Element i's matrix, whose columns are its orbit vectors."""
+        n = self.n
+        cols = [self.vectors[x] for x in self.perms[i][:n]]
+        return CycMatrix(n, n, [c[r] for r in range(n) for c in cols])
+
+    @cached_property
+    def elements(self):
+        return [self.matrix(i) for i in range(self.order)]
 
     def mul(self, i: int, j: int) -> int:
         head = self.perms[j][:self.n]
@@ -286,13 +297,10 @@ def reflections(G: MatrixGroup):
     function, so one rref per conjugacy class decides."""
     if G._reflections is not None:
         return G._reflections
-    n, one, zero = G.n, Cyc.one(), Cyc.zero()
-
     def rows(i):
-        """Rows of g_i - I, read from the orbit vectors."""
-        cols = [G.vectors[x] for x in G.perms[i][:n]]
-        return [[c[r] - (one if r == j else zero) for j, c in enumerate(cols)]
-                for r in range(n)]
+        """Rows of g_i - I."""
+        return [[e - 1 if r == j else e for j, e in enumerate(row)]
+                for r, row in enumerate(G.matrix(i).row_list())]
 
     out = []
     for cls in conjugacy_classes(G)[1:]:    # the identity's class is first
@@ -304,32 +312,29 @@ def reflections(G: MatrixGroup):
 
 
 def reflection_arrangement(G: MatrixGroup) -> Arrangement:
-    if G._refl_arrangement is None:
-        seen, hps = set(), []
-        for _, h in reflections(G):
-            if h not in seen:
-                seen.add(h)
-                hps.append(h)
-        G._refl_arrangement = Arrangement(G.n, hps)
+    if G._refl_arrangement is None:     # Arrangement orders the hyperplanes
+        G._refl_arrangement = Arrangement(G.n, {h for _, h in reflections(G)})
     return G._refl_arrangement
 
 
 class _Action:
-    """Cached permutation action of a group on an arrangement's hyperplanes."""
+    """Cached permutation action of a group on an arrangement's hyperplanes.
+    A generator's image of a covector is canonicalized and found by its
+    coefficient tag at the common conductor of G and A."""
 
     def __init__(self, G: MatrixGroup, A: Arrangement):
         if G.n != A.n:
             raise NotStableError("group acts on C^%d, arrangement lives in C^%d"
                                  % (G.n, A.n))
-        self.G, self.A = G, A
-        nh = len(A)
+        nh, m = len(A), lcm(G.m, A.conductor)
+        index = {_tag(A.covector(i), m): i for i in range(nh)}
         gen_perm = []
         for gi in G.generators:
-            inv = G.elements[G.inverse[gi]]
+            inv = G.matrix(G.inverse[gi])
             perm = []
             for i in range(nh):
                 img = canonicalize_hyperplane(inv.apply_row(list(A.covector(i))))
-                j = A.index_of(img)
+                j = index.get(_tag(img.covector, m))
                 if j is None:
                     raise NotStableError(
                         "generator %d maps hyperplane %d outside A" % (gi, i))
@@ -351,29 +356,30 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
     """Disjoint orbits of G on L(A), each with representative (lex least key),
     setwise stabilizer N and pointwise stabilizer Z as index sets, and for
     each member key a hyperplane permutation carrying the representative
-    onto it."""
+    onto it: the permutation of the first element, in BFS order, that does.
+    One pass over the elements' images of the representative's mask gives
+    the orbit, N and the transport."""
     cached = G._orbits.get(A)
     if cached is not None:
         return cached
     lattice = build_lattice(A)
-    act = hyperplane_action(G, A)
-    remaining = dict(lattice.by_key)
-    distinct_perms = sorted(set(act.perms))
-    orbits = []
+    perms = hyperplane_action(G, A).perms
+    orbits, seen = [], set()
     # keys are met in sorted order, so each orbit's first key is its least
     for rep_key in sorted(lattice.by_key):
-        if rep_key not in remaining:
+        if rep_key in seen:
             continue
-        transport = {}
-        for p in distinct_perms:
-            transport.setdefault(tuple(sorted(p[i] for i in rep_key)), p)
+        transport, N = {}, []
+        for g, p in enumerate(perms):
+            key = lattice.key_of[sum(1 << p[i] for i in rep_key)]
+            transport.setdefault(key, p)
+            if key == rep_key:
+                N.append(g)
+        seen.update(transport)
         rep = lattice.by_key[rep_key]
         members = [lattice.by_key[k] for k in sorted(transport)]
-        for k in transport:
-            remaining.pop(k, None)
-        N = frozenset(i for i, p in enumerate(act.perms)
-                      if tuple(sorted(p[i2] for i2 in rep_key)) == rep_key)
-        orbits.append(OrbitDatum(rep, members, G, N, rep.codim, transport))
+        orbits.append(OrbitDatum(rep, members, G, frozenset(N), rep.codim,
+                                 transport))
     orbits.sort(key=lambda o: (o.codim, o.representative.key))
     G._orbits[A] = orbits
     return orbits
@@ -381,18 +387,13 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
 
 def _fixes_pointwise(G: MatrixGroup, i: int, X: Flat) -> bool:
     g = G.elements[i]
-    for r in range(X.basis.rows):
-        row = list(X.basis.row(r))
-        img = g.apply(row)
-        if any(not (a - b).is_zero() for a, b in zip(img, row)):
-            return False
-    return True
+    return all(g.apply(row) == row for row in X.basis.row_list())
 
 
 class OrbitDatum:
     """A lattice orbit with stabilizers N (setwise) and Z (pointwise) of its
-    representative.  `transport` maps each member's key to the first
-    distinct hyperplane permutation (in sorted order) that carries the
+    representative.  `transport` maps each member's key to the hyperplane
+    permutation of the first element, in BFS order, that carries the
     representative onto it; the representative's is the identity.  Z takes
     cyclotomic products, so it is made on first read."""
 
@@ -400,17 +401,14 @@ class OrbitDatum:
         self.representative = representative
         self.orbit = orbit
         self._G = G
-        self._Z = None
         self.transport = transport
         self.N = N
         self.codim = codim
 
-    @property
+    @cached_property
     def Z(self) -> frozenset:
-        if self._Z is None:
-            self._Z = frozenset(i for i in self.N
-                                if _fixes_pointwise(self._G, i, self.representative))
-        return self._Z
+        return frozenset(i for i in self.N
+                         if _fixes_pointwise(self._G, i, self.representative))
 
     def __repr__(self):
         return "OrbitDatum(codim=%d, rep=%s, |orbit|=%d, |N|=%d)" % (
@@ -423,7 +421,7 @@ def pointwise_stabilizer(G: MatrixGroup, X: Flat) -> frozenset:
 
 def setwise_stabilizer(G: MatrixGroup, X: Flat) -> frozenset:
     """Elements mapping the subspace X to itself."""
-    rows = [list(X.basis.row(r)) for r in range(X.basis.rows)]
+    rows = X.basis.row_list()
     span = Span()
     for row in rows:
         span.add(dict(enumerate(row)))
@@ -565,7 +563,7 @@ def det_character(G: MatrixGroup, inverse=False) -> LinearCharacter:
     """The restriction of det (or det^{-1}) to G, as a LinearCharacter at
     conductor G.m: one determinant per generator, multiplied along the BFS
     parents."""
-    dets = [_det(G.elements[gi]).lift(G.m) for gi in G.generators]
+    dets = [_det(G.matrix(gi)).lift(G.m) for gi in G.generators]
     values = _along_parents(G, Cyc.one().lift(G.m), lambda v, t: v * dets[t])
     if inverse:
         values = [values[G.inverse[g]] for g in range(G.order)]

@@ -177,7 +177,7 @@ def _orbit_class_traces(A, G, orbit) -> dict:
         return sum(perm_trace(sub, tuple(back[X][p[x[h]]] for h in key),
                               orbit.codim)
                    for X, x in orbit.transport.items()
-                   if tuple(sorted(p[i] for i in X)) == X)
+                   if all(p[i] in back[X] for i in X))     # gX = X
 
     return {cls[0]: trace(cls[0]) for cls in conjugacy_classes(G)}
 
@@ -475,13 +475,13 @@ def relative_character(A: Arrangement, G: MatrixGroup,
     sums the invariant dimensions of the G-orbits inside T.  The
     multiplicities sum to at most that dimension, and to exactly it when
     Gt/G is abelian, that is, when |Gt|/|G| linear characters are 1 on G."""
-    inside = [Gt.contains_matrix(G.elements[gi]) for gi in G.generators]
+    inside = [Gt.contains_matrix(G.matrix(gi)) for gi in G.generators]
     if None in inside:
         raise NotNormalError("G is not contained in the ambient group")
     for a in Gt.generators:
         for g in inside:
             conj = Gt.mul(Gt.mul(a, g), Gt.inverse[a])
-            if G.contains_matrix(Gt.elements[conj]) is None:
+            if G.contains_matrix(Gt.matrix(conj)) is None:
                 raise NotNormalError("G is not normal in the ambient group")
 
     chars = linear_characters(Gt)

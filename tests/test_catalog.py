@@ -55,6 +55,12 @@ def test_make_grpn_one_cache_entry_per_group():
     assert make_grpn.cache_info().misses == misses
 
 
+def test_catalog_constructor_caches_are_bounded():
+    # each cached group keeps every arrangement paired with it
+    for cached in (make_grpn, make_arrangement):
+        assert cached.cache_parameters()["maxsize"] == 32
+
+
 def test_order_cap_below_closed_form():
     with pytest.raises(OrderCapExceededError):
         parse_group_spec("G(2,1,3)", order_cap=47)

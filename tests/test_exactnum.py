@@ -494,3 +494,15 @@ def test_span_over_cyc_matches_dense_reference(m):
         pivots = {pk for pk, _ in span.pivots}
         for free in (j for j in range(M.cols) if j not in pivots):
             assert span.solve({free: Cyc.one()}) is None
+
+
+def test_span_inverts_an_int_lead_exactly():
+    # int rows are normalized by Fraction(1, lead), never by a float
+    span = Span()
+    assert span.add({0: 2, 1: 3}) == 2
+    assert span.pivots == [(0, {0: 1, 1: Fraction(3, 2)})]
+    assert span.add({1: 4, 2: 6}) == 4
+    assert span.add({0: 2, 2: 5}) is not None
+    values = [c for _, row in span.pivots for c in row.values()]
+    assert len(values) == 3
+    assert all(type(c) is Fraction for c in values)

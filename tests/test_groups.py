@@ -287,6 +287,32 @@ def test_not_stable():
     A = Arrangement.from_covectors(3, [[1, -1, 0], [1, 0, -1]])
     with pytest.raises(NotStableError):
         hyperplane_action(G, A)
+    G, A = catalog.make_grpn(2, 1, 3), catalog.make_arrangement("zero", 1, 3)
+    with pytest.raises(NotStableError,
+                       match="generator 3 maps hyperplane 1 outside A"):
+        hyperplane_action(G, A)
+
+
+@pytest.mark.parametrize("group, arrangement", [
+    ("G(4,4,2)", "A_2^0(2)"),
+    ("W(3)", "A_3^0(1)"),
+    ("F4", None),
+])
+def test_hyperplane_action_matches_hashed_lookup(group, arrangement):
+    # reference: g sends ker(a) to ker(a g^-1), canonicalized and found by
+    # Cyc hashing in A.index_of; every element of the small groups, and the
+    # generators and a sample of F4
+    G = catalog.parse_group_spec(group)
+    A = (catalog.parse_arrangement_spec(arrangement, G) if arrangement
+         else reflection_arrangement(G))
+    perms = hyperplane_action(G, A).perms
+    checked = (range(G.order) if G.order < 100 else
+               set(G.generators) | set(random.Random(5).sample(range(G.order), 40)))
+    for k in checked:
+        inv = G.matrix(G.inverse[k])
+        assert perms[k] == tuple(
+            A.index_of(canonicalize_hyperplane(inv.apply_row(list(A.covector(i)))))
+            for i in range(len(A)))
 
 
 def test_stabilizers_w3():
@@ -503,10 +529,13 @@ def _built_with_generators(monkeypatch, build):
     lambda: catalog.load_group_file(catalog.data_dir() / "h3.json"),
     lambda: catalog.load_group_file(catalog.data_dir() / "f4.json"),
     lambda: catalog.make_grpn.__wrapped__(3, 1, 3),
-], ids=["W(4)", "G(2,2,4)", "H3", "F4", "G(3,1,3)"])
+    lambda: catalog.make_grpn.__wrapped__(2, 2, 3),
+], ids=["W(4)", "G(2,2,4)", "H3", "F4", "G(3,1,3)", "G(2,2,3)"])
 def test_generate_matches_matrix_bfs(monkeypatch, build):
     G, gens = _built_with_generators(monkeypatch, build)
     elements, parents, cayley, index_of = _matrix_bfs(gens)
+    # elements[k] = elements[parent] * gens[t], with (parent, t) = parents[k]
+    assert [G.matrix(k) for k in range(G.order)] == elements
     assert G.elements == elements
     assert G.parents == parents
     assert G.generators == [index_of(g) for g in gens]
@@ -765,6 +794,21 @@ def test_orbit_transport_carries_the_representative_onto_each_member():
             for X, x in o.transport.items():
                 assert x in perms
                 assert tuple(sorted(x[h] for h in rep)) == X
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (catalog.make_grpn(2, 2, 4), catalog.make_arrangement("zero", 2, 4)),
+    lambda: (catalog.shipped_group("h3"),
+             reflection_arrangement(catalog.shipped_group("h3"))),
+], ids=["G(2,2,4)", "H3"])
+def test_orbit_transport_is_the_first_element_in_bfs_order(build):
+    G, A = build()
+    perms = hyperplane_action(G, A).perms
+    for o in orbits_on_lattice(G, A):
+        rep = o.representative.key
+        for X, x in o.transport.items():
+            assert x == next(p for p in perms
+                             if tuple(sorted(p[h] for h in rep)) == X)
 
 
 def _setwise_reference(G, X):

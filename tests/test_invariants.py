@@ -549,3 +549,10 @@ def test_orbitwise_makes_one_cyc_addition_per_class(monkeypatch):
             calls.clear()
             _orbit_isotypic_dim(A, G, o, chi)
             assert len(calls) <= len(conjugacy_classes(G))
+
+
+def test_poincare_invariants_builds_no_element_matrices():
+    # the pipeline reads the generators' matrices only, through G.matrix
+    G = make_grpn.__wrapped__(3, 1, 4)
+    poincare_invariants(make_arrangement("full", 3, 4), G, trivial_character(G))
+    assert "elements" not in vars(G)
