@@ -46,7 +46,7 @@ from math import factorial, gcd
 from pathlib import Path
 
 from .arrangement import Arrangement, build_lattice, canonicalize_hyperplane
-from .exactnum import Cyc, CycMatrix
+from .exactnum import Cyc, CycMatrix, _dot
 from .groups import (
     DEFAULT_ORDER_CAP,
     MatrixGroup,
@@ -270,8 +270,7 @@ def _x_lambda_flat(A, lattice, kind, r, lam, u=0):
     key = []
     for i in range(len(A)):
         cov = A.covector(i)
-        if all(sum((cov[j] * row[j] for j in range(n)), Cyc.zero()).is_zero()
-               for row in rows):
+        if not any(_dot(cov, row) for row in rows):
             key.append(i)
     flat = lattice.by_key.get(tuple(key))
     if flat is None:

@@ -229,12 +229,12 @@ def _cmd_info(args, out):
                      " ".join(str(b) for b in betti)])
     if args.group and args.arrangement:
         try:
-            perms = hyperplane_action(G, A).perms
+            fibers = hyperplane_action(G, A).fibers
         except NotStableError as exc:
             raise CLIError(str(exc))
         # every trace average takes one term per conjugacy class
         payload["action"] = {
-            "distinct_permutations": len(set(perms)),
+            "distinct_permutations": len(fibers),
             "lattice_orbits": len(orbits_on_lattice(G, A)),
             "flats": len(build_lattice(A).by_key),
             "conjugacy_classes": len(conjugacy_classes(G))}

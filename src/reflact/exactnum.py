@@ -10,7 +10,8 @@ length phi(m) representing the element in the power basis
 mixed conductors lift both operands to the lcm.  Conductors stay small here
 (m <= 60), so the dense representation is the simplest correct canonical
 form.  A Cyc is true when it is nonzero, and its inverse comes from the
-extended Euclidean algorithm against Phi_m.
+extended Euclidean algorithm against Phi_m.  Every row-times-column product
+of Cycs runs through `_dot`, which skips zero factors on both sides.
 
 `Span` keeps sparse vectors {key: value}, with values all `Fraction` or all
 `Cyc`, in reduced row echelon form, pivoting at each row's least key.  Every
@@ -34,7 +35,7 @@ from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd, isqrt
+from math import lcm
 
 __all__ = [
     "Rat",
@@ -97,12 +98,28 @@ def _power(x, e, times, one):
     return out
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the first 12 prime bases, which is exact for
+    n < 3.18 * 10^23 (Sorenson and Webster)."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1      # n - 1 = d * 2^s, d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)     # n passes if x = 1 or some x^(2^i) = -1
+        if x != 1 and n - 1 not in (pow(x, 1 << i, n) for i in range(s)):
+            return False
+    return True
+
+
 @lru_cache(maxsize=64)
 def _prime_root(m: int, above: int):
     """The least prime p > above with p = 1 (mod m), and a primitive m-th
     root of unity w modulo p (F_p^* is cyclic of order p - 1)."""
     p = above - above % m + 1
-    while p <= above or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    while p <= above or not _is_prime(p):
         p += m
     w = next(w for w in (pow(a, (p - 1) // m, p) for a in count(2))
              if all(pow(w, m // q, p) != 1 for q in _prime_factors(m)))
@@ -177,20 +194,9 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
 @lru_cache(maxsize=None)
 def _reduction_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
     """x^e mod Phi_m for phi(m) <= e < m, as coefficient tuples of length phi(m)."""
-    phi = euler_phi(m)
-    poly = cyclotomic_polynomial(m)
-    # x^phi = -(poly[0] + ... + poly[phi-1] x^{phi-1})
-    cur = [-c for c in poly[:phi]]
-    rows = [tuple(cur)]
-    for _ in range(phi + 1, m):
-        top = cur[phi - 1]
-        nxt = [_ZERO] + cur[: phi - 1]
-        if top:
-            for j in range(phi):
-                nxt[j] -= top * poly[j]
-        cur = nxt
-        rows.append(tuple(cur))
-    return tuple(rows)
+    phi, poly = euler_phi(m), list(cyclotomic_polynomial(m))
+    rems = (_poly_divmod([_ZERO] * e + [_ONE], poly)[1] for e in range(phi, m))
+    return tuple(tuple(r + [_ZERO] * (phi - len(r))) for r in rems)
 
 
 def _reduce_coeffs(m: int, raw) -> tuple[Fraction, ...]:
@@ -215,36 +221,30 @@ def _reduce_coeffs(m: int, raw) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=None)
 def _subfield_solver(m: int, d: int):
-    """For d | m: the images in Q(zeta_m) of the power basis of Q(zeta_d),
-    and a left inverse of the matrix with those columns.  The images are
+    """For d | m: a left inverse of the matrix whose columns are the images
+    in Q(zeta_m) of the power basis of Q(zeta_d).  The images are
     independent, so the reduced echelon form of [images | identity] has its
     pivots among the image coordinates, and the identity part of the row
     with pivot i is column i of a left inverse (zero off the pivots)."""
-    k, phi = m // d, euler_phi(m)
-    cols = [_reduce_coeffs(m, [_ZERO] * (k * j) + [_ONE])
-            for j in range(euler_phi(d))]
+    k, phi, n = m // d, euler_phi(m), euler_phi(d)
     span = Span()
-    for j, col in enumerate(cols):
+    for j in range(n):
+        col = _reduce_coeffs(m, [_ZERO] * (k * j) + [_ONE])
         span.add({**dict(enumerate(col)), phi + j: _ONE})
-    left = [[_ZERO] * len(cols) for _ in range(phi)]
+    left = [[_ZERO] * n for _ in range(phi)]
     for i, row in span.pivots:
-        left[i] = [row.get(phi + j, _ZERO) for j in range(len(cols))]
-    return cols, left
+        left[i] = [row.get(phi + j, _ZERO) for j in range(n)]
+    return left
 
 
 def _descend(m: int, d: int, coeffs):
     """Coefficients over Q(zeta_d) if the element lies in that subfield, else
-    None."""
-    cols, left = _subfield_solver(m, d)
-    out = [_ZERO] * len(cols)
-    for c, y in zip(coeffs, left):
+    None: the left inverse's solution, kept if it lifts back to coeffs."""
+    out = [_ZERO] * euler_phi(d)
+    for c, y in zip(coeffs, _subfield_solver(m, d)):
         if c:
             out = [a + c * b for a, b in zip(out, y)]
-    back = [_ZERO] * len(coeffs)
-    for c, col in zip(out, cols):
-        if c:
-            back = [a + c * b for a, b in zip(back, col)]
-    return tuple(out) if tuple(back) == tuple(coeffs) else None
+    return tuple(out) if Cyc(d, out).lift(m).c == tuple(coeffs) else None
 
 
 class Cyc:
@@ -309,9 +309,8 @@ class Cyc:
         if mm % self.m:
             raise ValueError("cannot lift conductor %d to %d" % (self.m, mm))
         k = mm // self.m
-        raw = [_ZERO] * (euler_phi(self.m) * k)
-        for j, c in enumerate(self.c):
-            raw[k * j] = c
+        raw = [_ZERO] * (len(self.c) * k)
+        raw[::k] = self.c
         return Cyc(mm, _reduce_coeffs(mm, raw))
 
     def conjugate(self) -> "Cyc":
@@ -347,7 +346,7 @@ class Cyc:
         a, b = self, other
         if a.m == b.m:
             return a, b
-        mm = a.m * b.m // gcd(a.m, b.m)
+        mm = lcm(a.m, b.m)
         return a.lift(mm), b.lift(mm)
 
     def __add__(self, other):
@@ -473,12 +472,21 @@ _CYC_ZERO = Cyc(1, (_ZERO,))
 _CYC_ONE = Cyc(1, (_ONE,))
 
 
+def _dot(xs, ys) -> Cyc:
+    """The sum of x * y over the pairs where both factors are nonzero, from
+    zero: the one row-times-column product, for Cycs and ints alike."""
+    s = _CYC_ZERO
+    for x, y in zip(xs, ys):
+        if x and y:
+            s = s + x * y
+    return s
+
+
 def cyc_normalize(m: int, raw) -> Cyc:
     """Reduce arbitrary polynomial coefficients in zeta_m to canonical form."""
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    raw = [Fraction(c) for c in raw]
-    return Cyc(m, _reduce_coeffs(m, raw))
+    return Cyc(m, _reduce_coeffs(m, [Fraction(c) for c in raw]))
 
 
 def cyc_arith(a: Cyc, b: Cyc, op: str) -> Cyc:
@@ -503,9 +511,7 @@ class CycMatrix:
         if len(entries) != rows * cols:
             raise ValueError("%d entries for a %d x %d matrix"
                              % (len(entries), rows, cols))
-        m = 1
-        for e in entries:
-            m = m * e.m // gcd(m, e.m)
+        m = lcm(*(e.m for e in entries))
         entries = tuple(e.lift(m) for e in entries)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -518,10 +524,8 @@ class CycMatrix:
     @staticmethod
     def from_rows(rows_of_entries) -> "CycMatrix":
         rows = list(rows_of_entries)
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        flat = [e for row in rows for e in row]
-        return CycMatrix(r, c, flat)
+        return CycMatrix(len(rows), len(rows[0]) if rows else 0,
+                         [e for row in rows for e in row])
 
     @staticmethod
     def identity(n: int) -> "CycMatrix":
@@ -542,47 +546,23 @@ class CycMatrix:
         if self.cols != other.rows:
             raise ValueError("cannot multiply %d x %d by %d x %d" % (
                 self.rows, self.cols, other.rows, other.cols))
-        a, b, n, p, q = self.entries, other.entries, self.rows, self.cols, other.cols
-        out = []
-        for i in range(n):
-            arow = a[i * p:(i + 1) * p]
-            for j in range(q):
-                s = _CYC_ZERO
-                for k in range(p):
-                    x = arow[k]
-                    if not x.is_zero():
-                        s = s + x * b[k * q + j]
-                out.append(s)
-        return CycMatrix(n, q, out)
+        cols = [other.entries[j::other.cols] for j in range(other.cols)]
+        return CycMatrix(self.rows, other.cols, [
+            _dot(self.row(i), col) for i in range(self.rows) for col in cols])
 
     def apply(self, vec):
         """Matrix times column vector (sequence of Cyc)."""
         if self.cols != len(vec):
             raise ValueError("vector of length %d for %d columns"
                              % (len(vec), self.cols))
-        out = []
-        for i in range(self.rows):
-            s = _CYC_ZERO
-            for k, v in enumerate(vec):
-                x = self[i, k]
-                if not x.is_zero():
-                    s = s + x * v
-            out.append(s)
-        return out
+        return [_dot(self.row(i), vec) for i in range(self.rows)]
 
     def apply_row(self, vec):
         """Row vector times matrix."""
         if self.rows != len(vec):
             raise ValueError("vector of length %d for %d rows"
                              % (len(vec), self.rows))
-        out = []
-        for j in range(self.cols):
-            s = _CYC_ZERO
-            for k, v in enumerate(vec):
-                if not v.is_zero():
-                    s = s + v * self[k, j]
-            out.append(s)
-        return out
+        return [_dot(vec, self.entries[j::self.cols]) for j in range(self.cols)]
 
     def transpose(self) -> "CycMatrix":
         return CycMatrix(self.cols, self.rows,
@@ -602,24 +582,13 @@ class CycMatrix:
         return CycMatrix.from_rows([red.row(i)[n:] for i in range(n)])
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self[i, j]
-                if i == j:
-                    if not (e.is_rational() and e.c[0] == 1):
-                        return False
-                elif not e.is_zero():
-                    return False
-        return True
+        return self.rows == self.cols and self == CycMatrix.identity(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(a == b for a, b in zip(self.entries, other.entries))
+        return ((self.rows, self.cols) == (other.rows, other.cols)
+                and self.entries == other.entries)
 
     def __repr__(self):
         return "CycMatrix(%d, %d, m=%d)" % (self.rows, self.cols, self.m)

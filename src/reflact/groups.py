@@ -320,7 +320,9 @@ def reflection_arrangement(G: MatrixGroup) -> Arrangement:
 class _Action:
     """Cached permutation action of a group on an arrangement's hyperplanes.
     A generator's image of a covector is canonicalized and found by its
-    coefficient tag at the common conductor of G and A."""
+    coefficient tag at the common conductor of G and A.  `perms` lists each
+    element's permutation; `fibers` maps each distinct one to the elements
+    inducing it, in order of first occurrence."""
 
     def __init__(self, G: MatrixGroup, A: Arrangement):
         if G.n != A.n:
@@ -342,6 +344,9 @@ class _Action:
             gen_perm.append(perm)
         self.perms = _along_parents(
             G, tuple(range(nh)), lambda p, t: tuple(p[x] for x in gen_perm[t]))
+        self.fibers = {}
+        for g, p in enumerate(self.perms):
+            self.fibers.setdefault(p, []).append(g)
 
 
 def hyperplane_action(G: MatrixGroup, A: Arrangement) -> _Action:
@@ -357,24 +362,25 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
     setwise stabilizer N and pointwise stabilizer Z as index sets, and for
     each member key a hyperplane permutation carrying the representative
     onto it: the permutation of the first element, in BFS order, that does.
-    One pass over the elements' images of the representative's mask gives
-    the orbit, N and the transport."""
+    One pass over the distinct permutations' images of the representative's
+    mask gives the orbit, N (the union of the fixing fibers) and the
+    transport."""
     cached = G._orbits.get(A)
     if cached is not None:
         return cached
     lattice = build_lattice(A)
-    perms = hyperplane_action(G, A).perms
+    fibers = hyperplane_action(G, A).fibers
     orbits, seen = [], set()
     # keys are met in sorted order, so each orbit's first key is its least
     for rep_key in sorted(lattice.by_key):
         if rep_key in seen:
             continue
         transport, N = {}, []
-        for g, p in enumerate(perms):
+        for p, gs in fibers.items():   # in BFS order of their first elements
             key = lattice.key_of[sum(1 << p[i] for i in rep_key)]
             transport.setdefault(key, p)
             if key == rep_key:
-                N.append(g)
+                N += gs
         seen.update(transport)
         rep = lattice.by_key[rep_key]
         members = [lattice.by_key[k] for k in sorted(transport)]

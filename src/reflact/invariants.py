@@ -33,7 +33,6 @@ checks.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 
 from .arrangement import Arrangement, build_lattice, subarrangement
@@ -150,9 +149,8 @@ def isotypic_dim_projection(A: Arrangement, G: MatrixGroup,
     weights of the elements inducing each hyperplane permutation summed:
     the pivots of its columns, sum_perm w straighten(perm . mono), in a
     Span."""
-    weights = {}
-    for g, perm in enumerate(hyperplane_action(G, A).perms):
-        weights[perm] = weights.get(perm, Cyc.zero()) + chi(G.inverse[g])
+    weights = {perm: sum((chi(G.inverse[g]) for g in gs), Cyc.zero())
+               for perm, gs in hyperplane_action(G, A).fibers.items()}
     return rank_of_elements(
         _straighten_sum(A, k, ((tuple(perm[i] for i in mono), w)
                                for perm, w in weights.items() if w))
@@ -324,10 +322,10 @@ def euler_identity_check(A: Arrangement, G: MatrixGroup,
 def project_invariant(A: Arrangement, G: MatrixGroup, x: OSElement) -> OSElement:
     """e_G . x, averaged over distinct hyperplane permutations weighted by
     how many elements induce each."""
-    counts = Counter(hyperplane_action(G, A).perms)
     return _straighten_sum(A, x.k, (
-        (tuple(perm[i] for i in m), c * Fraction(n, G.order))
-        for perm, n in counts.items() for m, c in x.coeffs.items()))
+        (tuple(perm[i] for i in m), c * Fraction(len(gs), G.order))
+        for perm, gs in hyperplane_action(G, A).fibers.items()
+        for m, c in x.coeffs.items()))
 
 
 class Theorem4Basis:

@@ -412,3 +412,93 @@ def test_malformed_type_table_exits_2(tmp_path, monkeypatch, table):
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: malformed group file ")
     assert str(tmp_path / "h3.json") in err
+
+
+# `--format json` output pinned byte for byte: hyperplane order, flat keys,
+# rep_keys and monomials are public, and refactors must keep them
+PINNED_JSON = {
+    ("lattice", "H3", None): (
+        '{"flats":[{"codim":0,"key":[]},{"codim":1,"key":[0]},{"codim":1,"key'
+        '":[1]},{"codim":1,"key":[2]},{"codim":1,"key":[3]},{"codim":1,"key":'
+        '[4]},{"codim":1,"key":[5]},{"codim":1,"key":[6]},{"codim":1,"key":[7'
+        ']},{"codim":1,"key":[8]},{"codim":1,"key":[9]},{"codim":1,"key":[10]'
+        '},{"codim":1,"key":[11]},{"codim":1,"key":[12]},{"codim":1,"key":[13'
+        ']},{"codim":1,"key":[14]},{"codim":2,"key":[0,1]},{"codim":2,"key":['
+        '0,2,7]},{"codim":2,"key":[0,3,4,8,10]},{"codim":2,"key":[0,5,6,11,12'
+        ']},{"codim":2,"key":[0,9]},{"codim":2,"key":[0,13,14]},{"codim":2,"k'
+        'ey":[1,2,10,12,14]},{"codim":2,"key":[1,3,5,7,13]},{"codim":2,"key":'
+        '[1,4,6]},{"codim":2,"key":[1,8,11]},{"codim":2,"key":[1,9]},{"codim"'
+        ':2,"key":[2,3]},{"codim":2,"key":[2,4,9,11,13]},{"codim":2,"key":[2,'
+        '5,8]},{"codim":2,"key":[2,6]},{"codim":2,"key":[3,6]},{"codim":2,"ke'
+        'y":[3,9,12]},{"codim":2,"key":[3,11,14]},{"codim":2,"key":[4,5]},{"c'
+        'odim":2,"key":[4,7,12]},{"codim":2,"key":[4,14]},{"codim":2,"key":[5'
+        ',9,10]},{"codim":2,"key":[5,14]},{"codim":2,"key":[6,7,8,9,14]},{"co'
+        'dim":2,"key":[6,10,13]},{"codim":2,"key":[7,10]},{"codim":2,"key":[7'
+        ',11]},{"codim":2,"key":[8,12]},{"codim":2,"key":[8,13]},{"codim":2,"'
+        'key":[10,11]},{"codim":2,"key":[12,13]},{"codim":3,"key":[0,1,2,3,4,'
+        '5,6,7,8,9,10,11,12,13,14]}],"hyperplanes":15,"rank":3}'
+    ),
+    ("orbits", "H3", None): (
+        '{"character":"trivial","orbits":[{"codim":0,"dim":1,"index":1,"orbit'
+        '_size":1,"rep_key":[],"type":"A_0"},{"codim":1,"dim":1,"index":15,"o'
+        'rbit_size":15,"rep_key":[0],"type":"A_1"},{"codim":2,"dim":1,"index"'
+        ':15,"orbit_size":15,"rep_key":[0,1],"type":"A_1^2"},{"codim":2,"dim"'
+        ':0,"index":10,"orbit_size":10,"rep_key":[0,2,7],"type":"A_2"},{"codi'
+        'm":2,"dim":0,"index":6,"orbit_size":6,"rep_key":[0,3,4,8,10],"type":'
+        '"I_2(5)"},{"codim":3,"dim":1,"index":1,"orbit_size":1,"rep_key":[0,1'
+        ',2,3,4,5,6,7,8,9,10,11,12,13,14],"type":"H_3"}],"poincare":[1,1,1,1]'
+        '}'
+    ),
+    ("lattice", "G(3,1,3)", "A_3(3)"): (
+        '{"flats":[{"codim":0,"key":[]},{"codim":1,"key":[0]},{"codim":1,"key'
+        '":[1]},{"codim":1,"key":[2]},{"codim":1,"key":[3]},{"codim":1,"key":'
+        '[4]},{"codim":1,"key":[5]},{"codim":1,"key":[6]},{"codim":1,"key":[7'
+        ']},{"codim":1,"key":[8]},{"codim":1,"key":[9]},{"codim":1,"key":[10]'
+        '},{"codim":1,"key":[11]},{"codim":2,"key":[0,1,2,3,4]},{"codim":2,"k'
+        'ey":[0,5]},{"codim":2,"key":[0,6,7,8,9]},{"codim":2,"key":[0,10]},{"'
+        'codim":2,"key":[0,11]},{"codim":2,"key":[1,5,6]},{"codim":2,"key":[1'
+        ',7]},{"codim":2,"key":[1,8,10]},{"codim":2,"key":[1,9,11]},{"codim":'
+        '2,"key":[2,5,7,10,11]},{"codim":2,"key":[2,6]},{"codim":2,"key":[2,8'
+        ']},{"codim":2,"key":[2,9]},{"codim":2,"key":[3,5,8]},{"codim":2,"key'
+        '":[3,6,11]},{"codim":2,"key":[3,7]},{"codim":2,"key":[3,9,10]},{"cod'
+        'im":2,"key":[4,5,9]},{"codim":2,"key":[4,6,10]},{"codim":2,"key":[4,'
+        '7]},{"codim":2,"key":[4,8,11]},{"codim":3,"key":[0,1,2,3,4,5,6,7,8,9'
+        ',10,11]}],"hyperplanes":12,"rank":3}'
+    ),
+    ("orbits", "G(3,1,3)", "A_3(3)"): (
+        '{"character":"trivial","orbits":[{"codim":0,"dim":1,"index":1,"orbit'
+        '_size":1,"rep_key":[],"type":"A_0"},{"codim":1,"dim":1,"index":3,"or'
+        'bit_size":3,"rep_key":[0],"type":"G(3,1,1)"},{"codim":1,"dim":1,"ind'
+        'ex":9,"orbit_size":9,"rep_key":[1],"type":"A_1"},{"codim":2,"dim":1,'
+        '"index":3,"orbit_size":3,"rep_key":[0,1,2,3,4],"type":"G(3,1,2)"},{"'
+        'codim":2,"dim":1,"index":9,"orbit_size":9,"rep_key":[0,5],"type":"G('
+        '3,1,1) A_1"},{"codim":2,"dim":0,"index":9,"orbit_size":9,"rep_key":['
+        '1,5,6],"type":"A_2"},{"codim":3,"dim":1,"index":1,"orbit_size":1,"re'
+        'p_key":[0,1,2,3,4,5,6,7,8,9,10,11],"type":"G(3,1,3)"}],"poincare":[1'
+        ',2,2,1]}'
+    ),
+    ("invariant-basis", "G(3,1,3)", "A_3(3)"): (
+        '{"cardinality":6,"entries":[{"codim":0,"monomials":[[]],"rep_key":[]'
+        '},{"codim":1,"monomials":[[0]],"rep_key":[0]},{"codim":1,"monomials"'
+        ':[[1]],"rep_key":[1]},{"codim":2,"monomials":[[5,7]],"rep_key":[0,1,'
+        '2,3,4]},{"codim":2,"monomials":[[1,7]],"rep_key":[0,5]},{"codim":3,"'
+        'monomials":[[1,5,7]],"rep_key":[0,1,2,3,4,5,6,7,8,9,10,11]}],"poinca'
+        're":[1,2,2,1]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("verb,group,arrangement", list(PINNED_JSON),
+                         ids=str)
+def test_json_output_is_pinned(verb, group, arrangement):
+    pair = ("--group", group) + (("--arrangement", arrangement) if arrangement else ())
+    code, out, err = invoke(verb, *pair, "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    pinned = json.loads(PINNED_JSON[verb, group, arrangement])
+    assert out == json.dumps(pinned, indent=1, sort_keys=True) + "\n"
+
+
+def test_invariant_basis_without_monomials_is_pinned():
+    # H3's rank-2 orbits need monomials that no label supplies
+    assert invoke("invariant-basis", "--group", "H3", "--format", "json") == (
+        EXIT_USAGE, "", "error: no monomials for orbit with representative (0, 1)\n")

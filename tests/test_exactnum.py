@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import count
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from reflact.exactnum import (
     Cyc,
     CycMatrix,
     Span,
+    _is_prime,
+    _prime_root,
     cyc_arith,
     cyc_from_json,
     cyc_normalize,
@@ -416,6 +419,73 @@ def test_cyc_first_power_takes_no_product(monkeypatch):
     assert x ** 1 == x
     assert calls == []
     assert x ** 2 == mul(x, x) and len(calls) == 1
+
+
+def naive_product(A, B):
+    """Rows of A times columns of B, every term included, zeros too."""
+    return [[sum((A[i][k] * B[k][j] for k in range(len(B))), Cyc.zero())
+             for j in range(len(B[0]))] for i in range(len(A))]
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 5])
+def test_products_match_dense_reference(m):
+    # mostly zero matrices, and vectors that mix ints with Cycs
+    rng = random.Random(40 + m)
+
+    def entry():
+        return rng.choice([0, 0, 1, -2, random_cyc(rng, m, 0.5)])
+
+    for _ in range(30):
+        p, q, r = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        A = CycMatrix(p, q, [random_cyc(rng, m, 0.6) for _ in range(p * q)])
+        B = CycMatrix(q, r, [random_cyc(rng, m, 0.6) for _ in range(q * r)])
+        assert (A * B).row_list() == naive_product(A.row_list(), B.row_list())
+        col, row = [entry() for _ in range(q)], [entry() for _ in range(p)]
+        assert A.apply(col) == [x for x, in naive_product(A.row_list(),
+                                                          [[v] for v in col])]
+        assert A.apply_row(row) == naive_product([row], A.row_list())[0]
+
+
+def test_monomial_matrix_times_vector_takes_n_products(monkeypatch):
+    # the generators of G(3,1,3) have one nonzero entry per row and column,
+    # so each product with a vector without zeros takes 3 Cyc products
+    from reflact.catalog import make_grpn
+    G = make_grpn(3, 1, 3)
+    z = Cyc.root_of_unity(3)
+    vec = [z, Cyc.rational(2), z * z - 1]
+    gens = [G.matrix(gi) for gi in G.generators]
+    want = [(g.apply(vec), g.apply_row(vec)) for g in gens]
+    mul, calls = Cyc.__mul__, []
+    monkeypatch.setattr(Cyc, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    for g, (col, row) in zip(gens, want):
+        for product, expected in ((g.apply, col), (g.apply_row, row)):
+            calls.clear()
+            assert product(vec) == expected
+            assert len(calls) == 3
+
+
+def test_is_prime_matches_a_sieve_and_refuses_strong_pseudoprimes():
+    sieve = [False, False] + [True] * 99_998
+    for i in range(2, isqrt(len(sieve)) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [n for n in range(len(sieve)) if _is_prime(n)] == \
+        [n for n, prime in enumerate(sieve) if prime]
+    # strong pseudoprimes to the first 4, 7 and 9 prime bases
+    for n in (3215031751, 341550071728321, 3825123056546413051):
+        assert not _is_prime(n)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 89 - 1)
+
+
+def test_prime_root_matches_trial_division():
+    above = 1 << 30
+    for m in range(1, 61):
+        p = above - above % m + 1
+        while p <= above or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            p += m
+        got, w = _prime_root(m, above)
+        assert got == p, m
+        assert next(k for k in count(1) if pow(w, k, p) == 1) == m
 
 
 def test_cyc_bool_is_nonzero():

@@ -811,6 +811,15 @@ def test_orbit_transport_is_the_first_element_in_bfs_order(build):
                              if tuple(sorted(p[h] for h in rep)) == X)
 
 
+def test_fibers_group_the_elements_by_permutation():
+    G = catalog.make_grpn(3, 1, 3)
+    act = hyperplane_action(G, catalog.make_arrangement("full", 3, 3))
+    assert list(act.fibers) == list(dict.fromkeys(act.perms))
+    assert sorted(g for gs in act.fibers.values() for g in gs) == list(range(G.order))
+    assert all(act.perms[g] == p and gs == sorted(gs)
+               for p, gs in act.fibers.items() for g in gs)
+
+
 def _setwise_reference(G, X):
     """Elements mapping X into the span of its basis rows, decided by
     reducing each image against the dense reference echelon."""
