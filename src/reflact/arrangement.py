@@ -26,6 +26,7 @@ arithmetic.
 
 from __future__ import annotations
 
+from functools import wraps
 from math import gcd
 
 from .exactnum import (Cyc, CycMatrix, Span, _mod_p, cyc_from_json,
@@ -46,6 +47,19 @@ __all__ = [
 
 class FlatNotInLatticeError(ValueError):
     pass
+
+
+def _memo(fn):
+    """fn(obj, *args), computed once and kept in obj._memo under (fn, *args),
+    so a result lives exactly as long as obj.  An exception is not kept."""
+    @wraps(fn)
+    def cached(obj, *args):
+        memo, key = obj.__dict__.setdefault("_memo", {}), (fn, *args)
+        got = memo.get(key, memo)       # one lookup; memo itself is no result
+        if got is memo:
+            got = memo[key] = fn(obj, *args)
+        return got
+    return cached
 
 
 class Hyperplane:
@@ -104,9 +118,6 @@ class Arrangement:
         self.hyperplanes = hyperplanes
         self._parent = parent   # (arrangement, flat key) for a subarrangement
         self._index = {h: i for i, h in enumerate(hyperplanes)}
-        self._lattice = None
-        self._views = {}        # flat key -> subarrangement view
-        self._os = None         # cache slot used by osalg
 
     @staticmethod
     def from_covectors(n: int, raws) -> "Arrangement":
@@ -202,7 +213,6 @@ class IntersectionLattice:
         self.by_key = {f.key: f for lv in self.levels for f in lv}
         self.key_of = {F: f.key for level, lv in zip(masks, self.levels)
                        for F, f in zip(level, lv)}
-        self.traces = {}    # hyperplane permutation -> its traces on H^0..H^rk
 
     def closure(self, mono):
         """Mask of the flat spanned by the hyperplanes of an index tuple, or
@@ -364,30 +374,25 @@ def _lattice_of_view(A: Arrangement) -> IntersectionLattice:
     return IntersectionLattice(A, masks, join, chains, plat.prime)
 
 
+@_memo
 def build_lattice(A: Arrangement) -> IntersectionLattice:
     """L(A), built on first use and cached on the arrangement."""
-    if A._lattice is None:
-        if A._parent is None:
-            A._lattice = _lattice_of_covectors(A)
-        else:
-            A._lattice = _lattice_of_view(A)
-    return A._lattice
+    if A._parent is None:
+        return _lattice_of_covectors(A)
+    return _lattice_of_view(A)
 
 
+@_memo
 def subarrangement(A: Arrangement, X: Flat) -> Arrangement:
     """A_X: the hyperplanes containing X, same ambient space and order.
 
     A view on A, cached per flat: it shares A's hyperplanes, and its lattice
     and matroid come from A's interval below X."""
-    lattice = build_lattice(A)
-    if X.key not in lattice.by_key:
+    if X.key not in build_lattice(A).by_key:
         raise FlatNotInLatticeError("flat %s not in L(A)" % (X.key,))
-    sub = A._views.get(X.key)
-    if sub is None:
-        sub = Arrangement.__new__(Arrangement)
-        sub._setup(A.n, A.conductor if X.key else 1,
-                   tuple(A.hyperplanes[i] for i in X.key), (A, X.key))
-        A._views[X.key] = sub
+    sub = Arrangement.__new__(Arrangement)
+    sub._setup(A.n, A.conductor if X.key else 1,
+               tuple(A.hyperplanes[i] for i in X.key), (A, X.key))
     return sub
 
 

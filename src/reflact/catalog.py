@@ -285,22 +285,11 @@ def prop41_labels(r, p, n, kind, cross_check=True,
     full/zero arrangement, each with its representative flat.  With
     cross_check the list is verified to hit every brute-force orbit once."""
     kind, A, lattice = _family_lattice(r, p, n, kind)
-    raw = []
-    if r > 1:
-        max_m = n - 2 if kind == "zero" else n - 1
-        for m in range(max_m + 1):
-            for lam in _partitions(m):
-                raw.append((lam, 0))
-        for lam in _partitions(n):
-            delta = gcd(p, *lam)
-            for u in range(delta):
-                raw.append((lam, u))
-    elif kind == "zero":
-        raw = [(lam, 0) for lam in _partitions(n)]
-    else:
-        for m in range(n + 1):
-            for lam in _partitions(m):
-                raw.append((lam, 0))
+    # untwisted X_lambda for |lambda| <= top, then (lambda, u) for lambda |- n
+    # and u < gcd(p, lambda); r = 1 forces p = 1, so u = 0 there
+    top = n - 1 if kind == "full" else n - 2 if r > 1 else -1
+    raw = [(lam, 0) for m in range(top + 1) for lam in _partitions(m)]
+    raw += [(lam, u) for lam in _partitions(n) for u in range(gcd(p, *lam))]
     out = []
     seen_keys = set()
     for lam, u in raw:
@@ -402,18 +391,16 @@ def cox_monomials(r, p, n, kind):
         for k in range(2, n):
             lam = tuple([1] * (n - k))
             out[flat_key(lam)] = [tuple(sorted([h1] + [t[i] for i in range(2, k + 1)]))]
-        # chains with one doubled part: X_(2,1^{n-k-1})
+        # chains with one doubled part: X_(2,1^{n-k-1}), untwisted (size < n)
         for k in range(2, n):
             lam = tuple([2] + [1] * (n - k - 1))
-            u_range = range(gcd(p, *lam)) if sum(lam) == n else (0,)
-            for u in u_range:
-                if even and k == n - 1:
-                    base = [h1] + [t[i] for i in range(2, n - 1)] + [t[n]]
-                    alt = [h1, t21] + [t[i] for i in range(3, n - 1)] + [t[n]]
-                    out[flat_key(lam, u)] = [tuple(sorted(base)), tuple(sorted(alt))]
-                else:
-                    mono = [h1] + [t[i] for i in range(2, k)] + [t[k + 1]]
-                    out[flat_key(lam, u)] = [tuple(sorted(mono))]
+            if even and k == n - 1:
+                base = [h1] + [t[i] for i in range(2, n - 1)] + [t[n]]
+                alt = [h1, t21] + [t[i] for i in range(3, n - 1)] + [t[n]]
+                out[flat_key(lam)] = [tuple(sorted(base)), tuple(sorted(alt))]
+            else:
+                mono = [h1] + [t[i] for i in range(2, k)] + [t[k + 1]]
+                out[flat_key(lam)] = [tuple(sorted(mono))]
         # the center
         full_chain = [h1] + [t[i] for i in range(2, n + 1)]
         if even:

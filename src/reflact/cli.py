@@ -12,7 +12,6 @@ import csv
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .arrangement import build_lattice
 from .catalog import (
@@ -513,6 +512,7 @@ def verify_suite(name, max_r=4, max_n=4, jobs=1):
     work = [(nm, case) for nm in names
             for case in _suite_cases(expected, nm, max_r, max_n)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_case_star, work))
     else:

@@ -26,11 +26,10 @@ from itertools import chain, combinations
 from math import gcd, lcm
 from operator import mul
 
-from .arrangement import (Arrangement, Flat, build_lattice,
+from .arrangement import (Arrangement, Flat, _memo, build_lattice,
                           canonicalize_hyperplane)
 from .exactnum import (Cyc, CycMatrix, Span, _mod_p, _power, _prime_factors,
                        cyc_from_json, euler_phi, rref)
-from .exactnum import _prime_root  # noqa: F401  (re-exported)
 
 __all__ = [
     "MatrixGroup",
@@ -85,13 +84,6 @@ class MatrixGroup:
         self.order = len(perms)
         self._index = {p[:n]: k for k, p in enumerate(perms)}
         self.inverse = [self._index[tuple(map(p.index, range(n)))] for p in perms]
-        self._actions = {}                # Arrangement -> action data
-        self._orbits = {}                 # Arrangement -> lattice orbits
-        self._reflections = None
-        self._refl_arrangement = None
-        self._classes = None
-        self._inverse_class = None        # set with _classes
-        self._linear_chars = None
 
     def matrix(self, i: int) -> CycMatrix:
         """Element i's matrix, whose columns are its orbit vectors."""
@@ -291,12 +283,11 @@ def group_from_json(obj, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     return generate(gens, dim=n, order_cap=order_cap)
 
 
+@_memo
 def reflections(G: MatrixGroup):
     """All elements whose fixed space has codimension 1, with Fix(r) as a
     canonical Hyperplane, by element index.  rank(g - I) is a class
     function, so one rref per conjugacy class decides."""
-    if G._reflections is not None:
-        return G._reflections
     def rows(i):
         """Rows of g_i - I."""
         return [[e - 1 if r == j else e for j, e in enumerate(row)]
@@ -307,14 +298,13 @@ def reflections(G: MatrixGroup):
         if rref(CycMatrix.from_rows(rows(cls[0])))[2] == 1:
             out += [(i, canonicalize_hyperplane(next(
                 r for r in rows(i) if any(r)))) for i in cls]
-    G._reflections = sorted(out, key=lambda t: t[0])
-    return G._reflections
+    return sorted(out, key=lambda t: t[0])
 
 
+@_memo
 def reflection_arrangement(G: MatrixGroup) -> Arrangement:
-    if G._refl_arrangement is None:     # Arrangement orders the hyperplanes
-        G._refl_arrangement = Arrangement(G.n, {h for _, h in reflections(G)})
-    return G._refl_arrangement
+    """The reflecting hyperplanes of G, in the order Arrangement fixes."""
+    return Arrangement(G.n, {h for _, h in reflections(G)})
 
 
 class _Action:
@@ -349,14 +339,13 @@ class _Action:
             self.fibers.setdefault(p, []).append(g)
 
 
+@_memo
 def hyperplane_action(G: MatrixGroup, A: Arrangement) -> _Action:
     """Permutations of A induced by every group element (g sends H to gH)."""
-    act = G._actions.get(A)
-    if act is None:
-        act = G._actions[A] = _Action(G, A)
-    return act
+    return _Action(G, A)
 
 
+@_memo
 def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
     """Disjoint orbits of G on L(A), each with representative (lex least key),
     setwise stabilizer N and pointwise stabilizer Z as index sets, and for
@@ -365,9 +354,6 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
     One pass over the distinct permutations' images of the representative's
     mask gives the orbit, N (the union of the fixing fibers) and the
     transport."""
-    cached = G._orbits.get(A)
-    if cached is not None:
-        return cached
     lattice = build_lattice(A)
     fibers = hyperplane_action(G, A).fibers
     orbits, seen = [], set()
@@ -387,7 +373,6 @@ def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
         orbits.append(OrbitDatum(rep, members, G, frozenset(N), rep.codim,
                                  transport))
     orbits.sort(key=lambda o: (o.codim, o.representative.key))
-    G._orbits[A] = orbits
     return orbits
 
 
@@ -441,28 +426,31 @@ def center(G: MatrixGroup) -> frozenset:
     return frozenset(cls[0] for cls in conjugacy_classes(G) if len(cls) == 1)
 
 
+@_memo
 def conjugacy_classes(G: MatrixGroup):
     """Partition of the element indices into conjugacy classes, each sorted;
-    classes ordered by least member.  G._inverse_class[c] is the index of
-    the class of the inverses of class c's members.  A class is the closure
-    under x -> g_t^-1 x g_t, read from the Cayley table as
+    classes ordered by least member.  A class is the closure under
+    x -> g_t^-1 x g_t, read from the Cayley table as
     inv[cayley[inv[cayley[x][t]]][t]]."""
-    if G._classes is not None:
-        return G._classes
     cay, inv = G.cayley, G.inverse
-    class_of = [-1] * G.order
+    seen = set()
     classes = []
     for i in range(G.order):
-        if class_of[i] < 0:
+        if i not in seen:
             cls = _closure([i], range(len(G.generators)),
                            lambda x, t: inv[cay[inv[cay[x][t]]][t]],
                            G.order)[0]
-            for y in cls:
-                class_of[y] = len(classes)
+            seen.update(cls)
             classes.append(sorted(cls))
-    G._inverse_class = [class_of[G.inverse[cls[0]]] for cls in classes]
-    G._classes = classes
     return classes
+
+
+@_memo
+def _inverse_classes(G: MatrixGroup):
+    """The index of the class of the inverses of class c's members, by c."""
+    classes = conjugacy_classes(G)
+    class_of = {x: c for c, cls in enumerate(classes) for x in cls}
+    return [class_of[G.inverse[cls[0]]] for cls in classes]
 
 
 class LinearCharacter:
@@ -486,6 +474,7 @@ class LinearCharacter:
         return hash(self.values)
 
 
+@_memo
 def linear_characters(G: MatrixGroup):
     """All linear characters, read from the integer relations of the Cayley
     graph.  With x_k in Z^s counting the generators on element k's BFS
@@ -495,8 +484,6 @@ def linear_characters(G: MatrixGroup):
     their echelon form.  Values live at conductor e, the lcm of the
     denominators (the exponent of G/[G,G]).  Deterministic order: trivial
     character first, then sorted by value tuple."""
-    if G._linear_chars is not None:
-        return G._linear_chars
     s = len(G.generators)
     x = _along_parents(G, (0,) * s, lambda v, t: v[:t] + (v[t] + 1,) + v[t + 1:])
     rels = set()
@@ -523,9 +510,7 @@ def linear_characters(G: MatrixGroup):
         vals = _along_parents(G, 0, lambda v, t: (v + exps[t]) % e)
         chars.append((any(exps), [keys[v] for v in vals], vals))
     chars.sort(key=lambda c: c[:2])
-    out = [LinearCharacter([roots[v] for v in vals]) for _, _, vals in chars]
-    G._linear_chars = out
-    return out
+    return [LinearCharacter([roots[v] for v in vals]) for _, _, vals in chars]
 
 
 def _echelon(rows, s):

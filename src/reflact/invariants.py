@@ -35,11 +35,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arrangement import Arrangement, build_lattice, subarrangement
+from .arrangement import Arrangement, _memo, build_lattice, subarrangement
 from .exactnum import Cyc
 from .groups import (
     LinearCharacter,
     MatrixGroup,
+    _inverse_classes,
     conjugacy_classes,
     determinant_like_characters,
     hyperplane_action,
@@ -129,7 +130,7 @@ def _class_average(G: MatrixGroup, phi, trace) -> Cyc:
     trace is read only where the weight is nonzero."""
     classes = conjugacy_classes(G)
     total = sum((phi[j] * Cyc.rational(len(cls) * trace(cls[0]))
-                 for cls, j in zip(classes, G._inverse_class) if phi[j]),
+                 for cls, j in zip(classes, _inverse_classes(G)) if phi[j]),
                 Cyc.zero())
     return total * Cyc.rational(Fraction(1, G.order))
 
@@ -539,25 +540,21 @@ def multiplicity_classfn(A: Arrangement, G: MatrixGroup, phi, k: int) -> Cyc:
     return _class_average(G, phi, trace)
 
 
+@_memo
 def _fixed_flat_traces(A, perm) -> tuple:
     """tr(perm | H^k) for k = 0..rk, read from L(A) alone: (-1)^k times the
     sum of mu(V, X) over the codim-k flats X that perm fixes, with mu the
     Mobius function of the subposet of fixed flats (Orlik-Solomon and the
-    Hopf trace formula of Baclawski-Bjorner).  Kept per permutation on A's
-    lattice."""
+    Hopf trace formula of Baclawski-Bjorner).  Kept per permutation on A."""
     lattice = build_lattice(A)
-    got = lattice.traces.get(perm)
-    if got is None:
-        fixed = []      # (mask, mu) of the fixed flats met so far
-        sums = [0] * (lattice.rank + 1)
-        for X, key in lattice.key_of.items():      # by codimension
-            if sum(1 << perm[i] for i in key) == X:
-                mu = -sum(m for Y, m in fixed if Y & X == Y) if X else 1
-                fixed.append((X, mu))
-                sums[lattice.by_key[key].codim] += mu
-        got = lattice.traces[perm] = tuple(-s if k % 2 else s
-                                           for k, s in enumerate(sums))
-    return got
+    fixed = []      # (mask, mu) of the fixed flats met so far
+    sums = [0] * (lattice.rank + 1)
+    for X, key in lattice.key_of.items():      # by codimension
+        if sum(1 << perm[i] for i in key) == X:
+            mu = -sum(m for Y, m in fixed if Y & X == Y) if X else 1
+            fixed.append((X, mu))
+            sums[lattice.by_key[key].codim] += mu
+    return tuple(-s if k % 2 else s for k, s in enumerate(sums))
 
 
 def vanishing_check_detlike(A: Arrangement, G: MatrixGroup) -> dict:

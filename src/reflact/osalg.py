@@ -27,7 +27,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
-from .arrangement import Arrangement, build_lattice
+from .arrangement import Arrangement, _memo, build_lattice
 from .exactnum import Span, rat_to_str
 from .groups import MatrixGroup, hyperplane_action
 
@@ -127,27 +127,23 @@ class BrieskornComponent:
 
 
 class _OSContext:
-    """Per-arrangement cache: NBC bases, straightening results, trace tables
-    and the circuits `circuits()` asks for.  L(A) answers the rest."""
+    """Per-arrangement cache: NBC bases, straightening results, traces and
+    the circuits `circuits()` asks for.  L(A) answers the rest."""
 
     def __init__(self, A: Arrangement):
         self.A = A
         self.lattice = build_lattice(A)
         self.rank = self.lattice.rank
-        self.circuits = None
-        self.nbc = {}
         self._nbc_levels = [[((), 0)]]   # per degree: (NBC tuple, flat mask)
         self.memo = {}              # sorted tuple -> {nbc tuple: Fraction}
-        self.traces = {}            # (k, perm) -> Fraction
 
     # -- matroid layer -----------------------------------------------------
 
-    def build_circuits(self):
-        """Enumerate circuits: minimal dependent subsets.  BFS over
+    @_memo
+    def circuits(self):
+        """Circuits, minimal dependent subsets, sorted.  BFS over
         independent sets; a dependent extension whose proper subsets are all
         independent is a circuit."""
-        if self.circuits is not None:
-            return
         nh = len(self.A)
         join = self.lattice.join
         circuits = []
@@ -168,19 +164,16 @@ class _OSContext:
                         if all(s in indep for s in subs):
                             circuits.append(cand)
             level = nxt
-        circuits.sort()
-        self.circuits = circuits
+        return sorted(circuits)
 
     # -- NBC basis ----------------------------------------------------------
 
+    @_memo
     def nbc_monomials(self, k):
         """NBC k-tuples in lex order.  By Bjorner's criterion an independent
         tuple (s_1 < ... < s_k) has no broken circuit iff s_i is the least
         index in the flat spanned by s_i..s_k for every i, so NBC tuples
         grow leftwards from NBC suffixes."""
-        got = self.nbc.get(k)
-        if got is not None:
-            return got
         levels = self._nbc_levels
         join = self.lattice.join
         while len(levels) <= min(k, self.rank):
@@ -193,9 +186,7 @@ class _OSContext:
                         nxt.append(((a,) + T, G))
             levels.append(nxt)
         mono = sorted(T for T, _ in levels[k]) if 0 <= k <= self.rank else []
-        basis = NBCBasis(k, mono)
-        self.nbc[k] = basis
-        return basis
+        return NBCBasis(k, mono)
 
     # -- straightening -------------------------------------------------------
 
@@ -240,10 +231,8 @@ class _OSContext:
 
     # -- traces ---------------------------------------------------------------
 
+    @_memo
     def trace(self, k, perm):
-        got = self.traces.get((k, perm))
-        if got is not None:
-            return got
         basis = self.nbc_monomials(k)
         total = _ZERO
         for mono in basis.monomials:
@@ -254,7 +243,6 @@ class _OSContext:
             coeff = self.straighten_sorted(srt).get(mono)
             if coeff:
                 total += sign * coeff
-        self.traces[(k, perm)] = total
         return total
 
 
@@ -276,16 +264,14 @@ def _sort_with_sign(mono):
     return tuple(lst), sign
 
 
+@_memo
 def _ctx(A: Arrangement) -> _OSContext:
-    if A._os is None:
-        A._os = _OSContext(A)
-    return A._os
+    """A's Orlik-Solomon context, made on first use."""
+    return _OSContext(A)
 
 
 def circuits(A: Arrangement):
-    ctx = _ctx(A)
-    ctx.build_circuits()
-    return list(ctx.circuits)
+    return list(_ctx(A).circuits())
 
 
 def nbc_basis(A: Arrangement, k: int) -> NBCBasis:

@@ -8,6 +8,7 @@ from reflact.arrangement import (
     Arrangement,
     Flat,
     FlatNotInLatticeError,
+    _memo,
     build_lattice,
     canonicalize_hyperplane,
     essentialize,
@@ -111,6 +112,32 @@ def test_flat_basis_consistency():
                     s = s + cov[j] * f.basis[r, j]
                 assert s.is_zero()
         assert f.codim == A.n - f.basis.rows
+
+
+def test_memo_keeps_results_on_the_object_and_not_exceptions():
+    calls = []
+
+    @_memo
+    def area(box, scale):
+        """Doubles as a docstring check."""
+        calls.append(scale)
+        if scale < 0:
+            raise ValueError("negative scale")
+        return box.side * box.side * scale
+
+    class Box:
+        side = 3
+
+    a, b = Box(), Box()
+    assert area(a, 2) == area(a, 2) == 18 and calls == [2]
+    assert area(b, 2) == 18 and calls == [2, 2]     # per object
+    assert area(a, 1) == 9 and calls == [2, 2, 1]   # per argument tuple
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            area(a, -1)
+    assert calls == [2, 2, 1, -1, -1]
+    assert area.__name__ == "area" and area.__doc__.startswith("Doubles")
+    assert set(a._memo) == {(area.__wrapped__, 2), (area.__wrapped__, 1)}
 
 
 def test_subarrangement():

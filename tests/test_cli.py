@@ -10,8 +10,8 @@ import pytest
 
 from reflact.catalog import data_dir
 from reflact.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main, run, verify_suite
-from reflact.exactnum import CycMatrix
-from reflact.groups import OrderCapExceededError, _prime_root, generate
+from reflact.exactnum import CycMatrix, _prime_root
+from reflact.groups import OrderCapExceededError, generate
 
 
 def invoke(*argv):
@@ -204,6 +204,14 @@ def test_verify_small_suites():
 def test_verify_parallel():
     report = verify_suite("acyclic", max_r=4, max_n=2, jobs=2)
     assert report["passed"] and len(report["cases"]) == 5
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool is imported only when verify runs with more than one job
+    proc = python("-c", "import sys, reflact.cli; print(sorted(m for m in "
+                  "('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_mismatch_exit_code(tmp_path, monkeypatch):

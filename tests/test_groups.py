@@ -9,7 +9,7 @@ from test_exactnum import exact, ref_rref
 from reflact import catalog
 from reflact import groups as groups_mod
 from reflact.arrangement import Arrangement, build_lattice
-from reflact.exactnum import Cyc, CycMatrix, rref
+from reflact.exactnum import Cyc, CycMatrix, _prime_root, rref
 from reflact.arrangement import canonicalize_hyperplane
 from reflact.groups import (
     NotStableError,
@@ -125,7 +125,7 @@ def test_infinite_order_is_refused_at_any_cap():
 def test_generator_that_passes_modulo_p_is_refused_exactly():
     # [[0, 1], [1, p]] has determinant -1 and is the swap modulo p, so it
     # passes modulo p with order 2; g^2 != I exactly refuses it
-    p, _ = groups_mod._prime_root(1, 1 << 30)
+    p, _ = _prime_root(1, 1 << 30)
     g = CycMatrix.from_rows([[0, 1], [1, p]])
     assert groups_mod._order_mod_p(g, groups_mod._order_bound(2, 1)) == (p, 2)
     for cap in (20, groups_mod.DEFAULT_ORDER_CAP):
@@ -186,17 +186,17 @@ def test_modular_order_test_skips_a_prime_in_a_denominator():
     # [[0, q], [1/q, 0]] has order 2, and q is the first prime the test
     # would try; it must move on to the next prime = 1 (mod 3)
     w = Cyc.root_of_unity(3)
-    q, _ = groups_mod._prime_root(3, 1 << 30)
+    q, _ = _prime_root(3, 1 << 30)
     g = CycMatrix.from_rows([[0, w * q], [Cyc.rational(Fraction(1, q)) / w, 0]])
     p, k = groups_mod._order_mod_p(g, groups_mod._order_bound(2, 3))
-    assert k == 2 and p == groups_mod._prime_root(3, q)[0] and p != q
+    assert k == 2 and p == _prime_root(3, q)[0] and p != q
     assert p % 3 == 1 and all(p % d for d in range(2, 1 << 16))
     # q is also the first prime for conductor 1; diag(q, 1/q) has infinite
     # order and is refused modulo the next one
-    assert groups_mod._prime_root(1, 1 << 30)[0] == q
+    assert _prime_root(1, 1 << 30)[0] == q
     g = CycMatrix.from_rows([[q, 0], [0, Fraction(1, q)]])
     p, k = groups_mod._order_mod_p(g, groups_mod._order_bound(2, 1))
-    assert k is None and p == groups_mod._prime_root(1, q)[0]
+    assert k is None and p == _prime_root(1, q)[0]
 
 
 def test_each_generator_image_is_computed_once(monkeypatch):
@@ -331,6 +331,19 @@ def test_stabilizers_w3():
     # kernel of the action, which is trivial for a faithful matrix group
     assert setwise_stabilizer(G, V) == frozenset(range(6))
     assert pointwise_stabilizer(G, V) == frozenset({0})
+
+
+def test_group_facts_are_computed_once():
+    # the CLI matches characters by identity, so a second call must return
+    # the very object the first one made
+    G = w3()
+    A = reflection_arrangement(G)
+    for fn, args in [(conjugacy_classes, ()), (groups_mod._inverse_classes, ()),
+                     (linear_characters, ()), (reflections, ()),
+                     (reflection_arrangement, ()), (hyperplane_action, (A,)),
+                     (orbits_on_lattice, (A,))]:
+        assert fn(G, *args) is fn(G, *args), fn.__name__
+    assert build_lattice(A) is build_lattice(A)
 
 
 def test_center_and_classes():
@@ -566,7 +579,8 @@ def test_classes_and_center_match_brute_force(build):
             class_of.update(dict.fromkeys(cls, len(want)))
             want.append(cls)
     assert conjugacy_classes(G) == want
-    assert G._inverse_class == [class_of[G.inverse[c[0]]] for c in want]
+    assert groups_mod._inverse_classes(G) == [class_of[G.inverse[c[0]]]
+                                              for c in want]
     assert center(G) == {x for x in range(G.order)
                          if all(G.mul(x, y) == G.mul(y, x) for y in range(G.order))}
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from reflact.arrangement import Arrangement, build_lattice, subarrangement
+from reflact.arrangement import Arrangement, subarrangement
 from reflact.catalog import make_arrangement, make_grpn, shipped_group
 from reflact.exactnum import Cyc, CycMatrix, Span
 from reflact.groups import (
@@ -40,7 +40,9 @@ from reflact.invariants import (
 from reflact import invariants as invariants_mod
 from reflact.invariants import (_as_dim, _class_average, _fixed_flat_traces,
                                 _orbit_isotypic_dim)
-from reflact.osalg import OSElement, apply_perm, nbc_basis, perm_trace, straighten
+from reflact.osalg import (OSElement, _OSContext, _ctx, apply_perm, nbc_basis,
+                           perm_trace, straighten)
+from test_osalg import memoized
 
 
 def braid3():
@@ -455,9 +457,9 @@ def test_global_average_traces_one_permutation_per_class():
     G = make_grpn(3, 1, 4)
     A = make_arrangement.__wrapped__("full", 3, 4)   # fresh: no traces cached
     isotypic_dim_global(A, G, trivial_character(G), 2)
-    traced = build_lattice(A).traces
+    traced = memoized(A, _fixed_flat_traces)
     assert 0 < len(traced) <= len(conjugacy_classes(G))
-    assert A._os is None     # the global method straightens nothing
+    assert not memoized(A, _ctx)     # the global method straightens nothing
 
 
 def test_fixed_flat_traces_equal_os_traces():
@@ -520,6 +522,23 @@ def test_orbitwise_class_average_matches_permutation_reference():
                     _orbit_permutation_average(A, G, o, chi)
 
 
+def test_cached_facts_die_with_their_group_and_arrangement():
+    # generate and from_covectors keep no module-level cache of their own,
+    # so once the caller drops G and A every memoized fact goes with them
+    import gc
+    import weakref
+    G = generate([CycMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+                  CycMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])])
+    A = Arrangement.from_covectors(3, [[1, -1, 0], [1, 0, -1], [0, 1, -1]])
+    assert poincare_invariants(A, G, trivial_character(G)) == (1, 1, 0)
+    top = orbits_on_lattice(G, A)[-1].representative
+    assert len(subarrangement(A, top)) == 3
+    refs = weakref.ref(G), weakref.ref(A)
+    del G, A, top
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
 def test_orbitwise_traces_one_permutation_per_class():
     # the top orbit has one flat, fixed by all of G, so its character is
     # traced at most once per conjugacy class of G
@@ -529,7 +548,8 @@ def test_orbitwise_traces_one_permutation_per_class():
     top = [o for o in orbits_on_lattice(G, A) if o.codim == A.rank()]
     assert len(top) == 1 and len(conjugacy_classes(G)) == 51
     sub = subarrangement(A, top[0].representative)
-    traced = [key for key in sub._os.traces if key[0] == A.rank()]
+    traces = memoized(memoized(sub, _ctx)[()], _OSContext.trace)
+    traced = [key for key in traces if key[0] == A.rank()]
     assert 0 < len(traced) <= 51
 
 

@@ -8,6 +8,8 @@ from reflact.exactnum import Cyc, CycMatrix, rref
 from reflact.groups import generate, hyperplane_action
 from reflact.osalg import (
     OSElement,
+    _OSContext,
+    _ctx,
     action_matrix,
     action_trace,
     brieskorn_components,
@@ -18,6 +20,12 @@ from reflact.osalg import (
     rank_of_elements,
     straighten,
 )
+
+
+def memoized(obj, fn):
+    """The results of the memoized fn kept on obj, by argument tuple."""
+    return {key[1:]: v for key, v in vars(obj).get("_memo", {}).items()
+            if key[0] is fn.__wrapped__}
 
 
 def braid3():
@@ -468,5 +476,7 @@ def test_straightening_builds_no_circuits():
     # the orbitwise method straightens on the views, the projection on A
     assert poincare_invariants(A, G, chi) == (1, 2, 2, 1)
     assert isotypic_dim_projection(A, G, chi, 2) == 2
-    assert A._os.circuits is None
-    assert all(v._os.circuits is None for v in A._views.values() if v._os)
+    assert memoized(A, _ctx)     # A has an OS context
+    assert not any(memoized(ctx, _OSContext.circuits)
+                   for v in [A, *memoized(A, subarrangement).values()]
+                   for ctx in memoized(v, _ctx).values())
