@@ -317,14 +317,14 @@ def _cmd_invariant_basis(args, out):
 def _cmd_characters(args, out):
     G, _ = _get_pair(args, need_arrangement=False)
     chars = linear_characters(G)
-    det_like = set(id(c) for c in determinant_like_characters(G))
+    det_like = set(determinant_like_characters(G))
     classes = conjugacy_classes(G)
     rows, payload_chars = [], []
     for i, ch in enumerate(chars):
         values = [str(ch(cls[0])) for cls in classes]
-        rows.append([i, "yes" if id(ch) in det_like else "no",
+        rows.append([i, "yes" if ch in det_like else "no",
                      " ".join(values)])
-        payload_chars.append({"index": i, "det_like": id(ch) in det_like,
+        payload_chars.append({"index": i, "det_like": ch in det_like,
                               "values": values})
     payload = {"class_sizes": [len(c) for c in classes],
                "characters": payload_chars}

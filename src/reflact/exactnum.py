@@ -9,7 +9,9 @@ length phi(m) representing the element in the power basis
 1, zeta_m, ..., zeta_m^{phi(m)-1} of Q[x]/Phi_m(x).  Binary operations on
 mixed conductors lift both operands to the lcm.  Conductors stay small here
 (m <= 60), so the dense representation is the simplest correct canonical
-form.  A Cyc is true when it is nonzero, and its inverse comes from the
+form.  A rational q is (q, 0, ..., 0) at every conductor, so adding or
+multiplying by one touches the other operand's coefficients without lifting
+q.  A Cyc is true when it is nonzero, and its inverse comes from the
 extended Euclidean algorithm against Phi_m.  Every row-times-column product
 of Cycs runs through `_dot`, which skips zero factors on both sides.
 
@@ -353,6 +355,10 @@ class Cyc:
         other = Cyc._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.m == 1 or other.m == 1:
+            # a rational q is (q, 0, ..., 0) at every conductor
+            q, x = (self.c[0], other) if self.m == 1 else (other.c[0], self)
+            return Cyc(x.m, (x.c[0] + q,) + x.c[1:])
         a, b = self._common(other)
         return Cyc(a.m, tuple(x + y for x, y in zip(a.c, b.c)))
 
@@ -375,9 +381,10 @@ class Cyc:
         other = Cyc._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.m == 1 or other.m == 1:
+            q, x = (self.c[0], other) if self.m == 1 else (other.c[0], self)
+            return Cyc(x.m, tuple(q * c for c in x.c))
         a, b = self._common(other)
-        if a.m == 1:
-            return Cyc(1, (a.c[0] * b.c[0],))
         n = len(a.c)
         conv = [_ZERO] * (2 * n - 1)
         for i, x in enumerate(a.c):

@@ -34,6 +34,7 @@ checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .arrangement import Arrangement, _memo, build_lattice, subarrangement
 from .exactnum import Cyc
@@ -49,11 +50,11 @@ from .groups import (
 )
 from .osalg import (
     OSElement,
+    _ctx,
     _straighten_sum,
     closure_key,
     euler_derivation,
     nbc_basis,
-    perm_trace,
     rank_of_elements,
     straighten,
 )
@@ -126,13 +127,15 @@ def _as_dim(x: Cyc) -> int:
 
 def _class_average(G: MatrixGroup, phi, trace) -> Cyc:
     """(1/|G|) sum over conjugacy classes C of |C| phi[class of c^{-1}]
-    trace(c), for phi one value per class and c the least member of C; the
-    trace is read only where the weight is nonzero."""
-    classes = conjugacy_classes(G)
-    total = sum((phi[j] * Cyc.rational(len(cls) * trace(cls[0]))
-                 for cls, j in zip(classes, _inverse_classes(G)) if phi[j]),
-                Cyc.zero())
-    return total * Cyc.rational(Fraction(1, G.order))
+    trace(c), for phi one value per class, c the least member of C and
+    trace(c) an int; the trace is read only where the weight is nonzero.
+    The int weights |C| trace(c) are summed per distinct value of phi, so
+    there is one Cyc product per value."""
+    sums = {}
+    for cls, j in zip(conjugacy_classes(G), _inverse_classes(G)):
+        if phi[j]:
+            sums[phi[j]] = sums.get(phi[j], 0) + len(cls) * trace(cls[0])
+    return sum((v * Fraction(s, G.order) for v, s in sums.items()), Cyc.zero())
 
 
 def isotypic_dim_global(A: Arrangement, G: MatrixGroup, chi: LinearCharacter,
@@ -170,11 +173,11 @@ def _orbit_class_traces(A, G, orbit) -> dict:
     # x^{-1} on the hyperplanes through X, as positions in the key
     back = {X: {x[h]: pos[h] for h in key} for X, x in orbit.transport.items()}
     perms = hyperplane_action(G, A).perms
+    ctx = _ctx(sub)
 
     def trace(g):
         p = perms[g]
-        return sum(perm_trace(sub, tuple(back[X][p[x[h]]] for h in key),
-                              orbit.codim)
+        return sum(ctx.trace(orbit.codim, tuple(back[X][p[x[h]]] for h in key))
                    for X, x in orbit.transport.items()
                    if all(p[i] in back[X] for i in X))     # gX = X
 
@@ -322,11 +325,14 @@ def euler_identity_check(A: Arrangement, G: MatrixGroup,
 
 def project_invariant(A: Arrangement, G: MatrixGroup, x: OSElement) -> OSElement:
     """e_G . x, averaged over distinct hyperplane permutations weighted by
-    how many elements induce each."""
+    how many elements induce each.  With d the lcm of the denominators of
+    x, the sum of d c |fiber| straighten(perm . m) is taken in ints and
+    scaled once by 1/(d |G|)."""
+    d = lcm(*(c.denominator for c in x.coeffs.values()))
     return _straighten_sum(A, x.k, (
-        (tuple(perm[i] for i in m), c * Fraction(len(gs), G.order))
+        (tuple(perm[i] for i in m), (c * d).numerator * len(gs))
         for perm, gs in hyperplane_action(G, A).fibers.items()
-        for m, c in x.coeffs.items()))
+        for m, c in x.coeffs.items())).scale(Fraction(1, d * G.order))
 
 
 class Theorem4Basis:

@@ -13,7 +13,10 @@ rewrites the first suffix that breaks the criterion with the relation of
 that suffix plus the least index of its flat; every rewrite replaces an
 index by a strictly smaller one, so it terminates by lexicographic descent.
 
-All coefficients are rational.  Independence, closures, circuits and NBC
+The relations have coefficients +-1, so straightening only adds and
+subtracts: the straightening memo and the traces hold ints, and the public
+results (`straighten`, `apply_perm`, `euler_derivation`, `perm_trace`,
+`action_trace`) are `Fraction`s.  Independence, closures, circuits and NBC
 sets are int lookups in the arrangement's lattice of flats
 (`arrangement.build_lattice`), so no cyclotomic arithmetic happens here.
 Spans and ranks of elements come from the package's one exact echelon,
@@ -135,7 +138,7 @@ class _OSContext:
         self.lattice = build_lattice(A)
         self.rank = self.lattice.rank
         self._nbc_levels = [[((), 0)]]   # per degree: (NBC tuple, flat mask)
-        self.memo = {}              # sorted tuple -> {nbc tuple: Fraction}
+        self.memo = {}              # sorted tuple -> {nbc tuple: int}
 
     # -- matroid layer -----------------------------------------------------
 
@@ -213,7 +216,7 @@ class _OSContext:
             if cut is None and F & ((1 << mono[i]) - 1):
                 cut = i, (F & -F).bit_length() - 1
         if cut is None:
-            out = {mono: _ONE}
+            out = {mono: 1}
         else:
             i, a = cut
             p = bisect_left(mono, a)
@@ -223,7 +226,7 @@ class _OSContext:
             for j in range(i, len(mono)):
                 for mm, cc in self.straighten_sorted(
                         stem + mono[i:j] + mono[j + 1:]).items():
-                    out[mm] = out.get(mm, _ZERO) + sign * cc
+                    out[mm] = out.get(mm, 0) + sign * cc
                 sign = -sign
             out = {mm: cc for mm, cc in out.items() if cc}
         self.memo[mono] = out
@@ -232,9 +235,9 @@ class _OSContext:
     # -- traces ---------------------------------------------------------------
 
     @_memo
-    def trace(self, k, perm):
+    def trace(self, k, perm) -> int:
         basis = self.nbc_monomials(k)
-        total = _ZERO
+        total = 0
         for mono in basis.monomials:
             img = tuple(perm[i] for i in mono)
             srt, sign = _sort_with_sign(img)
@@ -288,7 +291,8 @@ def straighten(A: Arrangement, mono) -> OSElement:
 
 def _straighten_sum(A: Arrangement, k: int, terms) -> OSElement:
     """sum of c * straighten(A, mono) over (mono, c) pairs, accumulated in
-    one dict."""
+    one dict; the memo's coefficients are ints, so int weights c give an
+    int sum and `Fraction` weights a `Fraction` one."""
     ctx = _ctx(A)
     out = {}
     for mono, c in terms:
@@ -296,7 +300,7 @@ def _straighten_sum(A: Arrangement, k: int, terms) -> OSElement:
         if srt is not None:
             c = sign * c
             for m, v in ctx.straighten_sorted(srt).items():
-                out[m] = out.get(m, _ZERO) + c * v
+                out[m] = out.get(m, 0) + c * v
     return OSElement(k, out)
 
 
@@ -314,12 +318,12 @@ def action_matrix(A: Arrangement, G: MatrixGroup, g: int, k: int):
 
 def action_trace(A: Arrangement, G: MatrixGroup, g: int, k: int) -> Fraction:
     perm = hyperplane_action(G, A).perms[g]
-    return _ctx(A).trace(k, perm)
+    return Fraction(_ctx(A).trace(k, perm))
 
 
 def perm_trace(A: Arrangement, perm, k: int) -> Fraction:
     """Trace on NBCBasis(k) of the map induced by a hyperplane permutation."""
-    return _ctx(A).trace(k, tuple(perm))
+    return Fraction(_ctx(A).trace(k, tuple(perm)))
 
 
 def closure_key(A: Arrangement, mono):

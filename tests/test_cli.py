@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from reflact import cli
 from reflact.catalog import data_dir
 from reflact.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main, run, verify_suite
 from reflact.exactnum import CycMatrix, _prime_root
-from reflact.groups import OrderCapExceededError, generate
+from reflact.groups import LinearCharacter, OrderCapExceededError, generate
 
 
 def invoke(*argv):
@@ -133,6 +134,20 @@ def test_characters_verb():
     assert len(payload["characters"]) == 4
     assert payload["characters"][0]["values"][0] == "1"
     assert sum(c["det_like"] for c in payload["characters"]) >= 1
+
+
+def test_characters_marks_det_like_by_value(monkeypatch):
+    # equal characters that are not the same objects must still be marked
+    argv = ("characters", "--group", "G(2,1,2)", "--format", "json")
+    chars = json.loads(invoke(*argv)[1])["characters"]
+    expected = [c["det_like"] for c in chars]
+    assert any(expected) and not all(expected)
+    real = cli.determinant_like_characters
+    monkeypatch.setattr(cli, "determinant_like_characters",
+                        lambda G: [LinearCharacter(c.values) for c in real(G)])
+    code, out, _ = invoke(*argv)
+    assert code == EXIT_OK
+    assert [c["det_like"] for c in json.loads(out)["characters"]] == expected
 
 
 def test_multiplicity_verb():

@@ -12,6 +12,7 @@ from reflact.exactnum import (
     Span,
     _is_prime,
     _prime_root,
+    _reduce_coeffs,
     cyc_arith,
     cyc_from_json,
     cyc_normalize,
@@ -148,6 +149,29 @@ def test_rational_agreement(p, q):
     a, b = Cyc.rational(p), Cyc.rational(q)
     assert (a + b).rational_value() == p + q
     assert (a * b).rational_value() == p * q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 3, 4, 5, 8, 12]).flatmap(
+    lambda m: st.lists(rats, min_size=euler_phi(m), max_size=euler_phi(m))
+    .map(lambda c: Cyc(m, tuple(c)))), rats, st.integers(-30, 30))
+def test_rational_operand_matches_the_lifted_product_and_sum(x, q, n):
+    # a rational, as an int, a Fraction or a conductor-1 Cyc, scales or
+    # shifts x at x's conductor exactly as its lift (q, 0, ..., 0) would
+    m = x.m
+    for r, forms in ((q, (q, Cyc.rational(q))),
+                     (Fraction(n), (n, Cyc.rational(n)))):
+        y = Cyc.rational(r).lift(m)
+        conv = [Fraction(0)] * (2 * len(x.c) - 1)
+        for i, a in enumerate(y.c):
+            for j, b in enumerate(x.c):
+                conv[i + j] += a * b
+        product = _reduce_coeffs(m, conv)
+        total = tuple(a + b for a, b in zip(y.c, x.c))
+        for f in forms:
+            for got, want in ((f * x, product), (x * f, product),
+                              (f + x, total), (x + f, total)):
+                assert got.m == m and got.c == want
 
 
 def _det2(M):

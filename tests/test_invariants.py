@@ -333,6 +333,35 @@ def test_class_indicators_read_the_inverse_class():
                 _element_average(G, phi_of, trace)
 
 
+@pytest.mark.parametrize("make", [lambda: make_grpn(3, 1, 3),
+                                  lambda: make_grpn(4, 2, 3),
+                                  lambda: shipped_group("h3")])
+def test_class_average_grouped_by_value_matches_per_class_sum(make):
+    # the int weights are summed per distinct value of phi; the result must
+    # be the per-class sum, and traces are read only where phi(c^-1) != 0
+    G = make()
+    A = reflection_arrangement(G)
+    perms = hyperplane_action(G, A).perms
+    classes = conjugacy_classes(G)
+    cls_of = {g: ci for ci, cls in enumerate(classes) for g in cls}
+    inv = [cls_of[G.inverse[cls[0]]] for cls in classes]
+    z = Cyc.root_of_unity(12)
+    phis = [[chi(cls[0]) for cls in classes] for chi in linear_characters(G)]
+    phis.append([z ** (j % 5) if j % 3 else Cyc.zero()
+                 for j in range(len(classes))])
+    for phi in phis:
+        for k in range(A.rank() + 1):
+            def tr(g):
+                return _fixed_flat_traces(A, perms[g])[k]
+            ref = sum((phi[inv[j]] * Cyc.rational(len(cls) * tr(cls[0]))
+                       for j, cls in enumerate(classes)), Cyc.zero())
+            read = []
+            got = _class_average(G, phi, lambda g: read.append(g) or tr(g))
+            assert got == ref * Cyc.rational(Fraction(1, G.order))
+            assert read == [cls[0] for j, cls in enumerate(classes)
+                            if phi[inv[j]]]
+
+
 def _perm_trace_on_span(A, perm, span, k):
     """Trace of a hyperplane permutation on the span (traces are basis
     independent, so the pivot vectors serve as the basis)."""

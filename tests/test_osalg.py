@@ -480,3 +480,35 @@ def test_straightening_builds_no_circuits():
     assert not any(memoized(ctx, _OSContext.circuits)
                    for v in [A, *memoized(A, subarrangement).values()]
                    for ctx in memoized(v, _ctx).values())
+
+
+@pytest.mark.parametrize("name", ["H3", "G(3,1,3)"])
+def test_public_results_are_fractions_and_the_memo_ints(name):
+    # the straightening memo and the traces add ints; every public result
+    # is still a Fraction, never an int or a float
+    from reflact.catalog import make_arrangement, make_grpn, shipped_group
+    from reflact.groups import orbits_on_lattice, reflection_arrangement
+    from reflact.invariants import poincare_invariants, trivial_character
+    from reflact.osalg import apply_perm, perm_trace
+    if name == "H3":
+        G = shipped_group("h3")
+        A = _fresh(reflection_arrangement(G))
+    else:
+        G, A = make_grpn(3, 1, 3), _fresh(make_arrangement("full", 3, 3))
+    perms = hyperplane_action(G, A).perms
+    g = G.generators[0]
+    for k in range(A.rank() + 1):
+        assert type(perm_trace(A, perms[g], k)) is Fraction
+        assert type(action_trace(A, G, g, k)) is Fraction
+        for mono in list(combinations(range(len(A)), k))[:60]:
+            x = straighten(A, mono[::-1])
+            images = [x, apply_perm(A, perms[g], x)]
+            if k:
+                images.append(euler_derivation(A, x))
+            for el in images:
+                assert all(type(c) is Fraction for c in el.coeffs.values())
+    poincare_invariants(A, G, trivial_character(G))
+    top, = [o for o in orbits_on_lattice(G, A) if o.codim == A.rank()]
+    memo = _ctx(subarrangement(A, top.representative)).memo
+    assert memo and all(type(c) is int
+                        for image in memo.values() for c in image.values())
