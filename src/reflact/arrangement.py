@@ -27,7 +27,7 @@ arithmetic.
 from __future__ import annotations
 
 from functools import wraps
-from math import gcd
+from math import lcm
 
 from .exactnum import (Cyc, CycMatrix, Span, _mod_p, cyc_from_json,
                        cyc_to_json, kernel)
@@ -65,8 +65,8 @@ def _memo(fn):
 class Hyperplane:
     """A linear hyperplane ker(alpha) given by its canonical covector.
 
-    Equality and hashing go through the Cyc entries, which compare and hash
-    alike across conductors."""
+    Equality and hashing are the Cyc entries': equal values agree at any
+    conductors, so `Arrangement.index_of` finds a hyperplane by value."""
 
     __slots__ = ("covector",)
 
@@ -98,10 +98,7 @@ class Arrangement:
 
     def __init__(self, n: int, hyperplanes):
         hps = list(hyperplanes)
-        m = 1
-        for h in hps:
-            for c in h.covector:
-                m = m * c.m // gcd(m, c.m)
+        m = lcm(1, *(c.m for h in hps for c in h.covector))
         lifted = [Hyperplane(tuple(c.lift(m) for c in h.covector)) for h in hps]
         # sort key uses the minimal-conductor canonical form of each entry so
         # the order does not depend on the ambient lcm conductor (otherwise a
@@ -337,11 +334,10 @@ def _lattice_of_covectors(A: Arrangement) -> IntersectionLattice:
     masks, joins and bases are those of the exact lattice.  A flat of
     codim n spans the whole dual space and needs no check.  When a check
     fails, the build starts again at the next prime."""
-    dens = {c.denominator for h in A.hyperplanes for x in h.covector
-            for c in x.c}
+    values = [c for h in A.hyperplanes for c in h.covector]
     p = 1 << 30
     while True:
-        p, image = _mod_p(A.conductor, dens, p)
+        p, image = _mod_p(values, p)
         masks, join, chains = _covers_mod_p(A, p, image)
         if all(_spanned_by_chain(A, F, chains[F])
                for level in masks[1:A.n] for F in level):

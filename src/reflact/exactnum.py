@@ -11,9 +11,10 @@ mixed conductors lift both operands to the lcm.  Conductors stay small here
 (m <= 60), so the dense representation is the simplest correct canonical
 form.  A rational q is (q, 0, ..., 0) at every conductor, so adding or
 multiplying by one touches the other operand's coefficients without lifting
-q.  A Cyc is true when it is nonzero, and its inverse comes from the
-extended Euclidean algorithm against Phi_m.  Every row-times-column product
-of Cycs runs through `_dot`, which skips zero factors on both sides.
+q, and it hashes as q; equal values hash alike at any conductors.  A Cyc is
+true when it is nonzero, and its inverse comes from the extended Euclidean
+algorithm against Phi_m.  Every row-times-column product of Cycs runs
+through `_dot`, which skips zero factors on both sides.
 
 `Span` keeps sparse vectors {key: value}, with values all `Fraction` or all
 `Cyc`, in reduced row echelon form, pivoting at each row's least key.  Every
@@ -62,7 +63,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError("conductor must be >= 1, got %r" % (m,))
@@ -128,11 +129,14 @@ def _prime_root(m: int, above: int):
     return p, w
 
 
-def _mod_p(m: int, dens, above: int = 1 << 30):
-    """(p, image): the least prime p > above with p = 1 (mod m) that divides
-    none of the ints `dens`, and the ring map zeta_m -> w, w the primitive
-    m-th root of `_prime_root`, as a function from a Cyc at conductor m
-    whose denominators are among `dens` to its residue in 0..p-1."""
+def _mod_p(values, above: int = 1 << 30):
+    """(p, image) for Cycs `values` of lcm conductor m: the least prime
+    p > above with p = 1 (mod m) that divides no denominator of a value, and
+    the ring map zeta_m -> w, w the primitive m-th root of `_prime_root`,
+    as a function from a Cyc over Q(zeta_m) whose denominators are among
+    theirs to its residue in 0..p-1."""
+    m = lcm(1, *(x.m for x in values))
+    dens = {c.denominator for x in values for c in x.c}
     p, w = _prime_root(m, above)
     while any(d % p == 0 for d in dens):
         p, w = _prime_root(m, p)
@@ -140,7 +144,7 @@ def _mod_p(m: int, dens, above: int = 1 << 30):
 
     def image(x):
         return sum(c.numerator * pow(c.denominator, -1, p) * wj
-                   for c, wj in zip(x.c, powers) if c) % p
+                   for c, wj in zip(x.lift(m).c, powers) if c) % p
     return p, image
 
 
@@ -173,7 +177,7 @@ def _poly_mul_sub(a, q, b):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     """Coefficients of Phi_m, low to high, computed by exact division of
     x^m - 1 by the lower cyclotomic polynomials."""
@@ -193,7 +197,7 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _reduction_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
     """x^e mod Phi_m for phi(m) <= e < m, as coefficient tuples of length phi(m)."""
     phi, poly = euler_phi(m), list(cyclotomic_polynomial(m))
@@ -221,7 +225,7 @@ def _reduce_coeffs(m: int, raw) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _subfield_solver(m: int, d: int):
     """For d | m: a left inverse of the matrix whose columns are the images
     in Q(zeta_m) of the power basis of Q(zeta_d).  The images are
@@ -324,15 +328,18 @@ class Cyc:
         return Cyc(m, _reduce_coeffs(m, raw))
 
     def _canonical(self):
-        """(d, coeffs) over the minimal cyclotomic subfield; used for hashing
-        so that equal values at different conductors hash alike."""
+        """(d, coeffs) over the least cyclotomic subfield, alike at any
+        conductors: a non-rational's hash, and an order key.  A non-rational
+        skips Q(zeta_1) = Q and each Q(zeta_d) = Q(zeta_{d/2}), d = 2 mod 4."""
+        if self.is_rational():
+            return (1, self.c[:1])
         for d in _divisors(self.m):
             if d == self.m:
                 return (d, self.c)
-            down = _descend(self.m, d, self.c)
-            if down is not None:
-                return (d, down)
-        return (self.m, self.c)
+            if d > 1 and d % 4 != 2:
+                down = _descend(self.m, d, self.c)
+                if down is not None:
+                    return (d, down)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -448,7 +455,7 @@ class Cyc:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(self._canonical())
+            h = hash(self.c[0] if self.is_rational() else self._canonical())
             object.__setattr__(self, "_hash", h)
         return h
 

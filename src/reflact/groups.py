@@ -7,7 +7,7 @@ the Cayley graph.
 
 A finite G acts faithfully on the orbit of e_1..e_n, which spans C^n.  An
 element is a permutation of that orbit, identified by its images of
-e_1..e_n; orbit vectors compare by their coefficient tuples at the
+e_1..e_n; orbit vectors are found by value, with entries at the
 generators' conductor, so products and inverses are int-tuple lookups.
 The element order is fixed by the BFS (identity first, generators in the
 given order), which makes indices, orbits and stabilizer index sets
@@ -108,22 +108,13 @@ class MatrixGroup:
 
     def contains_matrix(self, M: CycMatrix):
         """Index of the element whose matrix is M, at any conductor, or None."""
-        n = self.n
-        if (M.rows, M.cols) != (n, n):
+        if (M.rows, M.cols) != (self.n, self.n):
             return None
-        m = self.m * M.m // gcd(self.m, M.m)
-        pos = {_tag(v, m): x for x, v in enumerate(self.vectors)}
-        return self._index.get(tuple(pos.get(_tag([M[r, c] for r in range(n)], m))
-                                     for c in range(n)))
+        pos = {v: x for x, v in enumerate(self.vectors)}
+        return self._index.get(tuple(map(pos.get, zip(*M.row_list()))))
 
     def __repr__(self):
         return "MatrixGroup(n=%d, order=%d)" % (self.n, self.order)
-
-
-def _tag(vec, m):
-    """The entries' coefficient tuples at conductor m: equal vectors, equal
-    tags, without Cyc hashing."""
-    return tuple(c.lift(m).c for c in vec)
 
 
 def _closure(seeds, gens, act, cap, key=None):
@@ -190,7 +181,7 @@ def _order_mod_p(g: CycMatrix, L: int):
     g^L != I.  As p is odd and prime to m, no element of finite order other
     than I is I modulo p, so a g of finite order has order k."""
     n = g.rows
-    p, image = _mod_p(g.m, {c.denominator for e in g.entries for c in e.c})
+    p, image = _mod_p(g.entries)
     g_p = [[image(e) for e in g.row(i)] for i in range(n)]
 
     def times(a, b):
@@ -225,8 +216,8 @@ def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     gens = list(gens)
     if gens:
         dim = gens[0].rows
-    if dim is None:
-        raise ValueError("dimension required for the trivial group")
+    if dim is None or dim < 0:
+        raise ValueError("the trivial group needs a dimension >= 0")
     for i, g in enumerate(gens):
         if g.rows != g.cols or g.rows != dim:
             raise ValueError("generators must be square of equal dimension")
@@ -252,15 +243,13 @@ def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
             raise OrderCapExceededError(
                 "generator %d has infinite order (g^%d is I modulo %d but "
                 "not exactly), so it exceeds any order cap" % (i, k, p))
-    m = 1
-    for g in gens:
-        m = m * g.m // gcd(m, g.m)
+    m = lcm(1, *(g.m for g in gens))
     one, zero = Cyc.one().lift(m), Cyc.zero().lift(m)
     basis = [tuple(one if i == j else zero for i in range(dim))
              for j in range(dim)]
     vectors, images, _ = _closure(
         basis, gens, lambda v, g: tuple(c.lift(m) for c in g.apply(v)),
-        order_cap, key=lambda v: _tag(v, m))
+        order_cap)
     perms, cayley, parents = _closure(
         [tuple(range(len(vectors)))], list(zip(*images)),
         lambda p, g: tuple(map(p.__getitem__, g)),   # p * g
@@ -272,11 +261,14 @@ def group_from_json(obj, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     """Build a group from the ingestion schema
     {"conductor": m, "dim": n, "generators": [[[Cyc...]...]...]}."""
     try:
-        n = int(obj["dim"])
+        n = obj["dim"]
         gens = [CycMatrix.from_rows([[cyc_from_json(e) for e in row] for row in mat])
                 for mat in obj["generators"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError("malformed group file: %s" % exc)
+    if type(n) is not int or n < 0:     # a bool is no dimension either
+        raise ValueError("malformed group file: dim %r is not an integer "
+                         ">= 0" % (n,))
     for g in gens:
         if g.rows != n or g.cols != n:
             raise ValueError("malformed group file: generator shape")
@@ -309,24 +301,23 @@ def reflection_arrangement(G: MatrixGroup) -> Arrangement:
 
 class _Action:
     """Cached permutation action of a group on an arrangement's hyperplanes.
-    A generator's image of a covector is canonicalized and found by its
-    coefficient tag at the common conductor of G and A.  `perms` lists each
-    element's permutation; `fibers` maps each distinct one to the elements
-    inducing it, in order of first occurrence."""
+    A generator's image of a covector is canonicalized and found by value
+    with `Arrangement.index_of`.  `perms` lists each element's permutation;
+    `fibers` maps each distinct one to the elements inducing it, in order of
+    first occurrence."""
 
     def __init__(self, G: MatrixGroup, A: Arrangement):
         if G.n != A.n:
             raise NotStableError("group acts on C^%d, arrangement lives in C^%d"
                                  % (G.n, A.n))
-        nh, m = len(A), lcm(G.m, A.conductor)
-        index = {_tag(A.covector(i), m): i for i in range(nh)}
+        nh = len(A)
         gen_perm = []
         for gi in G.generators:
             inv = G.matrix(G.inverse[gi])
             perm = []
             for i in range(nh):
                 img = canonicalize_hyperplane(inv.apply_row(list(A.covector(i))))
-                j = index.get(_tag(img.covector, m))
+                j = A.index_of(img)
                 if j is None:
                     raise NotStableError(
                         "generator %d maps hyperplane %d outside A" % (gi, i))

@@ -335,6 +335,13 @@ def test_oversized_conductor_in_group_file_exits_2(tmp_path):
                        "malformed group file")
 
 
+@pytest.mark.parametrize("dim", [-1, 2.5, True])
+def test_group_file_dim_that_is_no_nonnegative_int_exits_2(tmp_path, dim):
+    # -1 once ended in a traceback, and 2.5 was read as 2
+    group_file_refused(tmp_path, {"dim": dim, "generators": []},
+                       "malformed group file: dim")
+
+
 def test_info_action_summary():
     argv = ("info", "--group", "G(3,1,4)", "--arrangement", "A_4(3)")
     code, out, _ = invoke(*argv, "--format", "json")

@@ -57,3 +57,13 @@ def test_imports_only_the_standard_library(path):
               if isinstance(node, ast.ImportFrom) and not node.level]
     allowed = sys.stdlib_module_names | {"__future__"}
     assert [n for n in names if n.split(".")[0] not in allowed] == []
+
+
+def test_module_level_caches_are_bounded():
+    # a cache keyed by what input files supply (conductors, specs) must not
+    # grow without bound; per-object facts live in the object's _memo
+    sizes = {(name, attr): f.cache_parameters()["maxsize"] for name in MODULES
+             for attr, f in vars(importlib.import_module(name)).items()
+             if hasattr(f, "cache_parameters")}
+    assert ("reflact.exactnum", "euler_phi") in sizes
+    assert [key for key, size in sizes.items() if size is None] == []

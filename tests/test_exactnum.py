@@ -24,6 +24,7 @@ from reflact.exactnum import (
     rat_to_str,
     rref,
 )
+from reflact.groups import LinearCharacter
 
 
 def test_euler_phi():
@@ -94,6 +95,18 @@ def test_cross_conductor_hash_consistency():
     assert hash(z6_native) == hash(z6_in_3) == hash(z6_in_12)
     one_in_4 = Cyc.root_of_unity(4) ** 4
     assert hash(one_in_4) == hash(Cyc.one())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(), st.sampled_from([1, 3, 4, 5, 8, 12]))
+def test_a_rational_hashes_as_its_fraction(q, m):
+    # Cyc == int and Cyc == Fraction hold for rationals, so they must hash
+    # alike at every conductor, as int and Fraction do
+    assert hash(Cyc.rational(q).lift(m)) == hash(q)
+    assert hash(Cyc.rational(q.numerator).lift(m)) == hash(q.numerator)
+    assert len({Cyc.one(), 1, Fraction(1)}) == 1
+    assert {1: "x"}[Cyc.one()] == "x"
+    assert LinearCharacter([1, 1]) in {LinearCharacter([Cyc.one()] * 2)}
 
 
 rats = st.builds(

@@ -8,7 +8,7 @@ from test_exactnum import exact, ref_rref
 
 from reflact import catalog
 from reflact import groups as groups_mod
-from reflact.arrangement import Arrangement, build_lattice
+from reflact.arrangement import Arrangement, Hyperplane, build_lattice
 from reflact.exactnum import Cyc, CycMatrix, _prime_root, rref
 from reflact.arrangement import canonicalize_hyperplane
 from reflact.groups import (
@@ -485,6 +485,8 @@ def test_group_from_json():
     assert G.order == 2
     with pytest.raises(ValueError):
         group_from_json({"dim": 2, "generators": [[["1", "0"]]]})
+    with pytest.raises(ValueError):
+        generate([], dim=-1)
 
 
 def _matrix_bfs(gens):
@@ -597,6 +599,19 @@ def test_contains_matrix_across_conductors():
     assert k is not None and G333.elements[k] == perm
     assert G333.contains_matrix(signed) is None
     assert G333.contains_matrix(CycMatrix.identity(2)) is None
+
+
+def test_lookups_by_value_across_conductors():
+    # G(4,1,3) at conductor 4 on A_3(4) rebuilt at conductor 12: orbit
+    # vectors and hyperplanes are found by value, whatever the conductor
+    G, A = catalog.make_grpn(4, 1, 3), catalog.make_arrangement("full", 4, 3)
+    B = Arrangement(3, [Hyperplane(tuple(c.lift(12) for c in h.covector))
+                        for h in A.hyperplanes])
+    assert (G.m, A.conductor, B.conductor) == (4, 4, 12)
+    assert B.hyperplanes == A.hyperplanes
+    assert hyperplane_action(G, B).perms == hyperplane_action(G, A).perms
+    M = CycMatrix(3, 3, [e.lift(12) for e in G.matrix(5).entries])
+    assert M.m == 12 and G.contains_matrix(M) == 5
 
 
 def _reflections_per_element(G):
