@@ -199,6 +199,7 @@ class IntersectionLattice:
     """
 
     def __init__(self, A, masks, join, chains, prime):
+        self.masks = masks
         self.join = join
         self.chains = chains
         self.prime = prime
@@ -345,29 +346,20 @@ def _lattice_of_covectors(A: Arrangement) -> IntersectionLattice:
 
 
 def _lattice_of_view(A: Arrangement) -> IntersectionLattice:
-    """The parent's interval [top, X] for the view A = A_X, renumbered to
+    """The parent's flats below X for the view A = A_X, renumbered to
     positions in X's key."""
     parent, ground = A._parent
     plat = build_lattice(parent)
     pos = {g: p for p, g in enumerate(ground)}
-    local = {0: 0}   # parent mask -> mask over positions in ground
-    chains = {0: ()}
-    join = {}
-    masks = []
-    frontier = [0]
-    while frontier:
-        masks.append([local[F] for F in frontier])
-        nxt = []
-        for F in frontier:
-            images = [plat.join[F][g] for g in ground]
-            for G in images:
-                if G not in local:
-                    local[G] = sum(1 << pos[i] for i in _bits(G))
-                    chains[local[G]] = tuple(pos[i] for i in plat.chains[G])
-                    nxt.append(G)
-            join[local[F]] = tuple(local[G] for G in images)
-        frontier = sorted(nxt, key=_bits)
-    return IntersectionLattice(A, masks, join, chains, plat.prime)
+    X = sum(1 << g for g in ground)
+    local = {F: sum(1 << pos[i] for i in _bits(F))
+             for level in plat.masks for F in level if not F & ~X}
+    masks = [[local[F] for F in level if F in local] for level in plat.masks]
+    join = {local[F]: tuple(local[plat.join[F][g]] for g in ground)
+            for F in local}
+    chains = {local[F]: tuple(pos[i] for i in plat.chains[F]) for F in local}
+    return IntersectionLattice(A, [lv for lv in masks if lv], join, chains,
+                               plat.prime)
 
 
 @_memo

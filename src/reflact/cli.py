@@ -296,6 +296,8 @@ def _cmd_poincare(args, out):
 
 def _cmd_invariant_basis(args, out):
     G, A = _get_pair(args)
+    if not _get_character(G, args.character).is_trivial():
+        raise CLIError("invariant-basis certifies the trivial character only")
     fam = pair_family(args.group, args.arrangement)
     family = fam if (fam and fam[3] >= 3) else None
     try:

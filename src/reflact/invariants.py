@@ -50,8 +50,8 @@ from .groups import (
 )
 from .osalg import (
     OSElement,
-    _ctx,
     _straighten_sum,
+    _trace,
     closure_key,
     euler_derivation,
     nbc_basis,
@@ -173,11 +173,11 @@ def _orbit_class_traces(A, G, orbit) -> dict:
     # x^{-1} on the hyperplanes through X, as positions in the key
     back = {X: {x[h]: pos[h] for h in key} for X, x in orbit.transport.items()}
     perms = hyperplane_action(G, A).perms
-    ctx = _ctx(sub)
 
     def trace(g):
         p = perms[g]
-        return sum(ctx.trace(orbit.codim, tuple(back[X][p[x[h]]] for h in key))
+        return sum(_trace(sub, orbit.codim,
+                          tuple(back[X][p[x[h]]] for h in key))
                    for X, x in orbit.transport.items()
                    if all(p[i] in back[X] for i in X))     # gX = X
 

@@ -19,6 +19,8 @@ results (`straighten`, `apply_perm`, `euler_derivation`, `perm_trace`,
 `action_trace`) are `Fraction`s.  Independence, closures, circuits and NBC
 sets are int lookups in the arrangement's lattice of flats
 (`arrangement.build_lattice`), so no cyclotomic arithmetic happens here.
+Each fact (circuits, the NBC bases of all degrees, the straightening memo,
+each trace) is one `arrangement._memo` entry on its arrangement.
 Spans and ranks of elements come from the package's one exact echelon,
 `exactnum.Span`, which this module re-exports.  Signs are the ints +-1, so
 a coefficient times a sign stays a `Fraction` without building -1.
@@ -129,158 +131,140 @@ class BrieskornComponent:
         return rank_of_elements(self.spanning.values())
 
 
-class _OSContext:
-    """Per-arrangement cache: NBC bases, straightening results, traces and
-    the circuits `circuits()` asks for.  L(A) answers the rest."""
+@_memo
+def _circuits(A: Arrangement):
+    """Circuits, minimal dependent subsets, sorted.  BFS over independent
+    sets; a dependent extension whose proper subsets are all independent is
+    a circuit."""
+    lattice = build_lattice(A)
+    circuits = []
+    level = [((), 0)]
+    while level:
+        nxt = []
+        for mono, F in level:
+            start = mono[-1] + 1 if mono else 0
+            row = lattice.join[F]
+            for j in range(start, len(A)):
+                cand = mono + (j,)
+                if row[j] != F:
+                    nxt.append((cand, row[j]))
+                elif all(lattice.closure(cand[:i] + cand[i + 1:]) is not None
+                         for i in range(len(mono))):
+                    circuits.append(cand)
+        level = nxt
+    return sorted(circuits)
 
-    def __init__(self, A: Arrangement):
-        self.A = A
-        self.lattice = build_lattice(A)
-        self.rank = self.lattice.rank
-        self._nbc_levels = [[((), 0)]]   # per degree: (NBC tuple, flat mask)
-        self.memo = {}              # sorted tuple -> {nbc tuple: int}
 
-    # -- matroid layer -----------------------------------------------------
+@_memo
+def _nbc_levels(A: Arrangement):
+    """The NBC bases of degrees 0..rk, each in lex order.  By Bjorner's
+    criterion an independent tuple (s_1 < ... < s_k) has no broken circuit
+    iff s_i is the least index in the flat spanned by s_i..s_k for every i,
+    so NBC tuples grow leftwards from NBC suffixes."""
+    join = build_lattice(A).join
+    levels = [[((), 0)]]   # per degree: (NBC tuple, flat mask)
+    for _ in range(A.rank()):
+        nxt = []
+        for T, F in levels[-1]:
+            row = join[F]
+            for a in range(T[0] if T else len(A)):
+                G = row[a]
+                if G != F and not G & ((1 << a) - 1):
+                    nxt.append(((a,) + T, G))
+        levels.append(nxt)
+    return [NBCBasis(k, sorted(T for T, _ in level))
+            for k, level in enumerate(levels)]
 
-    @_memo
-    def circuits(self):
-        """Circuits, minimal dependent subsets, sorted.  BFS over
-        independent sets; a dependent extension whose proper subsets are all
-        independent is a circuit."""
-        nh = len(self.A)
-        join = self.lattice.join
-        circuits = []
-        indep = {()}
-        level = [((), 0)]
-        for size in range(self.rank + 1):
-            nxt = []
-            for mono, F in level:
-                start = mono[-1] + 1 if mono else 0
-                row = join[F]
-                for j in range(start, nh):
-                    cand = mono + (j,)
-                    if row[j] != F:
-                        indep.add(cand)
-                        nxt.append((cand, row[j]))
-                    else:
-                        subs = [cand[:i] + cand[i + 1:] for i in range(len(cand))]
-                        if all(s in indep for s in subs):
-                            circuits.append(cand)
-            level = nxt
-        return sorted(circuits)
 
-    # -- NBC basis ----------------------------------------------------------
+@_memo
+def _straightening(A: Arrangement):
+    """The memo, sorted tuple -> image, and join table of A's straightening."""
+    return {}, build_lattice(A).join
 
-    @_memo
-    def nbc_monomials(self, k):
-        """NBC k-tuples in lex order.  By Bjorner's criterion an independent
-        tuple (s_1 < ... < s_k) has no broken circuit iff s_i is the least
-        index in the flat spanned by s_i..s_k for every i, so NBC tuples
-        grow leftwards from NBC suffixes."""
-        levels = self._nbc_levels
-        join = self.lattice.join
-        while len(levels) <= min(k, self.rank):
-            nxt = []
-            for T, F in levels[-1]:
-                row = join[F]
-                for a in range(T[0] if T else len(self.A)):
-                    G = row[a]
-                    if G != F and not G & ((1 << a) - 1):
-                        nxt.append(((a,) + T, G))
-            levels.append(nxt)
-        mono = sorted(T for T, _ in levels[k]) if 0 <= k <= self.rank else []
-        return NBCBasis(k, mono)
 
-    # -- straightening -------------------------------------------------------
+def _straighten_sorted(mono, memo, join):
+    """Image of a strictly increasing tuple, as {nbc tuple: coeff}.
 
-    def straighten_sorted(self, mono):
-        """Image of a strictly increasing tuple, as {nbc tuple: coeff}.
+    The suffixes T = mono[i:] are scanned from the right with F = cl(T).
+    If a suffix does not grow F, mono is dependent and maps to 0.  At the
+    first T whose flat holds an index below mono[i], with a the least,
+    d(e_a e_T) = 0 gives e_T = sum_j (-1)^j e_a e_{T - t_j}; a is not in
+    mono (mono is independent), so each term sorts by moving a past the
+    head mono[:i].  With no such suffix mono is NBC."""
+    got = memo.get(mono)
+    if got is not None:
+        return got
+    F, cut = 0, None
+    for i in range(len(mono) - 1, -1, -1):
+        G = join[F][mono[i]]
+        if G == F:
+            memo[mono] = {}
+            return {}
+        F = G
+        if cut is None and F & ((1 << mono[i]) - 1):
+            cut = i, (F & -F).bit_length() - 1
+    if cut is None:
+        out = {mono: 1}
+    else:
+        i, a = cut
+        p = bisect_left(mono, a)
+        stem = mono[:p] + (a,) + mono[p:i]
+        sign = 1 if (i - p) % 2 == 0 else -1
+        out = {}
+        for j in range(i, len(mono)):
+            for mm, cc in _straighten_sorted(
+                    stem + mono[i:j] + mono[j + 1:], memo, join).items():
+                out[mm] = out.get(mm, 0) + sign * cc
+            sign = -sign
+        out = {mm: cc for mm, cc in out.items() if cc}
+    memo[mono] = out
+    return out
 
-        The suffixes T = mono[i:] are scanned from the right with F = cl(T).
-        If a suffix does not grow F, mono is dependent and maps to 0.  At the
-        first T whose flat holds an index below mono[i], with a the least,
-        d(e_a e_T) = 0 gives e_T = sum_j (-1)^j e_a e_{T - t_j}; a is not in
-        mono (mono is independent), so each term sorts by moving a past the
-        head mono[:i].  With no such suffix mono is NBC."""
-        got = self.memo.get(mono)
-        if got is not None:
-            return got
-        join = self.lattice.join
-        F, cut = 0, None
-        for i in range(len(mono) - 1, -1, -1):
-            G = join[F][mono[i]]
-            if G == F:
-                self.memo[mono] = {}
-                return {}
-            F = G
-            if cut is None and F & ((1 << mono[i]) - 1):
-                cut = i, (F & -F).bit_length() - 1
-        if cut is None:
-            out = {mono: 1}
-        else:
-            i, a = cut
-            p = bisect_left(mono, a)
-            stem = mono[:p] + (a,) + mono[p:i]
-            sign = 1 if (i - p) % 2 == 0 else -1
-            out = {}
-            for j in range(i, len(mono)):
-                for mm, cc in self.straighten_sorted(
-                        stem + mono[i:j] + mono[j + 1:]).items():
-                    out[mm] = out.get(mm, 0) + sign * cc
-                sign = -sign
-            out = {mm: cc for mm, cc in out.items() if cc}
-        self.memo[mono] = out
-        return out
 
-    # -- traces ---------------------------------------------------------------
-
-    @_memo
-    def trace(self, k, perm) -> int:
-        basis = self.nbc_monomials(k)
-        total = 0
-        for mono in basis.monomials:
-            img = tuple(perm[i] for i in mono)
-            srt, sign = _sort_with_sign(img)
-            if srt is None:
-                continue
-            coeff = self.straighten_sorted(srt).get(mono)
-            if coeff:
-                total += sign * coeff
-        return total
+@_memo
+def _trace(A: Arrangement, k, perm) -> int:
+    """Trace on NBCBasis(k) of a hyperplane permutation, 0 outside 0..rk."""
+    levels = _nbc_levels(A)
+    if not 0 <= k < len(levels):
+        return 0
+    memo, join = _straightening(A)
+    total = 0
+    for mono in levels[k].monomials:
+        img = tuple(perm[i] for i in mono)
+        srt, sign = _sort_with_sign(img)
+        if srt is None:
+            continue
+        coeff = _straighten_sorted(srt, memo, join).get(mono)
+        if coeff:
+            total += sign * coeff
+    return total
 
 
 def _sort_with_sign(mono):
     """(sorted tuple, sign +-1) or (None, 0) on repeated index."""
     lst = list(mono)
-    n = len(lst)
     sign = 1
-    # insertion sort, counting swaps
-    for i in range(1, n):
+    # insertion sort, counting swaps; an index stops next to an equal one
+    for i in range(1, len(lst)):
         j = i
         while j > 0 and lst[j - 1] > lst[j]:
             lst[j - 1], lst[j] = lst[j], lst[j - 1]
             sign = -sign
             j -= 1
-    for i in range(1, n):
-        if lst[i - 1] == lst[i]:
+        if j > 0 and lst[j - 1] == lst[j]:
             return None, 0
     return tuple(lst), sign
 
 
-@_memo
-def _ctx(A: Arrangement) -> _OSContext:
-    """A's Orlik-Solomon context, made on first use."""
-    return _OSContext(A)
-
-
 def circuits(A: Arrangement):
-    return list(_ctx(A).circuits())
+    return list(_circuits(A))
 
 
 def nbc_basis(A: Arrangement, k: int) -> NBCBasis:
-    if not (0 <= k <= _ctx(A).rank):
-        raise ValueError("degree %d out of range 0..%d" % (k, _ctx(A).rank))
-    return _ctx(A).nbc_monomials(k)
+    levels = _nbc_levels(A)
+    if not 0 <= k < len(levels):
+        raise ValueError("degree %d out of range 0..%d" % (k, len(levels) - 1))
+    return levels[k]
 
 
 def straighten(A: Arrangement, mono) -> OSElement:
@@ -293,13 +277,13 @@ def _straighten_sum(A: Arrangement, k: int, terms) -> OSElement:
     """sum of c * straighten(A, mono) over (mono, c) pairs, accumulated in
     one dict; the memo's coefficients are ints, so int weights c give an
     int sum and `Fraction` weights a `Fraction` one."""
-    ctx = _ctx(A)
+    memo, join = _straightening(A)
     out = {}
     for mono, c in terms:
         srt, sign = _sort_with_sign(mono)
         if srt is not None:
             c = sign * c
-            for m, v in ctx.straighten_sorted(srt).items():
+            for m, v in _straighten_sorted(srt, memo, join).items():
                 out[m] = out.get(m, 0) + c * v
     return OSElement(k, out)
 
@@ -317,13 +301,12 @@ def action_matrix(A: Arrangement, G: MatrixGroup, g: int, k: int):
 
 
 def action_trace(A: Arrangement, G: MatrixGroup, g: int, k: int) -> Fraction:
-    perm = hyperplane_action(G, A).perms[g]
-    return Fraction(_ctx(A).trace(k, perm))
+    return perm_trace(A, hyperplane_action(G, A).perms[g], k)
 
 
 def perm_trace(A: Arrangement, perm, k: int) -> Fraction:
     """Trace on NBCBasis(k) of the map induced by a hyperplane permutation."""
-    return Fraction(_ctx(A).trace(k, tuple(perm)))
+    return Fraction(_trace(A, k, tuple(perm)))
 
 
 def closure_key(A: Arrangement, mono):

@@ -116,6 +116,21 @@ def test_invariant_basis_verb():
     assert payload["poincare"] == [1, 1, 0, 0]
 
 
+@pytest.mark.parametrize("character", ["index:2", "det", "det-inv"])
+def test_invariant_basis_refuses_a_nontrivial_character(character):
+    # the certified basis is the trivial character's; a nontrivial selector
+    # must not print it as if it answered
+    pair = ("--group", "G(2,1,3)", "--arrangement", "A_3(2)")
+    code, out, err = invoke("invariant-basis", *pair, "--character", character)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "trivial" in err
+    trivial = invoke("invariant-basis", *pair, "--format", "json")
+    assert trivial[0] == EXIT_OK
+    for same in ("trivial", "index:0"):
+        assert invoke("invariant-basis", *pair, "--format", "json",
+                      "--character", same) == trivial
+
+
 def test_invariant_basis_rank_zero():
     pair = ("--group", "W(1)", "--arrangement", "A_1^0(1)")
     code, out, err = invoke("invariant-basis", *pair, "--format", "json")

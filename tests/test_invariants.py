@@ -40,8 +40,9 @@ from reflact.invariants import (
 from reflact import invariants as invariants_mod
 from reflact.invariants import (_as_dim, _class_average, _fixed_flat_traces,
                                 _orbit_isotypic_dim)
-from reflact.osalg import (OSElement, _OSContext, _ctx, apply_perm, nbc_basis,
-                           perm_trace, straighten)
+from reflact.osalg import (OSElement, _circuits, _nbc_levels, _straightening,
+                           _trace, apply_perm, nbc_basis, perm_trace,
+                           straighten)
 from test_osalg import memoized
 
 
@@ -488,7 +489,9 @@ def test_global_average_traces_one_permutation_per_class():
     isotypic_dim_global(A, G, trivial_character(G), 2)
     traced = memoized(A, _fixed_flat_traces)
     assert 0 < len(traced) <= len(conjugacy_classes(G))
-    assert not memoized(A, _ctx)     # the global method straightens nothing
+    # the global method straightens nothing: A has no Orlik-Solomon fact
+    assert not any(memoized(A, fact) for fact in
+                   (_circuits, _nbc_levels, _straightening, _trace))
 
 
 def test_fixed_flat_traces_equal_os_traces():
@@ -577,7 +580,7 @@ def test_orbitwise_traces_one_permutation_per_class():
     top = [o for o in orbits_on_lattice(G, A) if o.codim == A.rank()]
     assert len(top) == 1 and len(conjugacy_classes(G)) == 51
     sub = subarrangement(A, top[0].representative)
-    traces = memoized(memoized(sub, _ctx)[()], _OSContext.trace)
+    traces = memoized(sub, _trace)
     traced = [key for key in traces if key[0] == A.rank()]
     assert 0 < len(traced) <= 51
 

@@ -8,8 +8,8 @@ from reflact.exactnum import Cyc, CycMatrix, rref
 from reflact.groups import generate, hyperplane_action
 from reflact.osalg import (
     OSElement,
-    _OSContext,
-    _ctx,
+    _circuits,
+    _straightening,
     action_matrix,
     action_trace,
     brieskorn_components,
@@ -17,6 +17,7 @@ from reflact.osalg import (
     closure_key,
     euler_derivation,
     nbc_basis,
+    perm_trace,
     rank_of_elements,
     straighten,
 )
@@ -136,6 +137,28 @@ def test_nbc_basis_examples():
     assert len(nbc_basis(A, 0)) == 1 and nbc_basis(A, 0).monomials == ((),)
     B = boolean2()
     assert len(nbc_basis(B, 1)) == 2 and len(nbc_basis(B, 2)) == 1
+
+
+def test_degrees_outside_the_rank():
+    # no NBC basis there, so a trace is 0 and nbc_basis refuses the degree
+    A, G = braid3(), w3()
+    for k in (-1, A.rank() + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            nbc_basis(A, k)
+        got = perm_trace(A, (1, 0, 2), k)
+        assert got == 0 and type(got) is Fraction
+        for g in range(G.order):
+            got = action_trace(A, G, g, k)
+            assert got == 0 and type(got) is Fraction
+
+
+def test_circuits_returns_a_fresh_list():
+    A = braid3()
+    got = circuits(A)
+    got.append((9, 9))
+    got[0] = None
+    assert circuits(A) == [(0, 1, 2)]
+    assert circuits(A) is not circuits(A)
 
 
 def test_nbc_dims_match_oracle():
@@ -476,10 +499,9 @@ def test_straightening_builds_no_circuits():
     # the orbitwise method straightens on the views, the projection on A
     assert poincare_invariants(A, G, chi) == (1, 2, 2, 1)
     assert isotypic_dim_projection(A, G, chi, 2) == 2
-    assert memoized(A, _ctx)     # A has an OS context
-    assert not any(memoized(ctx, _OSContext.circuits)
-                   for v in [A, *memoized(A, subarrangement).values()]
-                   for ctx in memoized(v, _ctx).values())
+    assert memoized(A, _straightening)     # A has been straightened
+    assert not any(memoized(v, _circuits)
+                   for v in [A, *memoized(A, subarrangement).values()])
 
 
 @pytest.mark.parametrize("name", ["H3", "G(3,1,3)"])
@@ -509,6 +531,6 @@ def test_public_results_are_fractions_and_the_memo_ints(name):
                 assert all(type(c) is Fraction for c in el.coeffs.values())
     poincare_invariants(A, G, trivial_character(G))
     top, = [o for o in orbits_on_lattice(G, A) if o.codim == A.rank()]
-    memo = _ctx(subarrangement(A, top.representative)).memo
+    memo, _ = _straightening(subarrangement(A, top.representative))
     assert memo and all(type(c) is int
                         for image in memo.values() for c in image.values())
