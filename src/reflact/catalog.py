@@ -498,18 +498,8 @@ def load_group_types(path):
 
 
 def shipped_group_types(name: str):
-    """The stabilizer-type table of a shipped group, read once per name and
-    resolved data directory."""
-    return _shipped_group_types(name, data_dir().resolve())
-
-
-@lru_cache(maxsize=16)
-def _shipped_group_types(name, directory):
-    return load_group_types(directory / ("%s.json" % name)) or ()
-
-
-shipped_group_types.cache_info = _shipped_group_types.cache_info
-shipped_group_types.cache_clear = _shipped_group_types.cache_clear
+    """The stabilizer-type table of a shipped group, () when it has none."""
+    return load_group_types(data_dir() / (name + ".json")) or ()
 
 
 def orbit_type_names(G: MatrixGroup, A: Arrangement, types=None) -> dict:

@@ -27,6 +27,7 @@ from .catalog import (
     shipped_group_types,
     shipped_name,
     data_dir,
+    load_group_types,
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -146,7 +147,7 @@ def _get_character(G, selector):
 
 def _type_names(args, G, A):
     """Orbit display names: family labels when the specs name a family,
-    shipped tables for exceptional groups, generic fallback otherwise."""
+    the group file's type table otherwise, generic where neither applies."""
     fam = pair_family(args.group, args.arrangement)
     if fam is not None:
         kind, r, p, n = fam
@@ -161,9 +162,12 @@ def _type_names(args, G, A):
                 for f in o.orbit:
                     member_rep[f.key] = o.representative.key
             return {member_rep[f.key]: lab.type_name for lab, f in labels}
-    name = shipped_name(args.group)
+    name, types = shipped_name(args.group), None
     try:
-        types = shipped_group_types(name) if name is not None else None
+        if name is not None:
+            types = shipped_group_types(name)
+        elif pair_family(args.group) is None:   # parse_group_spec read a file
+            types = load_group_types(args.group.strip())
     except ValueError as exc:
         raise CLIError(str(exc))
     return orbit_type_names(G, A, types)
@@ -531,10 +535,7 @@ def _run_case_star(item):
 def _cmd_verify(args, out):
     report = verify_suite(args.table, max_r=args.max_r, max_n=args.max_n,
                           jobs=max(1, args.jobs))
-    if args.format == "json":
-        json.dump(report, out, indent=1, sort_keys=True)
-        out.write("\n")
-    else:
+    if args.format == "text":
         for case in report["cases"]:
             if case["passed"]:
                 out.write("PASS %s\n" % case["id"])
@@ -544,6 +545,11 @@ def _cmd_verify(args, out):
         out.write("%d/%d cases passed\n"
                   % (sum(c["passed"] for c in report["cases"]),
                      len(report["cases"])))
+    else:
+        rows = [[c["id"], "PASS" if c["passed"] else "FAIL",
+                 c.get("expected", ""), c.get("got", "")] for c in report["cases"]]
+        _emit(out, args.format, "verify", ["case", "result", "expected", "got"],
+              rows, report)
     return EXIT_OK if report["passed"] else EXIT_MISMATCH
 
 

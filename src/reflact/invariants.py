@@ -161,12 +161,14 @@ def isotypic_dim_projection(A: Arrangement, G: MatrixGroup,
         for mono in nbc_basis(A, k).monomials)
 
 
-def _orbit_class_traces(A, G, orbit) -> dict:
+@_memo
+def _orbit_class_traces(G, A, orbit) -> dict:
     """The character of K_T, the sum of H^top(A_X) over the flats X of the
     orbit, which is Ind_{N_T}^G H^top(A_T) (Lehrer-Solomon), at the least
     member of each conjugacy class of G.  At g it sums, over the members X
     with gX = X, the trace of x^{-1} g x on the top cohomology of the
-    representative's subarrangement, with x = orbit.transport[X]."""
+    representative's subarrangement, with x = orbit.transport[X].  Kept on
+    G per arrangement and orbit."""
     key = orbit.representative.key
     sub = subarrangement(A, orbit.representative)
     pos = {h: j for j, h in enumerate(key)}
@@ -184,13 +186,11 @@ def _orbit_class_traces(A, G, orbit) -> dict:
     return {cls[0]: trace(cls[0]) for cls in conjugacy_classes(G)}
 
 
-def _orbit_isotypic_dim(A, G, orbit, chi, traces=None) -> int:
-    """dim K_T^chi, averaged over G's conjugacy classes from the orbit's
-    class traces, which a caller averaging several characters passes in."""
-    if traces is None:
-        traces = _orbit_class_traces(A, G, orbit)
+def _orbit_isotypic_dim(A, G, orbit, chi) -> int:
+    """dim K_T^chi: the orbit's class traces of K_T averaged against chi."""
     return _as_dim(_class_average(
-        G, [chi(cls[0]) for cls in conjugacy_classes(G)], traces.__getitem__))
+        G, [chi(cls[0]) for cls in conjugacy_classes(G)],
+        _orbit_class_traces(G, A, orbit).__getitem__))
 
 
 class PoincarePoly:
@@ -475,8 +475,8 @@ def relative_character(A: Arrangement, G: MatrixGroup,
     lattice) into linear-character multiplicities of Gt, read from the
     orbitwise averages.  A linear character psi of Gt occurs in K_T^G only
     if it is 1 on G, and then with its multiplicity in K_T (Lehrer-Solomon),
-    whose psi-isotypic part lies in K_T^G; the class traces of K_T are
-    computed once per orbit and averaged against each such psi.  dim K_T^G
+    whose psi-isotypic part lies in K_T^G; the memoized class traces of
+    K_T are averaged against each such psi.  dim K_T^G
     sums the invariant dimensions of the G-orbits inside T.  The
     multiplicities sum to at most that dimension, and to exactly it when
     Gt/G is abelian, that is, when |Gt|/|G| linear characters are 1 on G."""
@@ -497,8 +497,7 @@ def relative_character(A: Arrangement, G: MatrixGroup,
     entries = []
     for o in orbits_on_lattice(Gt, A):
         dim = sum(g_dims.get(f.key, 0) for f in o.orbit)
-        traces = _orbit_class_traces(A, Gt, o) if dim else None
-        mults = [_orbit_isotypic_dim(A, Gt, o, ch, traces) if dim and up else 0
+        mults = [_orbit_isotypic_dim(A, Gt, o, ch) if dim and up else 0
                  for ch, up in zip(chars, lifted)]
         if sum(mults) > dim or (abelian and sum(mults) != dim):
             raise NonIntegralityError(

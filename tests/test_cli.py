@@ -255,6 +255,28 @@ def test_verify_mismatch_exit_code(tmp_path, monkeypatch):
     assert "FAIL" in out and "0/1 cases passed" in out
 
 
+@pytest.mark.parametrize("fmt, table", [
+    ("csv", 'case,result,expected,got\n'
+            'table1 full r=2 p=1 n=2,PASS,,\n'
+            'table1 zero r=2 p=2 n=2,FAIL,"[9, 9, 9]","[1, 2, 1]"\n'),
+    ("tex", '\\begin{tabular}{llll}\n'
+            'case & result & expected & got \\\\\n\\hline\n'
+            'table1 full r=2 p=1 n=2 & PASS &  &  \\\\\n'
+            'table1 zero r=2 p=2 n=2 & FAIL & [9, 9, 9] & [1, 2, 1] \\\\\n'
+            '\\end{tabular}\n'),
+], ids=["csv", "tex"])
+def test_verify_formats_are_one_row_per_case(tmp_path, monkeypatch, fmt, table):
+    doctored = {"version": 1,
+                "table1": [{"kind": "full", "r": 2, "p": 1, "n": 2,
+                            "poincare": [1, 2, 1]},
+                           {"kind": "zero", "r": 2, "p": 2, "n": 2,
+                            "poincare": [9, 9, 9]}]}
+    (tmp_path / "verify_expected.json").write_text(json.dumps(doctored))
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path))
+    assert invoke("verify", "--table", "table1", "--format", fmt) == (
+        EXIT_MISMATCH, table, "")
+
+
 def test_main_returns_int():
     assert main(["info", "--group", "W(3)"]) == EXIT_OK
 
@@ -457,6 +479,29 @@ def test_malformed_type_table_exits_2(tmp_path, monkeypatch, table):
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: malformed group file ")
     assert str(tmp_path / "h3.json") in err
+
+
+def test_group_file_type_table_names_the_orbits(tmp_path):
+    # a group file's own table is read, as a shipped file's is
+    obj = json.loads((data_dir() / "h3.json").read_text())
+    obj["stabilizer_types"] = [dict(t, name="my " + t["name"])
+                               for t in obj["stabilizer_types"]]
+    path = tmp_path / "my_h3.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = invoke("orbits", "--group", str(path), "--format", "json")
+    assert code == EXIT_OK, err
+    carriers = sorted(o["type"] for o in json.loads(out)["orbits"] if o["dim"])
+    assert carriers == ["my A_0", "my A_1", "my A_1^2", "my H_3"]
+
+
+def test_group_file_with_a_malformed_type_table_exits_2(tmp_path):
+    obj = json.loads((data_dir() / "h3.json").read_text())
+    obj["stabilizer_types"] = "nope"
+    path = tmp_path / "my_h3.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = invoke("orbits", "--group", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: malformed group file %s" % path)
 
 
 # `--format json` output pinned byte for byte: hyperplane order, flat keys,

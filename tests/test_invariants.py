@@ -437,27 +437,43 @@ def test_relative_character_checks_the_multiplicity_sum(pair, offset, monkeypatc
         relative_character(A, G, Gt)
 
 
-def test_relative_character_traces_each_ambient_orbit_once(monkeypatch):
+def test_relative_character_traces_each_ambient_orbit_once():
     # the class traces of K_T do not depend on the character, so each orbit
     # of the ambient group that carries G-invariants is traced once, at one
     # element per conjugacy class, however many characters are 1 on G
-    A, G, Gt = RELATIVE_PAIRS["g224_in_g214"]()
+    A, G, _ = RELATIVE_PAIRS["g224_in_g214"]()
+    Gt = make_grpn.__wrapped__(2, 1, 4)      # fresh: no traces kept
     report = relative_character(A, G, Gt)
-    real = invariants_mod._orbit_class_traces
-    traced = []
-
-    def counting(A_, H, orbit):
-        traces = real(A_, H, orbit)
-        if H is Gt:
-            traced.append(orbit.representative.key)
-            assert sorted(traces) == sorted(c[0] for c in conjugacy_classes(Gt))
-        return traces
-
-    monkeypatch.setattr(invariants_mod, "_orbit_class_traces", counting)
-    assert relative_character(A, G, Gt).to_json() == report.to_json()
-    carriers = [e["rep_key"] for e in report.entries if e["dim"]]
+    traced = memoized(Gt, invariants_mod._orbit_class_traces)
+    carriers = [e["orbit"] for e in report.entries if e["dim"]]
     assert len(carriers) == 8
-    assert sorted(traced) == sorted(carriers)
+    assert set(traced) == {(A, o) for o in carriers}
+    leaders = sorted(c[0] for c in conjugacy_classes(Gt))
+    assert all(sorted(traces) == leaders for traces in traced.values())
+    assert relative_character(A, G, Gt).to_json() == report.to_json()
+    assert len(memoized(Gt, invariants_mod._orbit_class_traces)) == 8
+
+
+def test_orbit_characters_are_traced_once_for_every_character(monkeypatch):
+    # after the trivial character's Poincare polynomial, the other linear
+    # characters, the Theorem-4 basis and the Euler check read each orbit's
+    # K_T character from G's memo and trace no permutation again
+    G = make_grpn.__wrapped__(2, 1, 4)      # fresh: no traces kept
+    A = make_arrangement("full", 2, 4)
+    poincare_invariants(A, G, trivial_character(G))
+    others = [chi for chi in linear_characters(G) if not chi.is_trivial()]
+    assert len(others) == 3
+    calls = []
+    real = invariants_mod._trace
+    monkeypatch.setattr(invariants_mod, "_trace",
+                        lambda *args: calls.append(args) or real(*args))
+    for chi in others:
+        isotypic_dims_orbitwise(A, G, chi)
+    theorem4_basis(A, G, family=("full", 2, 1, 4))
+    euler_identity_check(A, G, trivial_character(G))
+    assert calls == []
+    assert len(memoized(G, invariants_mod._orbit_class_traces)) == \
+        len(orbits_on_lattice(G, A))
 
 
 def test_method_disagreement_is_caught(monkeypatch):
