@@ -18,10 +18,8 @@ one exact `exactnum.Span` per flat: the covectors of the flat's chain, the
 hyperplanes by which it was first reached, must span every other member.
 Exact row reduction happens there, in `essentialize`, which reads the
 center from the `Span` of the covectors, and in a flat's basis, the kernel
-of its chain's covectors, computed on first use.  A subarrangement A_X is a
-view: it shares the parent's hyperplanes, and its lattice is the parent's
-interval below X, renumbered, so building it needs no cyclotomic
-arithmetic.
+of its chain's covectors, computed on first use.  A subarrangement A_X is
+an arrangement of its own, with its own lattice.
 """
 
 from __future__ import annotations
@@ -107,14 +105,10 @@ class Arrangement:
                        key=lambda h: tuple(c._canonical() for c in h.covector))
         if len(keyed) != len(lifted):
             raise ValueError("duplicate hyperplanes")
-        self._setup(n, m, tuple(keyed), None)
-
-    def _setup(self, n, conductor, hyperplanes, parent):
         self.n = n
-        self.conductor = conductor
-        self.hyperplanes = hyperplanes
-        self._parent = parent   # (arrangement, flat key) for a subarrangement
-        self._index = {h: i for i, h in enumerate(hyperplanes)}
+        self.conductor = m
+        self.hyperplanes = tuple(keyed)
+        self._index = {h: i for i, h in enumerate(keyed)}
 
     @staticmethod
     def from_covectors(n: int, raws) -> "Arrangement":
@@ -194,8 +188,7 @@ class IntersectionLattice:
     mask of the flat spanned by F and H_j (F itself when j is in F).
     `chains[F]` lists the hyperplanes by which the build first reached F,
     one per codimension; their covectors span F's annihilator, so F's basis
-    is their kernel.  `prime` is the prime whose residuals built L(A) (the
-    parent's, for a view).
+    is their kernel.  `prime` is the prime whose residuals built L(A).
     """
 
     def __init__(self, A, masks, join, chains, prime):
@@ -322,10 +315,12 @@ def _spanned_by_chain(A, F, chain):
                for i in _bits(rest))
 
 
-def _lattice_of_covectors(A: Arrangement) -> IntersectionLattice:
-    """L(A) from `_covers_mod_p` at a prime p = 1 (mod A.conductor) that
-    divides no denominator of a covector, with zeta_m sent to a primitive
-    m-th root of unity mod p, certified exactly.
+@_memo
+def build_lattice(A: Arrangement) -> IntersectionLattice:
+    """L(A), built on first use and cached on the arrangement: the flats
+    from `_covers_mod_p` at a prime p = 1 (mod A.conductor) that divides no
+    denominator of a covector, with zeta_m sent to a primitive m-th root of
+    unity mod p, certified exactly.
 
     Reduction mod p only adds dependencies: rows independent mod p have a
     nonzero minor, so they are independent exactly, and an exact dependency
@@ -345,43 +340,13 @@ def _lattice_of_covectors(A: Arrangement) -> IntersectionLattice:
             return IntersectionLattice(A, masks, join, chains, p)
 
 
-def _lattice_of_view(A: Arrangement) -> IntersectionLattice:
-    """The parent's flats below X for the view A = A_X, renumbered to
-    positions in X's key."""
-    parent, ground = A._parent
-    plat = build_lattice(parent)
-    pos = {g: p for p, g in enumerate(ground)}
-    X = sum(1 << g for g in ground)
-    local = {F: sum(1 << pos[i] for i in _bits(F))
-             for level in plat.masks for F in level if not F & ~X}
-    masks = [[local[F] for F in level if F in local] for level in plat.masks]
-    join = {local[F]: tuple(local[plat.join[F][g]] for g in ground)
-            for F in local}
-    chains = {local[F]: tuple(pos[i] for i in plat.chains[F]) for F in local}
-    return IntersectionLattice(A, [lv for lv in masks if lv], join, chains,
-                               plat.prime)
-
-
-@_memo
-def build_lattice(A: Arrangement) -> IntersectionLattice:
-    """L(A), built on first use and cached on the arrangement."""
-    if A._parent is None:
-        return _lattice_of_covectors(A)
-    return _lattice_of_view(A)
-
-
 @_memo
 def subarrangement(A: Arrangement, X: Flat) -> Arrangement:
-    """A_X: the hyperplanes containing X, same ambient space and order.
-
-    A view on A, cached per flat: it shares A's hyperplanes, and its lattice
-    and matroid come from A's interval below X."""
+    """A_X: the hyperplanes containing X, same ambient space and order,
+    cached per flat."""
     if X.key not in build_lattice(A).by_key:
         raise FlatNotInLatticeError("flat %s not in L(A)" % (X.key,))
-    sub = Arrangement.__new__(Arrangement)
-    sub._setup(A.n, A.conductor if X.key else 1,
-               tuple(A.hyperplanes[i] for i in X.key), (A, X.key))
-    return sub
+    return Arrangement(A.n, [A.hyperplanes[i] for i in X.key])
 
 
 def essentialize(A: Arrangement):

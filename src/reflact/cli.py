@@ -517,6 +517,9 @@ def verify_suite(name, max_r=4, max_n=4, jobs=1):
                            % (nm, ", ".join(SUITES)))
     work = [(nm, case) for nm in names
             for case in _suite_cases(expected, nm, max_r, max_n)]
+    if not work:
+        raise CLIError("no case of suite %r has r <= %d and n <= %d"
+                       % (name, max_r, max_n))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -378,8 +378,7 @@ class Cyc:
         other = Cyc._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._common(other)
-        return Cyc(a.m, tuple(x - y for x, y in zip(a.c, b.c)))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -11,16 +11,16 @@ ways:
     g-fixed flats (Orlik-Solomon 1980 with the Hopf trace formula of
     Baclawski-Bjorner 1979);
   * orbitwise, as the sum over orbits T of codimension-k flats of the
-    chi-multiplicity of K_T, the top cohomology of the subarrangements at
-    the flats of T, which is Ind_{N_T}^G of that at a representative flat
-    (N_T its setwise stabilizer), traced by Orlik-Solomon straightening;
+    chi-multiplicity of K_T, the sum of the H^top(A_X) over the flats X of
+    T, which is Ind_{N_T}^G of that at a representative flat (N_T its
+    setwise stabilizer), traced by Orlik-Solomon straightening in A;
   * by the rank of the idempotent projection matrix on the NBC basis.
 
 So the always-on cross-check compares lattice combinatorics with OS
 algebra.  Traces are class functions, so the global and orbitwise averages
 take one term per conjugacy class of G.  The character of K_T at g sums the
 traces of g on the flats of T that g fixes, each moved to the
-representative's subarrangement.  The projection weights each distinct
+representative's flat.  The projection weights each distinct
 hyperplane permutation.  All arithmetic is exact; every dimension is
 checked to be a nonnegative rational integer before it is returned.
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .arrangement import Arrangement, _memo, build_lattice, subarrangement
+from .arrangement import Arrangement, _memo, build_lattice
 from .exactnum import Cyc
 from .groups import (
     LinearCharacter,
@@ -50,6 +50,7 @@ from .groups import (
 )
 from .osalg import (
     OSElement,
+    _nbc_by_flat,
     _straighten_sum,
     _trace,
     closure_key,
@@ -166,20 +167,18 @@ def _orbit_class_traces(G, A, orbit) -> dict:
     """The character of K_T, the sum of H^top(A_X) over the flats X of the
     orbit, which is Ind_{N_T}^G H^top(A_T) (Lehrer-Solomon), at the least
     member of each conjugacy class of G.  At g it sums, over the members X
-    with gX = X, the trace of x^{-1} g x on the top cohomology of the
-    representative's subarrangement, with x = orbit.transport[X].  Kept on
-    G per arrangement and orbit."""
+    with gX = X, the trace of x^{-1} g x on H^top(A_R), R the
+    representative and x = orbit.transport[X], straightened on A itself.
+    Kept on G per arrangement and orbit."""
     key = orbit.representative.key
-    sub = subarrangement(A, orbit.representative)
-    pos = {h: j for j, h in enumerate(key)}
-    # x^{-1} on the hyperplanes through X, as positions in the key
-    back = {X: {x[h]: pos[h] for h in key} for X, x in orbit.transport.items()}
+    R = sum(1 << h for h in key)
+    # x^{-1} on the hyperplanes through X
+    back = {X: {x[h]: h for h in key} for X, x in orbit.transport.items()}
     perms = hyperplane_action(G, A).perms
 
     def trace(g):
         p = perms[g]
-        return sum(_trace(sub, orbit.codim,
-                          tuple(back[X][p[x[h]]] for h in key))
+        return sum(_trace(A, R, tuple(back[X][p[x[h]]] for h in key))
                    for X, x in orbit.transport.items()
                    if all(p[i] in back[X] for i in X))     # gX = X
 
@@ -274,14 +273,13 @@ def lehrer_solomon_check(A: Arrangement, G: MatrixGroup,
                          chi: LinearCharacter) -> dict:
     """Check dim K_T = [G:N_T] * dim H^{cd T}(M(A_T)) for every orbit, and
     the graded agreement of the global and orbitwise isotypic dimensions."""
-    orbits = orbits_on_lattice(G, A)
+    nbc = _nbc_by_flat(A)
     orbit_failures = []
-    for o in orbits:
-        k = o.codim
-        rep_dim = len(nbc_basis(subarrangement(A, o.representative), k))
-        total = sum(len(nbc_basis(subarrangement(A, f), k)) for f in o.orbit)
+    for o in orbits_on_lattice(G, A):
+        # dim H^top(A_X), A's NBC tuples of flat X, the representative first
+        dims = [len(nbc[sum(1 << h for h in f.key)]) for f in o.orbit]
         index = G.order // len(o.N)
-        if total != index * rep_dim or index != len(o.orbit):
+        if sum(dims) != index * dims[0] or index != len(o.orbit):
             orbit_failures.append(o)
     report = isotypic_dims_orbitwise(A, G, chi)
     degree_failures = []

@@ -19,8 +19,11 @@ results (`straighten`, `apply_perm`, `euler_derivation`, `perm_trace`,
 `action_trace`) are `Fraction`s.  Independence, closures, circuits and NBC
 sets are int lookups in the arrangement's lattice of flats
 (`arrangement.build_lattice`), so no cyclotomic arithmetic happens here.
-Each fact (circuits, the NBC bases of all degrees, the straightening memo,
-each trace) is one `arrangement._memo` entry on its arrangement.
+The NBC monomials of a flat X span H^top(A_X) inside H^*(M(A)) (Brieskorn),
+and straightening them never leaves A_X, so a trace on H^k sums the traces
+on the H^top(A_X) of the fixed codim-k flats.  Each fact (circuits, the NBC
+tuples by flat and by degree, the straightening memo, each trace on a flat)
+is one `arrangement._memo` entry on its arrangement.
 Spans and ranks of elements come from the package's one exact echelon,
 `exactnum.Span`, which this module re-exports.  Signs are the ints +-1, so
 a coefficient times a sign stays a `Fraction` without building -1.
@@ -32,7 +35,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
-from .arrangement import Arrangement, _memo, build_lattice
+from .arrangement import Arrangement, _bits, _memo, build_lattice
 from .exactnum import Span, rat_to_str
 from .groups import MatrixGroup, hyperplane_action
 
@@ -156,24 +159,31 @@ def _circuits(A: Arrangement):
 
 
 @_memo
+def _nbc_by_flat(A: Arrangement):
+    """A's NBC tuples grouped by the mask of their flat, each group in lex
+    order.  By Bjorner's criterion an independent tuple (s_1 < ... < s_k)
+    has no broken circuit iff s_i is the least index in the flat spanned by
+    s_i..s_k for every i, so NBC tuples grow leftwards from NBC suffixes,
+    one codimension of flats at a time."""
+    lattice = build_lattice(A)
+    groups = {0: [()]}
+    for level in lattice.masks[:-1]:
+        for F in level:
+            row = lattice.join[F]
+            for T in groups[F]:
+                for a in range(T[0] if T else len(A)):
+                    G = row[a]
+                    if G != F and not G & ((1 << a) - 1):
+                        groups.setdefault(G, []).append((a,) + T)
+    return {F: sorted(Ts) for F, Ts in groups.items()}
+
+
+@_memo
 def _nbc_levels(A: Arrangement):
-    """The NBC bases of degrees 0..rk, each in lex order.  By Bjorner's
-    criterion an independent tuple (s_1 < ... < s_k) has no broken circuit
-    iff s_i is the least index in the flat spanned by s_i..s_k for every i,
-    so NBC tuples grow leftwards from NBC suffixes."""
-    join = build_lattice(A).join
-    levels = [[((), 0)]]   # per degree: (NBC tuple, flat mask)
-    for _ in range(A.rank()):
-        nxt = []
-        for T, F in levels[-1]:
-            row = join[F]
-            for a in range(T[0] if T else len(A)):
-                G = row[a]
-                if G != F and not G & ((1 << a) - 1):
-                    nxt.append(((a,) + T, G))
-        levels.append(nxt)
-    return [NBCBasis(k, sorted(T for T, _ in level))
-            for k, level in enumerate(levels)]
+    """The NBC bases of degrees 0..rk, each in lex order."""
+    groups = _nbc_by_flat(A)
+    return [NBCBasis(k, sorted(T for F in level for T in groups[F]))
+            for k, level in enumerate(build_lattice(A).masks)]
 
 
 @_memo
@@ -222,21 +232,16 @@ def _straighten_sorted(mono, memo, join):
 
 
 @_memo
-def _trace(A: Arrangement, k, perm) -> int:
-    """Trace on NBCBasis(k) of a hyperplane permutation, 0 outside 0..rk."""
-    levels = _nbc_levels(A)
-    if not 0 <= k < len(levels):
-        return 0
+def _trace(A: Arrangement, X: int, images) -> int:
+    """Trace on H^top(A_X) of the map sending the hyperplanes of the flat X,
+    in key order, to `images`, a permutation of them: the sum of the
+    diagonal coefficients on A's NBC monomials of flat X, which span it."""
+    to = dict(zip(_bits(X), images))
     memo, join = _straightening(A)
     total = 0
-    for mono in levels[k].monomials:
-        img = tuple(perm[i] for i in mono)
-        srt, sign = _sort_with_sign(img)
-        if srt is None:
-            continue
-        coeff = _straighten_sorted(srt, memo, join).get(mono)
-        if coeff:
-            total += sign * coeff
+    for mono in _nbc_by_flat(A)[X]:
+        srt, sign = _sort_with_sign(tuple(to[i] for i in mono))
+        total += sign * _straighten_sorted(srt, memo, join).get(mono, 0)
     return total
 
 
@@ -305,8 +310,16 @@ def action_trace(A: Arrangement, G: MatrixGroup, g: int, k: int) -> Fraction:
 
 
 def perm_trace(A: Arrangement, perm, k: int) -> Fraction:
-    """Trace on NBCBasis(k) of the map induced by a hyperplane permutation."""
-    return Fraction(_trace(A, k, tuple(perm)))
+    """Trace on NBCBasis(k) of the map induced by a hyperplane permutation:
+    H^k is the sum of the H^top(A_X) over the codim-k flats X, which perm
+    permutes, so only the flats it fixes add to the trace."""
+    masks = build_lattice(A).masks
+    total = 0
+    for X in masks[k] if 0 <= k < len(masks) else ():
+        images = tuple(perm[i] for i in _bits(X))
+        if sum(1 << j for j in images) == X:      # perm fixes X
+            total += _trace(A, X, images)
+    return Fraction(total)
 
 
 def closure_key(A: Arrangement, mono):

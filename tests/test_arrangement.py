@@ -305,7 +305,7 @@ def _reference_cases():
 @pytest.mark.parametrize("make", _reference_cases())
 def test_lattice_matches_dense_reference(make):
     # masks, key order, join tables and flat bases equal the dense residual
-    # builder's, on the arrangement and on every one of its views
+    # builder's, on the arrangement and on every one of its subarrangements
     A = make()
     _assert_matches_reference(A)
     for f in build_lattice(A).all_flats():

@@ -255,6 +255,23 @@ def test_verify_mismatch_exit_code(tmp_path, monkeypatch):
     assert "FAIL" in out and "0/1 cases passed" in out
 
 
+def test_verify_refuses_an_empty_selection(tmp_path, monkeypatch):
+    # a selection with no case is an error, not a pass; --max-r 0 still
+    # selects the cases that have no r
+    assert invoke("verify", "--table", "thm6", "--max-r", "-1") == (
+        EXIT_USAGE, "",
+        "error: no case of suite 'thm6' has r <= -1 and n <= 4\n")
+    doctored = {"version": 1,
+                "cor1": [{"group": "H3", "poincare": [1, 1, 1, 1]},
+                         {"group": "G(1,1,2)", "n": 2, "r": 1,
+                          "poincare": [1, 1]}]}
+    (tmp_path / "verify_expected.json").write_text(json.dumps(doctored))
+    (tmp_path / "h3.json").write_bytes((data_dir() / "h3.json").read_bytes())
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path))
+    assert invoke("verify", "--table", "cor1", "--max-r", "0") == (
+        EXIT_OK, "PASS cor1 H3\n1/1 cases passed\n", "")
+
+
 @pytest.mark.parametrize("fmt, table", [
     ("csv", 'case,result,expected,got\n'
             'table1 full r=2 p=1 n=2,PASS,,\n'

@@ -169,8 +169,9 @@ def test_rational_agreement(p, q):
     lambda m: st.lists(rats, min_size=euler_phi(m), max_size=euler_phi(m))
     .map(lambda c: Cyc(m, tuple(c)))), rats, st.integers(-30, 30))
 def test_rational_operand_matches_the_lifted_product_and_sum(x, q, n):
-    # a rational, as an int, a Fraction or a conductor-1 Cyc, scales or
-    # shifts x at x's conductor exactly as its lift (q, 0, ..., 0) would
+    # a rational, as an int, a Fraction or a conductor-1 Cyc, scales, shifts
+    # or is subtracted from x at x's conductor exactly as its lift
+    # (q, 0, ..., 0) would
     m = x.m
     for r, forms in ((q, (q, Cyc.rational(q))),
                      (Fraction(n), (n, Cyc.rational(n)))):
@@ -181,9 +182,11 @@ def test_rational_operand_matches_the_lifted_product_and_sum(x, q, n):
                 conv[i + j] += a * b
         product = _reduce_coeffs(m, conv)
         total = tuple(a + b for a, b in zip(y.c, x.c))
+        less = tuple(b - a for a, b in zip(y.c, x.c))
         for f in forms:
             for got, want in ((f * x, product), (x * f, product),
-                              (f + x, total), (x + f, total)):
+                              (f + x, total), (x + f, total),
+                              (x - f, less), (f - x, tuple(-c for c in less))):
                 assert got.m == m and got.c == want
 
 

@@ -10,6 +10,7 @@ from reflact.osalg import (
     OSElement,
     _circuits,
     _straightening,
+    _trace,
     action_matrix,
     action_trace,
     brieskorn_components,
@@ -410,10 +411,18 @@ def test_subarrangement_view_matches_rebuilt(matroid_case):
                 list(nbc_basis(rebuilt, k).monomials)
 
 
-def test_subarrangement_view_needs_no_cyclotomic_products(matroid_case,
-                                                          monkeypatch):
-    A = _fresh(matroid_case)
-    lattice = build_lattice(A)
+@pytest.mark.parametrize("name", ["A_3(3)", "H3", "z4"])
+def test_orbit_traces_need_no_cyclotomic_products(name, monkeypatch):
+    # each orbit's K_T character straightens on A itself: once L(A), the
+    # action and the orbits exist, it takes int lookups and int sums only
+    from reflact.catalog import make_grpn, shipped_group
+    from reflact.groups import conjugacy_classes, orbits_on_lattice
+    from reflact.invariants import _orbit_class_traces
+    A = matroid_cases()[name]
+    G = {"A_3(3)": lambda: make_grpn(3, 1, 3), "H3": lambda: shipped_group("h3"),
+         "z4": lambda: make_grpn(4, 1, 2)}[name]()
+    orbits = orbits_on_lattice(G, A)
+    conjugacy_classes(G)
     calls = []
     original = Cyc.__mul__
 
@@ -422,13 +431,9 @@ def test_subarrangement_view_needs_no_cyclotomic_products(matroid_case,
         return original(self, other)
 
     monkeypatch.setattr(Cyc, "__mul__", counting)
-    for X in lattice.all_flats():
-        sub = subarrangement(A, X)
-        circuits(sub)
-        for k in range(X.codim + 1):
-            nbc_basis(sub, k)
-        build_lattice(sub)
-    assert not calls
+    for o in orbits:
+        _orbit_class_traces(G, A, o)
+    assert memoized(A, _trace) and not calls
 
 
 def test_oselement_degree_mismatch():
@@ -496,12 +501,11 @@ def test_straightening_builds_no_circuits():
     A = _fresh(make_arrangement("full", 2, 3))
     G = make_grpn(2, 1, 3)
     chi = trivial_character(G)
-    # the orbitwise method straightens on the views, the projection on A
+    # the orbitwise method and the projection both straighten on A
     assert poincare_invariants(A, G, chi) == (1, 2, 2, 1)
     assert isotypic_dim_projection(A, G, chi, 2) == 2
     assert memoized(A, _straightening)     # A has been straightened
-    assert not any(memoized(v, _circuits)
-                   for v in [A, *memoized(A, subarrangement).values()])
+    assert not memoized(A, _circuits)
 
 
 @pytest.mark.parametrize("name", ["H3", "G(3,1,3)"])
@@ -509,7 +513,7 @@ def test_public_results_are_fractions_and_the_memo_ints(name):
     # the straightening memo and the traces add ints; every public result
     # is still a Fraction, never an int or a float
     from reflact.catalog import make_arrangement, make_grpn, shipped_group
-    from reflact.groups import orbits_on_lattice, reflection_arrangement
+    from reflact.groups import reflection_arrangement
     from reflact.invariants import poincare_invariants, trivial_character
     from reflact.osalg import apply_perm, perm_trace
     if name == "H3":
@@ -530,7 +534,8 @@ def test_public_results_are_fractions_and_the_memo_ints(name):
             for el in images:
                 assert all(type(c) is Fraction for c in el.coeffs.values())
     poincare_invariants(A, G, trivial_character(G))
-    top, = [o for o in orbits_on_lattice(G, A) if o.codim == A.rank()]
-    memo, _ = _straightening(subarrangement(A, top.representative))
+    memo, _ = _straightening(A)
     assert memo and all(type(c) is int
                         for image in memo.values() for c in image.values())
+    traces = memoized(A, _trace)
+    assert traces and all(type(t) is int for t in traces.values())
