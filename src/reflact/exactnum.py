@@ -4,17 +4,17 @@ the one exact echelon, `Span`, and the linear algebra built on it (row
 reduction, rank, kernel, inverse).
 
 Rationals are `fractions.Fraction` (aliased `Rat`).  A cyclotomic number is a
-`Cyc`: a conductor m together with the unique reduced coefficient vector of
-length phi(m) representing the element in the power basis
-1, zeta_m, ..., zeta_m^{phi(m)-1} of Q[x]/Phi_m(x).  Binary operations on
-mixed conductors lift both operands to the lcm.  Conductors stay small here
-(m <= 60), so the dense representation is the simplest correct canonical
-form.  A rational q is (q, 0, ..., 0) at every conductor, so adding or
-multiplying by one touches the other operand's coefficients without lifting
-q, and it hashes as q; equal values hash alike at any conductors.  A Cyc is
-true when it is nonzero, and its inverse comes from the extended Euclidean
-algorithm against Phi_m.  Every row-times-column product of Cycs runs
-through `_dot`, which skips zero factors on both sides.
+`Cyc`: a conductor m, a tuple `num` of phi(m) ints and one int `den` > 0 with
+gcd(den, *num) = 1, the unique form of sum_j num_j zeta_m^j / den in the
+power basis of Q[x]/Phi_m(x).  Phi_m is monic over Z, so sums, products,
+lifts and conjugates run on ints, with one gcd per result; `.c` is the
+Fraction view num_j / den, built when read.  Binary operations on mixed
+conductors lift both operands to the lcm; conductors stay small (m <= 60),
+so the dense form is the simplest canonical one.  A rational q is
+(q, 0, ..., 0) at every conductor and hashes as q; equal values hash alike
+at any conductors.  A Cyc is true when it is nonzero, and its inverse is the
+product of its other Galois conjugates over its norm.  Every row-times-column
+product of Cycs runs through `_dot`, which skips zero factors on both sides.
 
 `Span` keeps sparse vectors {key: value}, with values all `Fraction` or all
 `Cyc`, in reduced row echelon form, pivoting at each row's least key.  Every
@@ -38,7 +38,7 @@ from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "Rat",
@@ -136,15 +136,16 @@ def _mod_p(values, above: int = 1 << 30):
     as a function from a Cyc over Q(zeta_m) whose denominators are among
     theirs to its residue in 0..p-1."""
     m = lcm(1, *(x.m for x in values))
-    dens = {c.denominator for x in values for c in x.c}
+    dens = {x.den for x in values}      # a den is its coefficients' lcm
     p, w = _prime_root(m, above)
     while any(d % p == 0 for d in dens):
         p, w = _prime_root(m, p)
     powers = [pow(w, j, p) for j in range(euler_phi(m))]
 
     def image(x):
-        return sum(c.numerator * pow(c.denominator, -1, p) * wj
-                   for c, wj in zip(x.lift(m).c, powers) if c) % p
+        x = x.lift(m)
+        s = sum(c * wj for c, wj in zip(x.num, powers))
+        return s * pow(x.den, -1, p) % p
     return p, image
 
 
@@ -163,18 +164,6 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]):
     while num and not num[-1]:
         num.pop()
     return quot, num
-
-
-def _poly_mul_sub(a, q, b):
-    """a - q * b, coeffs low -> high, trailing zeros dropped."""
-    out = list(a) + [_ZERO] * max(0, len(q) + len(b) - 1 - len(a))
-    for i, x in enumerate(q):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] -= x * y
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 @lru_cache(maxsize=64)
@@ -198,30 +187,24 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=64)
-def _reduction_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^e mod Phi_m for phi(m) <= e < m, as coefficient tuples of length phi(m)."""
+def _reduction_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """x^e mod Phi_m, monic over Z, for phi(m) <= e < m, as int tuples."""
     phi, poly = euler_phi(m), list(cyclotomic_polynomial(m))
     rems = (_poly_divmod([_ZERO] * e + [_ONE], poly)[1] for e in range(phi, m))
-    return tuple(tuple(r + [_ZERO] * (phi - len(r))) for r in rems)
+    return tuple(tuple(map(int, r + [0] * (phi - len(r)))) for r in rems)
 
 
-def _reduce_coeffs(m: int, raw) -> tuple[Fraction, ...]:
+def _reduce_coeffs(m: int, raw) -> tuple:
     """Fold exponents mod m, then reduce mod Phi_m; returns length phi(m)."""
-    phi = euler_phi(m)
-    acc = [_ZERO] * m
+    acc = [0] * m
     for e, c in enumerate(raw):
         if c:
             acc[e % m] += c
-    if m == 1:
-        return (acc[0],)
-    table = _reduction_table(m)
+    phi = euler_phi(m)
     out = acc[:phi]
-    for e in range(phi, m):
-        c = acc[e]
+    for c, row in zip(acc[phi:], _reduction_table(m)):
         if c:
-            row = table[e - phi]
-            for j in range(phi):
-                out[j] += c * row[j]
+            out = [a + c * b for a, b in zip(out, row)]
     return tuple(out)
 
 
@@ -243,38 +226,45 @@ def _subfield_solver(m: int, d: int):
     return left
 
 
-def _descend(m: int, d: int, coeffs):
-    """Coefficients over Q(zeta_d) if the element lies in that subfield, else
-    None: the left inverse's solution, kept if it lifts back to coeffs."""
+def _descend(x: "Cyc", d: int):
+    """x's coefficients over Q(zeta_d) if x lies in that subfield, else
+    None: the left inverse's solution, kept if it lifts back to x."""
     out = [_ZERO] * euler_phi(d)
-    for c, y in zip(coeffs, _subfield_solver(m, d)):
+    for c, y in zip(x.num, _subfield_solver(x.m, d)):
         if c:
             out = [a + c * b for a, b in zip(out, y)]
-    return tuple(out) if Cyc(d, out).lift(m).c == tuple(coeffs) else None
+    down = Cyc(d, [a / x.den for a in out])
+    return down.c if down.lift(x.m) == x else None
 
 
 class Cyc:
-    """An element of Q(zeta_m) in reduced power-basis form.  Immutable."""
+    """An element of Q(zeta_m): int power-basis numerators `num` over one
+    `den` > 0, gcd(den, *num) = 1; `c` is their Fraction view.  Immutable."""
 
-    __slots__ = ("m", "c", "_hash")
+    __slots__ = ("m", "num", "den", "_hash")
 
-    def __init__(self, m: int, coeffs):
+    def __new__(cls, m: int, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != euler_phi(m):
             raise ValueError("conductor %d needs %d coefficients, got %d"
                              % (m, euler_phi(m), len(coeffs)))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c", coeffs)
-        object.__setattr__(self, "_hash", None)
+        den = lcm(*(c.denominator for c in coeffs))
+        return _new(m, tuple(c.numerator * (den // c.denominator)
+                             for c in coeffs), den)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyc is immutable")
+
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def rational(q) -> "Cyc":
-        return Cyc(1, (Fraction(q),))
+        q = Fraction(q)
+        return _new(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zero() -> "Cyc":
@@ -286,27 +276,27 @@ class Cyc:
 
     @staticmethod
     def root_of_unity(m: int, k: int = 1) -> "Cyc":
-        raw = [_ZERO] * (k % m if m > 1 else 0) + [_ONE]
-        return Cyc(m, _reduce_coeffs(m, raw))
+        raw = [0] * (k % m if m > 1 else 0) + [1]
+        return _new(m, _reduce_coeffs(m, raw), 1)
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.c)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return any(self.c)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.c[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational value: %r" % (self,))
-        return self.c[0]
+        return Fraction(self.num[0], self.den)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.c[0].denominator == 1
+        return self.is_rational() and self.den == 1
 
     def lift(self, mm: int) -> "Cyc":
         """Re-embed into Q(zeta_mm) for m | mm."""
@@ -314,30 +304,33 @@ class Cyc:
             return self
         if mm % self.m:
             raise ValueError("cannot lift conductor %d to %d" % (self.m, mm))
+        if self.m == 1:
+            return _new(mm, self.num + (0,) * (euler_phi(mm) - 1), self.den)
         k = mm // self.m
-        raw = [_ZERO] * (len(self.c) * k)
-        raw[::k] = self.c
-        return Cyc(mm, _reduce_coeffs(mm, raw))
+        raw = [0] * (len(self.num) * k)
+        raw[::k] = self.num
+        return _new(mm, _reduce_coeffs(mm, raw), self.den)
 
-    def conjugate(self) -> "Cyc":
-        """Complex conjugation zeta_m -> zeta_m^{-1}."""
+    def conjugate(self, k: int = -1) -> "Cyc":
+        """The Galois automorphism zeta_m -> zeta_m^k, k prime to m; the
+        default k = -1 is complex conjugation."""
         m = self.m
-        raw = [_ZERO] * m
-        for j, c in enumerate(self.c):
-            raw[(-j) % m] += c
-        return Cyc(m, _reduce_coeffs(m, raw))
+        raw = [0] * m
+        for j, c in enumerate(self.num):
+            raw[j * k % m] += c
+        return _new(m, _reduce_coeffs(m, raw), self.den)
 
     def _canonical(self):
-        """(d, coeffs) over the least cyclotomic subfield, alike at any
+        """(d, Fractions) over the least cyclotomic subfield, alike at any
         conductors: a non-rational's hash, and an order key.  A non-rational
         skips Q(zeta_1) = Q and each Q(zeta_d) = Q(zeta_{d/2}), d = 2 mod 4."""
         if self.is_rational():
-            return (1, self.c[:1])
+            return (1, (Fraction(self.num[0], self.den),))
         for d in _divisors(self.m):
             if d == self.m:
                 return (d, self.c)
             if d > 1 and d % 4 != 2:
-                down = _descend(self.m, d, self.c)
+                down = _descend(self, d)
                 if down is not None:
                     return (d, down)
 
@@ -348,7 +341,7 @@ class Cyc:
         if isinstance(x, Cyc):
             return x
         if isinstance(x, (int, Fraction)):
-            return Cyc(1, (Fraction(x),))
+            return _new(1, (x.numerator,), x.denominator)
         return NotImplemented
 
     def _common(self, other):
@@ -362,17 +355,15 @@ class Cyc:
         other = Cyc._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.m == 1 or other.m == 1:
-            # a rational q is (q, 0, ..., 0) at every conductor
-            q, x = (self.c[0], other) if self.m == 1 else (other.c[0], self)
-            return Cyc(x.m, (x.c[0] + q,) + x.c[1:])
         a, b = self._common(other)
-        return Cyc(a.m, tuple(x + y for x, y in zip(a.c, b.c)))
+        da, db = a.den, b.den
+        return _new(a.m, tuple(x * db + y * da for x, y in zip(a.num, b.num)),
+                    da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.m, tuple(-x for x in self.c))
+        return _new(self.m, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         other = Cyc._coerce(other)
@@ -388,17 +379,17 @@ class Cyc:
         if other is NotImplemented:
             return NotImplemented
         if self.m == 1 or other.m == 1:
-            q, x = (self.c[0], other) if self.m == 1 else (other.c[0], self)
-            return Cyc(x.m, tuple(q * c for c in x.c))
+            # a rational q is (q, 0, ..., 0) at every conductor
+            q, x = (self, other) if self.m == 1 else (other, self)
+            n = q.num[0]
+            return _new(x.m, tuple(n * c for c in x.num), q.den * x.den)
         a, b = self._common(other)
-        n = len(a.c)
-        conv = [_ZERO] * (2 * n - 1)
-        for i, x in enumerate(a.c):
+        conv = [0] * (2 * len(a.num) - 1)
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b.c):
-                    if y:
-                        conv[i + j] += x * y
-        return Cyc(a.m, _reduce_coeffs(a.m, conv))
+                for j, y in enumerate(b.num, i):
+                    conv[j] += x * y
+        return _new(a.m, _reduce_coeffs(a.m, conv), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -406,22 +397,13 @@ class Cyc:
         if not self:
             raise ZeroDivisionError("division by zero Cyc")
         if self.is_rational():
-            return Cyc(self.m, (1 / self.c[0],) + self.c[1:])
-        # extended Euclid on (Phi_m, x), keeping s_i * x = r_i mod Phi_m;
-        # Phi_m is irreducible, so the remainders end at a nonzero constant
-        r0, r1 = list(cyclotomic_polynomial(self.m)), list(self.c)
-        while not r1[-1]:
-            r1.pop()
-        s0, s1 = [], [_ONE]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_mul_sub(s0, q, s1)
-        if not r1:
-            raise ZeroDivisionError("non-invertible Cyc (engine bug)")
-        inv = 1 / r1[0]
-        out = [c * inv for c in s1]
-        return Cyc(self.m, out + [_ZERO] * (euler_phi(self.m) - len(out)))
+            return Cyc.rational(Fraction(self.den, self.num[0])).lift(self.m)
+        # x times its other Galois conjugates is its norm, a nonzero rational
+        rest = _CYC_ONE
+        for k in range(2, self.m):
+            if gcd(k, self.m) == 1:
+                rest = rest * self.conjugate(k)
+        return rest / (rest * self).rational_value()
 
     def __truediv__(self, other):
         other = Cyc._coerce(other)
@@ -442,20 +424,20 @@ class Cyc:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             # a rational is its constant coefficient, at any conductor
-            return self.c[0] == other and not any(self.c[1:])
+            return not any(self.num[1:]) and \
+                (self.num[0], self.den) == (other.numerator, other.denominator)
         other = Cyc._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.m == other.m:
-            return self.c == other.c
         a, b = self._common(other)
-        return a.c == b.c
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(self.c[0] if self.is_rational() else self._canonical())
-            object.__setattr__(self, "_hash", h)
+            h = hash(self._canonical() if any(self.num[1:])
+                     else Fraction(self.num[0], self.den))
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
@@ -463,7 +445,7 @@ class Cyc:
 
     def __str__(self):
         if self.is_rational():
-            return rat_to_str(self.c[0])
+            return rat_to_str(self.rational_value())
         parts = []
         for j, c in enumerate(self.c):
             if not c:
@@ -481,8 +463,27 @@ class Cyc:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-_CYC_ZERO = Cyc(1, (_ZERO,))
-_CYC_ONE = Cyc(1, (_ONE,))
+_set_m, _set_num, _set_den, _set_hash = (
+    getattr(Cyc, a).__set__ for a in Cyc.__slots__)
+
+
+def _new(m: int, num: tuple, den: int) -> Cyc:
+    """num / den at conductor m, den > 0, reduced to gcd(den, *num) = 1,
+    built without the checks of `Cyc(m, coeffs)`."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = tuple(n // g for n in num), den // g
+    x = object.__new__(Cyc)
+    _set_m(x, m)
+    _set_num(x, num)
+    _set_den(x, den)
+    _set_hash(x, None)
+    return x
+
+
+_CYC_ZERO = _new(1, (0,), 1)
+_CYC_ONE = _new(1, (1,), 1)
 
 
 def _dot(xs, ys) -> Cyc:
@@ -709,9 +710,13 @@ def cyc_to_json(x: Cyc):
 
 
 def cyc_from_json(obj) -> Cyc:
-    if isinstance(obj, (int, str)):
+    if type(obj) in (int, str):     # a bool is no entry
         return Cyc.rational(Fraction(obj))
-    m, coeffs = int(obj["m"]), tuple(Fraction(c) for c in obj["c"])
+    m = obj.get("m") if isinstance(obj, dict) else None
+    if type(m) is not int or m < 1:
+        raise ValueError("entry %r is no number or {m, c} with an integer "
+                         "conductor m >= 1" % (obj,))
+    coeffs = tuple(Fraction(c) for c in obj["c"])
     if m > 2 * len(coeffs) ** 2:    # phi(m) >= sqrt(m / 2), so no phi(m) needed
         raise ValueError("conductor %d needs more than %d coefficients"
                          % (m, len(coeffs)))

@@ -396,6 +396,19 @@ def test_group_file_dim_that_is_no_nonnegative_int_exits_2(tmp_path, dim):
                        "malformed group file: dim")
 
 
+@pytest.mark.parametrize("entry", [{"m": 4.9, "c": ["0", "1"]},
+                                   {"m": "3", "c": ["0", "1"]},
+                                   {"m": True, "c": ["1"]}, True])
+def test_group_file_entry_without_an_int_conductor_exits_2(tmp_path, entry):
+    # m = 4.9 was read as zeta_4, "3" as zeta_3, and true (as a conductor or
+    # as the entry itself) as 1: each exited 0
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({"dim": 1, "generators": [[[entry]]]}))
+    code, out, err = invoke("info", "--group", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: malformed group file: entry ")
+
+
 def test_info_action_summary():
     argv = ("info", "--group", "G(3,1,4)", "--arrangement", "A_4(3)")
     code, out, _ = invoke(*argv, "--format", "json")

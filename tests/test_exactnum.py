@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +11,7 @@ from reflact.exactnum import (
     CycMatrix,
     Span,
     _is_prime,
+    _mod_p,
     _prime_root,
     _reduce_coeffs,
     cyc_arith,
@@ -164,10 +165,14 @@ def test_rational_agreement(p, q):
     assert (a * b).rational_value() == p * q
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([1, 3, 4, 5, 8, 12]).flatmap(
+# Cycs with small denominators at the conductors 1, 3, 4, 5, 8 and 12
+reduced_cycs = st.sampled_from([1, 3, 4, 5, 8, 12]).flatmap(
     lambda m: st.lists(rats, min_size=euler_phi(m), max_size=euler_phi(m))
-    .map(lambda c: Cyc(m, tuple(c)))), rats, st.integers(-30, 30))
+    .map(lambda c: Cyc(m, c)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(reduced_cycs, rats, st.integers(-30, 30))
 def test_rational_operand_matches_the_lifted_product_and_sum(x, q, n):
     # a rational, as an int, a Fraction or a conductor-1 Cyc, scales, shifts
     # or is subtracted from x at x's conductor exactly as its lift
@@ -188,6 +193,106 @@ def test_rational_operand_matches_the_lifted_product_and_sum(x, q, n):
                               (f + x, total), (x + f, total),
                               (x - f, less), (f - x, tuple(-c for c in less))):
                 assert got.m == m and got.c == want
+
+
+def ref_reduce(m, raw):
+    """Fraction coefficients of a polynomial in zeta_m, reduced by long
+    division by the monic Phi_m over Q."""
+    raw, phi = [Fraction(c) for c in raw], cyclotomic_polynomial(m)
+    n = len(phi) - 1
+    for e in range(len(raw) - 1, n - 1, -1):
+        c = raw[e]
+        for j, a in enumerate(phi):
+            raw[e - n + j] -= c * a
+    return tuple(raw[:n] + [Fraction(0)] * (n - len(raw)))
+
+
+def ref_lift(x, m):
+    raw = [0] * (len(x.c) * (m // x.m))
+    raw[::m // x.m] = x.c
+    return ref_reduce(m, raw)
+
+
+def ref_product(x, y):
+    m = lcm(x.m, y.m)
+    a, b = ref_lift(x, m), ref_lift(y, m)
+    conv = [Fraction(0)] * (2 * len(a) - 1)
+    for i, s in enumerate(a):
+        for j, t in enumerate(b):
+            conv[i + j] += s * t
+    return ref_reduce(m, conv)
+
+
+def form(x):
+    """x's representation, checked to be reduced: ints over a positive int
+    denominator without a common factor."""
+    assert len(x.num) == euler_phi(x.m), x
+    assert all(type(n) is int for n in x.num) and type(x.den) is int, x
+    assert x.den > 0 and gcd(x.den, *x.num) == 1, x
+    return x.m, x.num, x.den
+
+
+@settings(max_examples=80, deadline=None)
+@given(reduced_cycs, reduced_cycs, st.sampled_from([1, 2, 3]))
+def test_every_result_is_reduced_and_matches_the_fraction_reference(x, y, k):
+    # x and y may have different conductors; each result is in lowest
+    # terms, its Fraction view is the reference's, and equal values have
+    # equal forms at one conductor
+    m = lcm(x.m, y.m)
+    a, b = ref_lift(x, m), ref_lift(y, m)
+    conj = [0] * x.m
+    for j, c in enumerate(x.c):
+        conj[-j % x.m] += c
+    for got, want in ((x + y, tuple(s + t for s, t in zip(a, b))),
+                      (x - y, tuple(s - t for s, t in zip(a, b))),
+                      (x * y, ref_product(x, y)),
+                      (x.lift(x.m * k), ref_lift(x, x.m * k)),
+                      (x.conjugate(), ref_reduce(x.m, conj)),
+                      (Cyc(x.m, list(x.c)), x.c)):
+        form(got)
+        assert exact(got)[1] == want
+    assert form(x * y) == form(y * x) == form(y.lift(m) * x.lift(m))
+    assert form((x + y) - y) == form(x.lift(m))
+    assert form(x.conjugate().conjugate()) == form(x)
+    if y:
+        assert form(y.inverse() * y) == form(Cyc.one().lift(y.m))
+        assert form(x / y) == form(x * y.inverse())
+        assert form((x / y) * y) == form(x.lift(m))
+
+
+def test_construction_reduces_to_one_denominator():
+    x = Cyc(4, [Fraction(2, 4), Fraction(-6, 4)])
+    assert form(x) == (4, (1, -3), 2)
+    assert form(Cyc(5, [0, 6, 0, -4])) == (5, (0, 6, 0, -4), 1)
+    assert form(Cyc(3, [Fraction(1, 6), Fraction(1, 4)])) == (3, (2, 3), 12)
+    assert form(Cyc.rational(Fraction(-3, 6)).lift(12)) == \
+        (12, (-1, 0, 0, 0), 2)
+    assert hash(Cyc.rational(Fraction(1, 2)).lift(12)) == hash(Fraction(1, 2))
+    # the printed forms are the Fraction coefficients'
+    y = Cyc(4, [Fraction(1, 2), Fraction(-3, 2)])
+    assert str(y) == "1/2 - 3/2*z4"
+    assert cyc_to_json(y) == {"m": 4, "c": ["1/2", "-3/2"]}
+    assert repr(y) == "Cyc(4, (Fraction(1, 2), Fraction(-3, 2)))"
+
+
+@settings(max_examples=60, deadline=None)
+@given(reduced_cycs, reduced_cycs)
+def test_mod_p_is_a_ring_map_on_values_with_denominators(x, y):
+    p, image = _mod_p([x, y, x * y, x + y])
+    assert p > 1 << 30 and (p - 1) % lcm(x.m, y.m) == 0
+    assert image(x * y) == image(x) * image(y) % p
+    assert image(x + y) == (image(x) + image(y)) % p
+    q = x.c[0]
+    assert image(Cyc.rational(q)) == q.numerator * pow(q.denominator, -1, p) % p
+
+
+def test_mod_p_skips_a_prime_that_divides_a_denominator():
+    # 1073741827 is the least prime above 2^30, and 1073741831 the next
+    assert _mod_p([Cyc.one()])[0] == 1073741827
+    x = Cyc.rational(Fraction(1, 1073741827))
+    p, image = _mod_p([x])
+    assert p == 1073741831
+    assert image(x) * 1073741827 % p == 1
 
 
 def _det2(M):
