@@ -13,13 +13,13 @@ matroid: every flat is also an int bitmask over the hyperplane indices, and
 a join table gives the flat spanned by any flat and any hyperplane.  Rank,
 independence, closures, circuits and NBC sets are all read from it with int
 lookups.  The lattice is built on the covectors' images modulo a prime,
-one elimination on ints per flat and hyperplane, and then certified with
-one exact `exactnum.Span` per flat: the covectors of the flat's chain, the
-hyperplanes by which it was first reached, must span every other member.
-Exact row reduction happens there, in `essentialize`, which reads the
-center from the `Span` of the covectors, and in a flat's basis, the kernel
-of its chain's covectors, computed on first use.  A subarrangement A_X is
-an arrangement of its own, with its own lattice.
+one elimination on ints per flat and hyperplane, and then certified by
+exact rank: a codim-k flat's members must have covectors of rank k, which
+one `exactnum.Span` per flat checks.  Exact row reduction happens there,
+in `essentialize`, which reads the center from the `Span` of the
+covectors, and in a flat's basis, the kernel of its members' covectors,
+computed on first use.  A subarrangement A_X is an arrangement of its
+own, with its own lattice.
 """
 
 from __future__ import annotations
@@ -185,21 +185,19 @@ class IntersectionLattice:
 
     Flat masks are ints with bit i set when H_i contains the flat;
     `masks[k]` lists the codim-k masks in key order, and `join[F][j]` is the
-    mask of the flat spanned by F and H_j (F itself when j is in F).
-    `chains[F]` lists the hyperplanes by which the build first reached F,
-    one per codimension; their covectors span F's annihilator, so F's basis
-    is their kernel.  `prime` is the prime whose residuals built L(A).
+    mask of the flat spanned by F and H_j (F itself when j is in F).  A
+    flat's basis is the kernel of its members' covectors.  `prime` is the
+    prime whose residuals built L(A).
     """
 
-    def __init__(self, A, masks, join, chains, prime):
+    def __init__(self, A, masks, join, prime):
         self.masks = masks
         self.join = join
-        self.chains = chains
         self.prime = prime
         self.rank = len(masks) - 1
-        self.levels = [[Flat(_bits(F), _basis_from_rows(
-                            A.n, [A.covector(i) for i in chains[F]]), k)
-                        for F in level]
+        self.levels = [[Flat(key, _basis_from_rows(
+                            A.n, [A.covector(i) for i in key]), k)
+                        for key in map(_bits, level)]
                        for k, level in enumerate(masks)]
         self.by_key = {f.key: f for lv in self.levels for f in lv}
         self.key_of = {F: f.key for level, lv in zip(masks, self.levels)
@@ -256,40 +254,37 @@ def _cleared_mod_p(res, r, c, p):
 
 
 def _covers_mod_p(A, p, image):
-    """(masks, join, chains) of L(A) mod p, breadth-first by covers.  Each
+    """(masks, join) of L(A) mod p, breadth-first by covers.  Each
     flat F keeps, for every hyperplane H_j outside it, the residual of its
     covector's image as a sparse row {column: int}: zero in the pivot
     columns of the residuals that reached F and scaled to leading entry 1,
     so it depends only on the covector modulo F's span.  Hyperplanes with
-    equal residuals span the same cover F v H_j, its residuals follow from
-    F's by one elimination each, and its chain is F's and the first such
-    j."""
+    equal residuals span the same cover F v H_j, and its residuals follow
+    from F's by one elimination each."""
     nh = len(A)
     # canonical covectors have leading entry 1, and so do their images
     residuals = {0: {j: {k: v for k, v in enumerate(map(image, A.covector(j)))
                          if v}
                      for j in range(nh)}}
-    chains = {0: ()}
     join = {}
     masks = [[0]]
     while True:
         nxt = []
         for F in masks[-1]:
             res_F = residuals.pop(F)
-            covers = {}   # residual tag -> [cover mask, first j, residual]
+            covers = {}   # residual tag -> [cover mask, residual]
             for j, res in res_F.items():
                 tag = frozenset(res.items())
                 got = covers.get(tag)
                 if got is None:
-                    covers[tag] = [F | 1 << j, j, res]
+                    covers[tag] = [F | 1 << j, res]
                 else:
                     got[0] |= 1 << j
             row = [F] * nh
-            for G, j, r in covers.values():
+            for G, r in covers.values():
                 for i in _bits(G & ~F):
                     row[i] = G
-                if G not in chains:
-                    chains[G] = chains[F] + (j,)
+                if G not in residuals:
                     c = min(r)
                     residuals[G] = {i: _cleared_mod_p(res, r, c, p)
                                     for i, res in res_F.items()
@@ -299,20 +294,19 @@ def _covers_mod_p(A, p, image):
         if not nxt:
             break
         masks.append(sorted(nxt, key=_bits))
-    return masks, join, chains
+    return masks, join
 
 
-def _spanned_by_chain(A, F, chain):
-    """Whether every hyperplane of the flat F has its covector in the exact
-    span of its chain's covectors."""
-    rest = F & ~sum(1 << i for i in chain)
-    if not rest:
+def _exact_rank_is(A, F, k):
+    """Whether the members of F, a flat of codim k mod p, have covectors of
+    exact rank k; k members do, being independent mod p."""
+    members = _bits(F)
+    if len(members) == k:
         return True
     span = Span()
-    for i in chain:
+    for i in members:
         span.add(dict(enumerate(A.covector(i))))
-    return all(span.solve(dict(enumerate(A.covector(i)))) is not None
-               for i in _bits(rest))
+    return len(span.pivots) == k
 
 
 @_memo
@@ -320,24 +314,22 @@ def build_lattice(A: Arrangement) -> IntersectionLattice:
     """L(A), built on first use and cached on the arrangement: the flats
     from `_covers_mod_p` at a prime p = 1 (mod A.conductor) that divides no
     denominator of a covector, with zeta_m sent to a primitive m-th root of
-    unity mod p, certified exactly.
+    unity mod p, certified by exact rank.
 
-    Reduction mod p only adds dependencies: rows independent mod p have a
-    nonzero minor, so they are independent exactly, and an exact dependency
-    is one mod p.  So a codim-k chain has exact rank k, and a flat whose
-    other members all lie in the exact `Span` of its chain's covectors is
-    the exact closure of its chain; then every join is the exact join, and
-    masks, joins and bases are those of the exact lattice.  A flat of
-    codim n spans the whole dual space and needs no check.  When a check
-    fails, the build starts again at the next prime."""
+    Reduction mod p can only lower rank.  So a mod-p flat of codim k whose
+    members have exact rank k is an exact flat: a hyperplane outside it
+    raises the mod-p rank, so it raises the exact rank too.  Then every
+    join is the exact join, and masks, joins and bases are the exact
+    lattice's.  A codim-n flat spans the whole dual space and needs no
+    check.  A failed check restarts the build at the next prime."""
     values = [c for h in A.hyperplanes for c in h.covector]
     p = 1 << 30
     while True:
         p, image = _mod_p(values, p)
-        masks, join, chains = _covers_mod_p(A, p, image)
-        if all(_spanned_by_chain(A, F, chains[F])
-               for level in masks[1:A.n] for F in level):
-            return IntersectionLattice(A, masks, join, chains, p)
+        masks, join = _covers_mod_p(A, p, image)
+        if all(_exact_rank_is(A, F, k)
+               for k, level in enumerate(masks[:A.n]) for F in level):
+            return IntersectionLattice(A, masks, join, p)
 
 
 @_memo

@@ -255,6 +255,9 @@ class Cyc:
     def __setattr__(self, *a):
         raise AttributeError("Cyc is immutable")
 
+    def __reduce__(self):
+        return _new, (self.m, self.num, self.den)
+
     @property
     def c(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.num)
@@ -487,13 +490,11 @@ _CYC_ONE = _new(1, (1,), 1)
 
 
 def _dot(xs, ys) -> Cyc:
-    """The sum of x * y over the pairs where both factors are nonzero, from
-    zero: the one row-times-column product, for Cycs and ints alike."""
-    s = _CYC_ZERO
-    for x, y in zip(xs, ys):
-        if x and y:
-            s = s + x * y
-    return s
+    """The sum of x * y over the pairs where both factors are nonzero, or
+    zero when there are none: the one row-times-column product, for Cycs and
+    ints alike."""
+    terms = [x * y for x, y in zip(xs, ys) if x and y]
+    return sum(terms[1:], terms[0]) if terms else _CYC_ZERO
 
 
 def cyc_normalize(m: int, raw) -> Cyc:
@@ -534,6 +535,9 @@ class CycMatrix:
 
     def __setattr__(self, *a):
         raise AttributeError("CycMatrix is immutable")
+
+    def __reduce__(self):
+        return CycMatrix, (self.rows, self.cols, self.entries)
 
     @staticmethod
     def from_rows(rows_of_entries) -> "CycMatrix":

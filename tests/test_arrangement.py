@@ -1,3 +1,4 @@
+import copy
 from itertools import combinations
 
 import pytest
@@ -316,12 +317,28 @@ def test_lattice_matches_dense_reference(make):
 _P, _ = _prime_root(1, 1 << 30)
 
 
-@pytest.mark.parametrize("third", [(1, _P, 0), (1, 1, _P)],
-                         ids=["codim1-merge", "codim2-flat"])
-def test_lattice_refuses_a_prime_that_merges_hyperplanes(third):
-    # modulo _P, (1, _P, 0) equals (1, 0, 0), and (1, 1, _P) lies in the
-    # span of (1, 0, 0) and (0, 1, 0); the certification must refuse _P and
-    # build the exact lattice at a later prime
-    A = Arrangement.from_covectors(3, [[1, 0, 0], [0, 1, 0], list(third)])
+@pytest.mark.parametrize("covectors", [
+    [[1, 0, 0], [0, 1, 0], [1, _P, 0]],
+    [[1, 0, 0], [0, 1, 0], [1, 1, _P]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, _P]],
+], ids=["codim1-merge", "codim2-flat", "codim3-flat"])
+def test_lattice_refuses_a_prime_that_merges_hyperplanes(covectors):
+    # modulo _P, (1, _P, 0) equals (1, 0, 0), (1, 1, _P) lies in the span of
+    # e1* and e2*, and (1, 1, 1, _P) in that of e1*, e2* and e3*; the
+    # certification must refuse _P and build the exact lattice at a later
+    # prime
+    A = Arrangement.from_covectors(len(covectors[0]), covectors)
     _assert_matches_reference(A)
     assert build_lattice(A).prime != _P
+
+
+def test_an_arrangement_with_its_lattice_survives_deepcopy():
+    A = make_arrangement("full", 3, 3)
+    lat = build_lattice(A)
+    B = copy.deepcopy(A)
+    copied = build_lattice(B)
+    assert B.hyperplanes == A.hyperplanes and copied is not lat
+    assert (copied.masks, copied.join, copied.prime) == \
+        (lat.masks, lat.join, lat.prime)
+    assert [exact_matrix(f.basis) for f in copied.all_flats()] == \
+        [exact_matrix(f.basis) for f in lat.all_flats()]

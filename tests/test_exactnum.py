@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import count
@@ -371,6 +373,27 @@ def test_serialization_roundtrip():
     x = cyc_normalize(12, [1, Fraction(2, 3), 0, -1])
     assert cyc_from_json(cyc_to_json(x)) == x
     assert cyc_from_json("5/3") == Cyc.rational(Fraction(5, 3))
+
+
+def _copies(x):
+    return [pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)]
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 12])
+def test_cyc_and_cyc_matrix_survive_pickle_and_copy(m):
+    x = Cyc(m, [Fraction(2 * k - 3, 6) for k in range(euler_phi(m))])
+    for y in _copies(x):
+        assert (y.m, y.num, y.den) == (x.m, x.num, x.den)
+        assert y == x and hash(y) == hash(x)
+        with pytest.raises(AttributeError):
+            y.den = 1
+    M = CycMatrix.from_rows([[x, Cyc.root_of_unity(m)], [Cyc.one(), x * x]])
+    for N in _copies(M):
+        assert (N.rows, N.cols, N.m) == (M.rows, M.cols, M.m) and N == M
+        assert [(e.m, e.num, e.den) for e in N.entries] == \
+            [(e.m, e.num, e.den) for e in M.entries]
+        with pytest.raises(AttributeError):
+            N.rows = 3
 
 
 def test_cyc_from_json_refuses_a_conductor_above_its_coefficients():

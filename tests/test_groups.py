@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import gcd
@@ -56,6 +57,14 @@ def test_generate_orders():
     assert w3().order == 6
     assert g212().order == 8
     assert g333().order == 54  # 3^3 * 3! / 3
+
+
+def test_a_group_with_its_elements_survives_deepcopy():
+    G = catalog.make_grpn(2, 1, 3)
+    G.elements
+    H = copy.deepcopy(G)
+    assert (H.order, H.perms, H.vectors) == (G.order, G.perms, G.vectors)
+    assert H.elements == G.elements and H.elements[1] is not G.elements[1]
 
 
 def test_generate_identity_first_and_inverses():
