@@ -24,7 +24,7 @@ own, with its own lattice.
 
 from __future__ import annotations
 
-from functools import wraps
+from functools import partial, wraps
 from math import lcm
 
 from .exactnum import (Cyc, CycMatrix, Span, _mod_p, cyc_from_json,
@@ -48,11 +48,12 @@ class FlatNotInLatticeError(ValueError):
 
 
 def _memo(fn):
-    """fn(obj, *args), computed once and kept in obj._memo under (fn, *args),
-    so a result lives exactly as long as obj.  An exception is not kept."""
+    """fn(obj, *args), computed once and kept in obj._memo, keyed by the
+    decorated function and args, so a result lives exactly as long as obj
+    and pickles with it.  An exception is not kept."""
     @wraps(fn)
     def cached(obj, *args):
-        memo, key = obj.__dict__.setdefault("_memo", {}), (fn, *args)
+        memo, key = obj.__dict__.setdefault("_memo", {}), (cached, *args)
         got = memo.get(key, memo)       # one lookup; memo itself is no result
         if got is memo:
             got = memo[key] = fn(obj, *args)
@@ -195,8 +196,8 @@ class IntersectionLattice:
         self.join = join
         self.prime = prime
         self.rank = len(masks) - 1
-        self.levels = [[Flat(key, _basis_from_rows(
-                            A.n, [A.covector(i) for i in key]), k)
+        self.levels = [[Flat(key, partial(_basis_from_rows,
+                                          A.n, [A.covector(i) for i in key]), k)
                         for key in map(_bits, level)]
                        for k, level in enumerate(masks)]
         self.by_key = {f.key: f for lv in self.levels for f in lv}
@@ -223,13 +224,11 @@ class IntersectionLattice:
 
 
 def _basis_from_rows(n, rows):
-    """A callable computing the rows spanning the common kernel of `rows`."""
-    def basis():
-        if not rows:
-            return CycMatrix.identity(n)
-        space = kernel(CycMatrix.from_rows(rows))
-        return CycMatrix.from_rows(space) if space else CycMatrix(0, n, [])
-    return basis
+    """The rows spanning the common kernel of `rows` in C^n."""
+    if not rows:
+        return CycMatrix.identity(n)
+    space = kernel(CycMatrix.from_rows(rows))
+    return CycMatrix.from_rows(space) if space else CycMatrix(0, n, [])
 
 
 def _cleared_mod_p(res, r, c, p):

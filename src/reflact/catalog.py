@@ -239,17 +239,16 @@ def _type_name(r, p, n, lam):
     return " ".join(pieces) if pieces else "A_0"
 
 
-def _family_lattice(r, p, n, kind):
-    """(kind, A, lattice of A) for G(r,p,n) on kind(r, n); braid is
-    zero(1, n), the arrangement of W(n) = G(1,1,n) only."""
+def _family_arrangement(r, p, n, kind):
+    """(kind, A) for G(r,p,n) on kind(r, n); braid is zero(1, n), the
+    arrangement of W(n) = G(1,1,n) only."""
     _check_params(r, p, n)
     if kind == "braid":
         if (r, p) != (1, 1):
             raise ValueError("the braid arrangement goes with r = p = 1 only, "
                              "not G(%d,%d,%d)" % (r, p, n))
         kind = "zero"
-    A = make_arrangement(kind, r, n)
-    return kind, A, build_lattice(A)
+    return kind, make_arrangement(kind, r, n)
 
 
 def _x_lambda_flat(A, lattice, kind, r, lam, u=0):
@@ -284,7 +283,8 @@ def prop41_labels(r, p, n, kind, cross_check=True,
     """Partition labels for the orbits of G(r,p,n) on the lattice of the
     full/zero arrangement, each with its representative flat.  With
     cross_check the list is verified to hit every brute-force orbit once."""
-    kind, A, lattice = _family_lattice(r, p, n, kind)
+    kind, A = _family_arrangement(r, p, n, kind)
+    lattice = build_lattice(A)
     # untwisted X_lambda for |lambda| <= top, then (lambda, u) for lambda |- n
     # and u < gcd(p, lambda); r = 1 forces p = 1, so u = 0 there
     top = n - 1 if kind == "full" else n - 2 if r > 1 else -1
@@ -364,60 +364,39 @@ def _index_in(A, cov):
 
 
 def cox_monomials(r, p, n, kind):
-    """Hyperplane-index monomials for the invariant-basis construction in
-    codimension >= 2, keyed by the representative-flat key of the orbit they
-    belong to.  Values are lists with one tuple (or two, for the pairs that
-    appear when p and n are both even)."""
-    kind, A, lattice = _family_lattice(r, p, n, kind)
+    """The Theorem-4 plan for G(r,p,n) on kind(r, n): a list of groups of
+    hyperplane-index monomials, one group per orbit of codimension >= 2
+    (the center for n = 1), each with one tuple, or two for the pairs that
+    appear when p and n are both even.  `invariants.theorem4_basis` finds a
+    group's orbit from the flat of its first monomial."""
+    kind, A = _family_arrangement(r, p, n, kind)
     even = p % 2 == 0 and n % 2 == 0
+    # t[i] indexes H_i = (x_{i-1} = x_i) for 2 <= i <= n
+    t = [None, None] + [_index_in(A, _named_covector(r, n, "t_%d" % i))
+                        for i in range(2, n + 1)]
 
-    def cov_coord(i):
-        cov = [Cyc.zero()] * n
-        cov[i] = Cyc.one()
-        return cov
+    def group(hs, pair):
+        """hs as a monomial, and with t_2 turned into t_2^1 when pair."""
+        out = [tuple(sorted(hs))]
+        if pair:
+            t21 = _index_in(A, _named_covector(r, n, "t_2^1"))
+            out.append(tuple(sorted(t21 if h == t[2] else h for h in hs)))
+        return out
 
-    def index_of(name):
-        return _index_in(A, _named_covector(r, n, name))
-
-    def flat_key(lam, u=0):
-        return _x_lambda_flat(A, lattice, kind, r, lam, u).key
-
-    out = {}
     if kind == "full":
-        h1 = _index_in(A, cov_coord(0))
-        t = {i: index_of("t_%d" % i) for i in range(2, n + 1)}
-        t21 = index_of("t_2^1") if even else None
-        # one-part-free chains: X_(1^{n-k}) has stabilizer type G(r,p,k)
-        for k in range(2, n):
-            lam = tuple([1] * (n - k))
-            out[flat_key(lam)] = [tuple(sorted([h1] + [t[i] for i in range(2, k + 1)]))]
-        # chains with one doubled part: X_(2,1^{n-k-1}), untwisted (size < n)
-        for k in range(2, n):
-            lam = tuple([2] + [1] * (n - k - 1))
-            if even and k == n - 1:
-                base = [h1] + [t[i] for i in range(2, n - 1)] + [t[n]]
-                alt = [h1, t21] + [t[i] for i in range(3, n - 1)] + [t[n]]
-                out[flat_key(lam)] = [tuple(sorted(base)), tuple(sorted(alt))]
-            else:
-                mono = [h1] + [t[i] for i in range(2, k)] + [t[k + 1]]
-                out[flat_key(lam)] = [tuple(sorted(mono))]
-        # the center
-        full_chain = [h1] + [t[i] for i in range(2, n + 1)]
-        if even:
-            alt = [h1, t21] + [t[i] for i in range(3, n + 1)]
-            out[flat_key(())] = [tuple(sorted(full_chain)), tuple(sorted(alt))]
-        else:
-            out[flat_key(())] = [tuple(sorted(full_chain))]
-    elif r > 1:
-        if even:
-            t = {i: index_of("t_%d" % i) for i in range(2, n + 1)}
-            t21 = index_of("t_2^1")
-            if n >= 4:      # for n = 2 the (2,)-orbit is the center
-                mono = [t[2], t21] + [t[i] for i in range(3, n - 1)] + [t[n]]
-                out[flat_key((2,))] = [tuple(sorted(mono))]
-            center = [t[2], t21] + [t[i] for i in range(3, n + 1)]
-            out[flat_key(())] = [tuple(sorted(center))]
-    return out
+        h1 = _index_in(A, [Cyc.one()] + [Cyc.zero()] * (n - 1))
+        # X_(1^{n-k}), of stabilizer type G(r,p,k), then X_(2,1^{n-k-1})
+        return ([group([h1] + t[2:k + 1], False) for k in range(2, n)]
+                + [group([h1] + t[2:k] + [t[k + 1]], even and k == n - 1)
+                   for k in range(2, n)]
+                + [group([h1] + t[2:], even)])          # the center
+    if not even:        # p even makes r even, so r > 1
+        return []
+    t21 = _index_in(A, _named_covector(r, n, "t_2^1"))
+    center = [[tuple(sorted([t[2], t21] + t[3:]))]]
+    if n == 2:          # the (2,)-orbit is the center
+        return center
+    return [[tuple(sorted([t[2], t21] + t[3:n - 1] + [t[n]]))]] + center
 
 
 def data_dir() -> Path:

@@ -16,6 +16,7 @@ import sys
 from .arrangement import build_lattice
 from .catalog import (
     SHIPPED_GROUPS,
+    cox_monomials,
     make_arrangement,
     make_grpn,
     named_hyperplane,
@@ -298,14 +299,23 @@ def _cmd_poincare(args, out):
     return EXIT_OK
 
 
+def _plan(family):
+    """The catalog's Theorem-4 plan for a (kind, r, p, n) pair with n >= 3,
+    and no plan otherwise: with n <= 2 the rank is at most 2, where
+    `theorem4_basis` needs none."""
+    if family is None or family[3] < 3:
+        return ()
+    kind, r, p, n = family
+    return cox_monomials(r, p, n, kind)
+
+
 def _cmd_invariant_basis(args, out):
     G, A = _get_pair(args)
     if not _get_character(G, args.character).is_trivial():
         raise CLIError("invariant-basis certifies the trivial character only")
-    fam = pair_family(args.group, args.arrangement)
-    family = fam if (fam and fam[3] >= 3) else None
     try:
-        basis = theorem4_basis(A, G, family=family)
+        basis = theorem4_basis(
+            A, G, _plan(pair_family(args.group, args.arrangement)))
     except (ValueError, RuntimeError) as exc:
         raise CLIError(str(exc))
     names = _type_names(args, G, A)
@@ -424,8 +434,7 @@ def run_verify_case(suite, case):
         G = make_grpn(r, p, n)
         A = make_arrangement(kind, r, n)
         try:
-            basis = theorem4_basis(
-                A, G, family=(kind, r, p, n) if n >= 3 else None)
+            basis = theorem4_basis(A, G, _plan((kind, r, p, n)))
         except (ValueError, RuntimeError) as exc:
             return _fail(cid, "certified basis", "error: %s" % exc)
         if basis.cardinality != basis.poincare(1):

@@ -356,52 +356,39 @@ class Theorem4Basis:
         }
 
 
-def theorem4_basis(A: Arrangement, G: MatrixGroup, cox_monomials=None,
-                   family=None) -> Theorem4Basis:
+def theorem4_basis(A: Arrangement, G: MatrixGroup,
+                   cox_monomials=()) -> Theorem4Basis:
     """Build and certify an invariant basis with one projected monomial (or
     an explicit pair) per orbit carrying invariants.
 
     Monomials in codimension <= 1 are generated automatically, as is the
     rank-2 rule pairing the least hyperplane-orbit representative with the
-    others.  Otherwise `cox_monomials` maps a flat key of the orbit to its
-    monomial list, or is a plain list of monomial groups (each a monomial or
-    a list of monomials for one orbit, located by closure); `family` =
-    (kind, r, p, n) pulls the map from the catalog.
+    others.  Otherwise `cox_monomials` lists one group per orbit, a list of
+    monomial tuples, and the group's first monomial spans a flat of its
+    orbit; `catalog.cox_monomials` gives the plan of a G(r,p,n) pair.
     """
-    if cox_monomials is None and family is not None:
-        from .catalog import cox_monomials as catalog_cox
-        kind, r, p, n = family
-        cox_monomials = catalog_cox(r, p, n, kind)
-    if cox_monomials is None:
-        supplied = {}
-    elif isinstance(cox_monomials, dict):
-        supplied = dict(cox_monomials)
-    else:
-        supplied = {}
-        for group in cox_monomials:
-            group = list(group)
-            if group and isinstance(group[0], int):
-                group = [tuple(group)]
-            else:
-                group = [tuple(m) for m in group]
-            supplied[closure_key(A, group[0])] = group
-
     report = isotypic_dims_orbitwise(A, G, trivial_character(G))
     rk = A.rank()
     carriers = [(o, d) for o, d in report.orbit_dims if d > 0]
     poincare = report.poincare
+    rep_of = {f.key: o.representative.key
+              for o, _ in report.orbit_dims for f in o.orbit}
+    supplied = {}
+    for group in cox_monomials:
+        group = [tuple(m) for m in group]
+        if not group:
+            raise ValueError("empty monomial group")
+        rep = rep_of[closure_key(A, group[0])]
+        if rep in supplied:
+            raise ValueError("two monomial groups for orbit %s" % (rep,))
+        supplied[rep] = group
 
     hyper_reps = sorted(o.representative.key[0]
                         for o, _ in carriers if o.codim == 1)
     entries = []
     for o, d in carriers:
         k = o.codim
-        member_keys = {f.key for f in o.orbit}
-        monos = None
-        for key in member_keys:
-            if key in supplied:
-                monos = [tuple(m) for m in supplied[key]]
-                break
+        monos = supplied.get(o.representative.key)
         if monos is None:
             if k == 0:
                 monos = [()]

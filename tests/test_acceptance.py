@@ -112,13 +112,14 @@ def test_criterion_4_invariant_bases():
             G = make_grpn(r, p, 2)
             basis = theorem4_basis(A, G)
             assert basis.cardinality == basis.poincare(1)
-    # exceptional groups with caller-supplied generator chains
+    # exceptional groups with caller-supplied generator chains, one
+    # one-monomial group per orbit
     for name, chains in (("h3", [(9, 0), (9, 14, 0)]),
                          ("f4", [(4, 0), (1, 0), (1, 0, 9), (4, 1, 0),
                                  (4, 1, 0, 9)])):
         G = shipped_group(name)
         A = reflection_arrangement(G)
-        basis = theorem4_basis(A, G, cox_monomials=chains)
+        basis = theorem4_basis(A, G, [[chain] for chain in chains])
         assert basis.cardinality == basis.poincare(1)
 
 

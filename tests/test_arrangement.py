@@ -138,7 +138,7 @@ def test_memo_keeps_results_on_the_object_and_not_exceptions():
             area(a, -1)
     assert calls == [2, 2, 1, -1, -1]
     assert area.__name__ == "area" and area.__doc__.startswith("Doubles")
-    assert set(a._memo) == {(area.__wrapped__, 2), (area.__wrapped__, 1)}
+    assert set(a._memo) == {(area, 2), (area, 1)}
 
 
 def test_subarrangement():

@@ -34,6 +34,7 @@ from reflact.groups import (
     reflections,
 )
 from reflact.invariants import theorem4_basis
+from reflact.osalg import closure_key
 
 
 def test_make_grpn_orders():
@@ -166,24 +167,34 @@ def test_cox_monomials_shapes():
     cm = cox_monomials(r, p, n, "zero")
     A = make_arrangement("zero", r, n)
     lat = build_lattice(A)
-    # entries: one tuple of length n-1 at the codim n-1 flat, one of length n
+    # groups: one tuple of length n-1 at a codim n-1 flat, one of length n
     # at the center
-    sizes = sorted((lat.by_key[k].codim, len(v), len(v[0])) for k, v in cm.items())
+    sizes = [(lat.by_key[closure_key(A, v[0])].codim, len(v), len(v[0]))
+             for v in cm]
     assert sizes == [(3, 1, 3), (4, 1, 4)]
 
+    A = make_arrangement("full", 4, 4)
     cm = cox_monomials(4, 2, 4, "full")
-    lat = build_lattice(make_arrangement("full", 4, 4))
-    pair_lengths = sorted(len(v) for v in cm.values())
+    lat = build_lattice(A)
+    pair_lengths = sorted(len(v) for v in cm)
     # two E-pairs (codim 3 and 4), singletons elsewhere
     assert pair_lengths == [1, 1, 1, 2, 2]
-    for k, v in cm.items():
-        for mono in v:
-            assert len(mono) == lat.by_key[k].codim
+    # every monomial of a group spans a flat of one codim, in one orbit
+    orbit_of = {f.key: o.representative.key
+                for o in orbits_on_lattice(make_grpn(4, 2, 4), A)
+                for f in o.orbit}
+    reps = []
+    for v in cm:
+        keys = [closure_key(A, mono) for mono in v]
+        assert all(len(mono) == lat.by_key[keys[0]].codim for mono in v)
+        assert len({orbit_of[key] for key in keys}) == 1
+        reps.append(orbit_of[keys[0]])
+    assert len(set(reps)) == len(reps)
 
 
 def test_cox_monomials_rank_one_full():
     # t_2^1 needs n >= 2 and is looked up only for the plans that use it
-    assert cox_monomials(2, 1, 1, "full") == {(0,): [(0,)]}
+    assert cox_monomials(2, 1, 1, "full") == [[(0,)]]
 
 
 def test_cox_monomials_certify_every_small_pair():
@@ -194,7 +205,8 @@ def test_cox_monomials_certify_every_small_pair():
             for p in (d for d in range(1, r + 1) if r % d == 0):
                 for n in range(1, 4):
                     G, A = make_grpn(r, p, n), make_arrangement(kind, r, n)
-                    basis = theorem4_basis(A, G, family=(kind, r, p, n))
+                    basis = theorem4_basis(
+                        A, G, cox_monomials(r, p, n, kind))
                     assert basis.cardinality == basis.poincare(1)
 
 

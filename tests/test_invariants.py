@@ -1,9 +1,11 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from reflact.arrangement import Arrangement, subarrangement
-from reflact.catalog import make_arrangement, make_grpn, shipped_group
+from reflact.catalog import (cox_monomials, make_arrangement, make_grpn,
+                             shipped_group)
 from reflact.exactnum import Cyc, CycMatrix, Span
 from reflact.groups import (
     conjugacy_classes,
@@ -174,16 +176,70 @@ def test_theorem4_rank2_pairing():
     assert h1 != h2
 
 
-def test_theorem4_family_and_list_form():
+def test_theorem4_catalog_plan_and_its_entries_agree():
     A, G = make_arrangement("zero", 2, 4), make_grpn(2, 2, 4)
-    basis = theorem4_basis(A, G, family=("zero", 2, 2, 4))
+    basis = theorem4_basis(A, G, cox_monomials(2, 2, 4, "zero"))
     assert basis.cardinality == 4
     assert basis.poincare == (1, 1, 0, 1, 1)
-    # the same monomials passed as plain groups give the same basis
+    # the basis's own monomials, passed back as groups in reverse order,
+    # give the same basis: each group is placed by its orbit
     groups = [e["monomials"] for e in basis.entries if e["codim"] >= 2]
-    again = theorem4_basis(A, G, cox_monomials=groups)
+    again = theorem4_basis(A, G, groups[::-1])
     assert [e["monomials"] for e in again.entries] == \
         [e["monomials"] for e in basis.entries]
+
+
+# (codim, monomials) of each basis entry from the catalog plans, pinned as a
+# regression
+THEOREM4_ENTRIES = {
+    ("full", 2, 2, 4): [
+        (0, [()]), (1, [(0,)]), (1, [(1,)]), (2, [(9, 12)]), (2, [(4, 12)]),
+        (3, [(4, 9, 12)]), (3, [(1, 9, 12), (1, 12, 15)]),
+        (4, [(1, 4, 9, 12), (1, 4, 12, 15)])],
+    ("full", 4, 2, 4): [
+        (0, [()]), (1, [(0,)]), (1, [(1,)]), (2, [(15, 18)]), (2, [(6, 18)]),
+        (3, [(6, 15, 18)]), (3, [(1, 15, 18), (1, 18, 26)]),
+        (4, [(1, 6, 15, 18), (1, 6, 18, 26)])],
+    ("zero", 2, 2, 4): [
+        (0, [()]), (1, [(0,)]), (3, [(0, 6, 11)]), (4, [(0, 2, 6, 11)])],
+    ("full", 3, 1, 3): [
+        (0, [()]), (1, [(0,)]), (1, [(1,)]), (2, [(5, 7)]), (2, [(1, 7)]),
+        (3, [(1, 5, 7)])],
+    ("zero", 1, 1, 4): [(0, [()]), (1, [(0,)])],
+}
+
+
+@pytest.mark.parametrize("family", sorted(THEOREM4_ENTRIES))
+def test_theorem4_catalog_plans_give_the_recorded_monomials(family):
+    kind, r, p, n = family
+    basis = theorem4_basis(make_arrangement(kind, r, n), make_grpn(r, p, n),
+                           cox_monomials(r, p, n, kind))
+    assert [(e["codim"], e["monomials"]) for e in basis.entries] == \
+        THEOREM4_ENTRIES[family]
+
+
+def test_theorem4_refuses_an_empty_or_repeated_group():
+    A, G = make_arrangement("zero", 2, 4), make_grpn(2, 2, 4)
+    plan = cox_monomials(2, 2, 4, "zero")
+    with pytest.raises(ValueError, match="empty monomial group"):
+        theorem4_basis(A, G, [[]])
+    with pytest.raises(ValueError, match="two monomial groups"):
+        theorem4_basis(A, G, plan + plan[:1])
+
+
+def test_pair_pickles_with_its_memos():
+    # memo keys are the decorated functions and flat bases are partials of
+    # a module function, so a pair with every fact kept round-trips
+    G = make_grpn.__wrapped__(2, 2, 4)
+    A = make_arrangement.__wrapped__("zero", 2, 4)
+    plan = cox_monomials(2, 2, 4, "zero")
+    poly = poincare_invariants(A, G, trivial_character(G))
+    basis = theorem4_basis(A, G, plan).to_json()
+    G2, A2 = pickle.loads(pickle.dumps((G, A)))
+    # the traces come back as memo entries of the unpickled arrangement
+    assert memoized(A2, _trace) == memoized(A, _trace) != {}
+    assert poincare_invariants(A2, G2, trivial_character(G2)) == poly
+    assert theorem4_basis(A2, G2, plan).to_json() == basis
 
 
 def test_theorem4_unlabeled_orbit():
@@ -469,7 +525,7 @@ def test_orbit_characters_are_traced_once_for_every_character(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     for chi in others:
         isotypic_dims_orbitwise(A, G, chi)
-    theorem4_basis(A, G, family=("full", 2, 1, 4))
+    theorem4_basis(A, G, cox_monomials(2, 1, 4, "full"))
     euler_identity_check(A, G, trivial_character(G))
     assert calls == []
     assert len(memoized(G, invariants_mod._orbit_class_traces)) == \
@@ -608,7 +664,7 @@ def test_the_pipeline_builds_no_subarrangement():
     G, Gt = make_grpn(2, 2, 4), make_grpn(2, 1, 4)
     chi = trivial_character(Gt)
     poincare_invariants(A, Gt, chi)
-    theorem4_basis(A, Gt, family=("full", 2, 1, 4))
+    theorem4_basis(A, Gt, cox_monomials(2, 1, 4, "full"))
     relative_character(A, G, Gt)
     assert lehrer_solomon_check(A, Gt, chi)["passed"]
     assert memoized(A, _trace) and not memoized(A, subarrangement)

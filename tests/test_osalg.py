@@ -27,7 +27,7 @@ from reflact.osalg import (
 def memoized(obj, fn):
     """The results of the memoized fn kept on obj, by argument tuple."""
     return {key[1:]: v for key, v in vars(obj).get("_memo", {}).items()
-            if key[0] is fn.__wrapped__}
+            if key[0] is fn}
 
 
 def braid3():
