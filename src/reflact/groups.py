@@ -8,7 +8,8 @@ the Cayley graph.
 A finite G acts faithfully on the orbit of e_1..e_n, which spans C^n.  An
 element is a permutation of that orbit, identified by its images of
 e_1..e_n; orbit vectors are found by value, with entries at the
-generators' conductor, so products and inverses are int-tuple lookups.
+generators' conductor.  Permutations of at most 256 points are bytes,
+composed by one `bytes.translate`; longer ones are int tuples.
 The element order is fixed by the BFS (identity first, generators in the
 given order), which makes indices, orbits and stabilizer index sets
 deterministic.  The BFS keeps its Cayley table for classes and characters.
@@ -69,6 +70,7 @@ class MatrixGroup:
     `vectors` is the G-orbit of e_1..e_n, those first, with entries at
     conductor m.  Element k sends vectors[x] to vectors[perms[k][x]]; its
     images of e_1..e_n, perms[k][:n], are its matrix columns and identify it.
+    perms[k] is bytes when there are at most 256 vectors, else an int tuple.
     cayley[k][t] is the index of element k times generator t.  `matrix(k)`
     builds element k's matrix on demand; `elements` lists them all, built
     on first read."""
@@ -82,8 +84,10 @@ class MatrixGroup:
         self.generators = cayley[0]       # list of element indices
         self.parents = parents            # index -> (parent index, generator index)
         self.order = len(perms)
+        self._seq, self._compose = _perm_ops(len(vectors))
         self._index = {p[:n]: k for k, p in enumerate(perms)}
-        self.inverse = [self._index[tuple(map(p.index, range(n)))] for p in perms]
+        self.inverse = [self._index[self._seq(map(p.index, range(n)))]
+                        for p in perms]
 
     def matrix(self, i: int) -> CycMatrix:
         """Element i's matrix, whose columns are its orbit vectors."""
@@ -96,8 +100,7 @@ class MatrixGroup:
         return [self.matrix(i) for i in range(self.order)]
 
     def mul(self, i: int, j: int) -> int:
-        head = self.perms[j][:self.n]
-        return self._index[tuple(map(self.perms[i].__getitem__, head))]
+        return self._index[self._compose(self.perms[i], self.perms[j][:self.n])]
 
     def element_order(self, i: int) -> int:
         k, cur = 1, i
@@ -111,10 +114,26 @@ class MatrixGroup:
         if (M.rows, M.cols) != (self.n, self.n):
             return None
         pos = {v: x for x, v in enumerate(self.vectors)}
-        return self._index.get(tuple(map(pos.get, zip(*M.row_list()))))
+        cols = [pos.get(c) for c in zip(*M.row_list())]
+        return None if None in cols else self._index.get(self._seq(cols))
 
     def __repr__(self):
         return "MatrixGroup(n=%d, order=%d)" % (self.n, self.order)
+
+
+def _translate(p, g):
+    return g.translate(p.ljust(256, b"\0"))
+
+
+def _lookup(p, g):
+    return tuple(map(p.__getitem__, g))
+
+
+def _perm_ops(size):
+    """The sequence type of a permutation of `size` points and its product
+    (p, g) -> p * g, (p * g)[x] = p[g[x]]: up to 256 points, bytes and one
+    `bytes.translate` by p padded to a full table; above, int tuples."""
+    return (bytes, _translate) if size <= 256 else (tuple, _lookup)
 
 
 def _closure(seeds, gens, act, cap, key=None):
@@ -250,10 +269,10 @@ def generate(gens, dim=None, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     vectors, images, _ = _closure(
         basis, gens, lambda v, g: tuple(c.lift(m) for c in g.apply(v)),
         order_cap)
+    seq, compose = _perm_ops(len(vectors))
     perms, cayley, parents = _closure(
-        [tuple(range(len(vectors)))], list(zip(*images)),
-        lambda p, g: tuple(map(p.__getitem__, g)),   # p * g
-        order_cap, key=lambda p: p[:dim])
+        [seq(range(len(vectors)))], [seq(g) for g in zip(*images)],
+        compose, order_cap, key=lambda p: p[:dim])
     return MatrixGroup(dim, m, vectors, perms, cayley, [(-1, -1)] + parents)
 
 
@@ -302,15 +321,16 @@ def reflection_arrangement(G: MatrixGroup) -> Arrangement:
 class _Action:
     """Cached permutation action of a group on an arrangement's hyperplanes.
     A generator's image of a covector is canonicalized and found by value
-    with `Arrangement.index_of`.  `perms` lists each element's permutation;
-    `fibers` maps each distinct one to the elements inducing it, in order of
-    first occurrence."""
+    with `Arrangement.index_of`.  `perms` lists each element's permutation
+    as `_perm_ops` stores it; `fibers` maps each distinct one to the
+    elements inducing it, in order of first occurrence."""
 
     def __init__(self, G: MatrixGroup, A: Arrangement):
         if G.n != A.n:
             raise NotStableError("group acts on C^%d, arrangement lives in C^%d"
                                  % (G.n, A.n))
         nh = len(A)
+        seq, compose = _perm_ops(nh)
         gen_perm = []
         for gi in G.generators:
             inv = G.matrix(G.inverse[gi])
@@ -322,9 +342,9 @@ class _Action:
                     raise NotStableError(
                         "generator %d maps hyperplane %d outside A" % (gi, i))
                 perm.append(j)
-            gen_perm.append(perm)
+            gen_perm.append(seq(perm))
         self.perms = _along_parents(
-            G, tuple(range(nh)), lambda p, t: tuple(p[x] for x in gen_perm[t]))
+            G, seq(range(nh)), lambda p, t: compose(p, gen_perm[t]))
         self.fibers = {}
         for g, p in enumerate(self.perms):
             self.fibers.setdefault(p, []).append(g)

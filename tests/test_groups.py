@@ -319,7 +319,7 @@ def test_hyperplane_action_matches_hashed_lookup(group, arrangement):
                set(G.generators) | set(random.Random(5).sample(range(G.order), 40)))
     for k in checked:
         inv = G.matrix(G.inverse[k])
-        assert perms[k] == tuple(
+        assert tuple(perms[k]) == tuple(
             A.index_of(canonicalize_hyperplane(inv.apply_row(list(A.covector(i)))))
             for i in range(len(A)))
 
@@ -610,6 +610,61 @@ def test_contains_matrix_across_conductors():
     assert G333.contains_matrix(CycMatrix.identity(2)) is None
 
 
+def _root_group(m):
+    """<zeta_m> in dimension 1: m orbit vectors, the elements zeta_m^k in
+    BFS order k = 0..m-1."""
+    return generate([CycMatrix(1, 1, [Cyc.root_of_unity(m)])])
+
+
+@pytest.mark.parametrize("m, seq", [(256, bytes), (257, tuple)])
+def test_permutations_change_type_above_256_points(m, seq):
+    # 256 orbit vectors are the most a byte string holds; 257 take the
+    # int-tuple path, whose products must agree with Cyc products too
+    G = _root_group(m)
+    assert (len(G.vectors), G.order) == (m, m)
+    assert all(type(p) is seq for p in G.perms)
+    rng = random.Random(7)
+    for _ in range(50):
+        i, j = rng.randrange(m), rng.randrange(m)
+        assert G.matrix(G.mul(i, j)) == G.matrix(i) * G.matrix(j)
+        assert (G.matrix(G.inverse[i]) * G.matrix(i)).is_identity()
+        assert G.contains_matrix(G.matrix(i)) == i
+    assert G.contains_matrix(CycMatrix.identity(1)) == 0
+
+
+def test_bytes_permutations_match_the_tuple_path(monkeypatch):
+    # at the 256-point boundary the bytes path gives the same elements,
+    # parents, Cayley table, inverses and products as int tuples do, and
+    # the same hyperplane permutations and fibers
+    def build():
+        G = _root_group(256)
+        H = catalog.make_grpn.__wrapped__(3, 1, 3)
+        return G, hyperplane_action(H, catalog.make_arrangement("full", 3, 3))
+
+    (G, act), tuples = build(), groups_mod._perm_ops(257)
+    monkeypatch.setattr(groups_mod, "_perm_ops", lambda size: tuples)
+    T, tact = build()
+    assert (type(G.perms[0]), type(T.perms[0])) == (bytes, tuple)
+    assert [tuple(p) for p in G.perms] == T.perms
+    assert (G.parents, G.cayley, G.inverse) == (T.parents, T.cayley, T.inverse)
+    assert [G.mul(i, 37) for i in range(256)] == [T.mul(i, 37) for i in range(256)]
+    assert (type(act.perms[0]), type(tact.perms[0])) == (bytes, tuple)
+    assert [tuple(p) for p in act.perms] == tact.perms
+    assert [(tuple(p), gs) for p, gs in act.fibers.items()] == \
+        list(tact.fibers.items())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.make_grpn(3, 3, 3),
+    lambda: _root_group(257),
+], ids=["G(3,3,3)", "zeta_257"])
+def test_contains_matrix_is_none_for_a_column_outside_the_orbit(build):
+    G = build()
+    two = CycMatrix(G.n, G.n, [Cyc.rational(2) if r == c else Cyc.zero()
+                               for r in range(G.n) for c in range(G.n)])
+    assert G.contains_matrix(two) is None
+
+
 def test_lookups_by_value_across_conductors():
     # G(4,1,3) at conductor 4 on A_3(4) rebuilt at conductor 12: orbit
     # vectors and hyperplanes are found by value, whatever the conductor
@@ -828,7 +883,7 @@ def test_orbit_transport_carries_the_representative_onto_each_member():
             rep = o.representative.key
             assert set(o.transport) == {f.key for f in o.orbit}
             assert rep == min(o.transport)
-            assert o.transport[rep] == tuple(range(len(A)))
+            assert tuple(o.transport[rep]) == tuple(range(len(A)))
             for X, x in o.transport.items():
                 assert x in perms
                 assert tuple(sorted(x[h] for h in rep)) == X
