@@ -33,6 +33,7 @@ from .catalog import (
 from .groups import (
     DEFAULT_ORDER_CAP,
     NotStableError,
+    _rational_classes,
     conjugacy_classes,
     det_character,
     determinant_like_characters,
@@ -236,12 +237,14 @@ def _cmd_info(args, out):
             fibers = hyperplane_action(G, A).fibers
         except NotStableError as exc:
             raise CLIError(str(exc))
-        # every trace average takes one term per conjugacy class
+        # every trace average takes one term per conjugacy class, and each
+        # trace is computed once per rational class
         payload["action"] = {
             "distinct_permutations": len(fibers),
             "lattice_orbits": len(orbits_on_lattice(G, A)),
             "flats": len(build_lattice(A).by_key),
-            "conjugacy_classes": len(conjugacy_classes(G))}
+            "conjugacy_classes": len(conjugacy_classes(G)),
+            "rational_classes": len(set(_rational_classes(G)))}
         for k, v in sorted(payload["action"].items()):
             rows.append(["action", k, v])
     _emit(out, args.format, "info", ["object", "field", "value"], rows,

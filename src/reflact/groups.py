@@ -2,8 +2,8 @@
 Finite matrix groups over cyclotomic fields: breadth-first closure
 enumeration, reflection detection, reflection arrangements, the permutation
 action on hyperplanes and flats, orbits and stabilizers Z_T / N_T, centers,
-conjugacy classes, and linear characters from the integer relations of
-the Cayley graph.
+conjugacy and rational classes, and linear characters from the integer
+relations of the Cayley graph.
 
 A finite G acts faithfully on the orbit of e_1..e_n, which spans C^n.  An
 element is a permutation of that orbit, identified by its images of
@@ -298,15 +298,19 @@ def group_from_json(obj, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
 def reflections(G: MatrixGroup):
     """All elements whose fixed space has codimension 1, with Fix(r) as a
     canonical Hyperplane, by element index.  rank(g - I) is a class
-    function, so one rref per conjugacy class decides."""
+    function, and Fix(g^j) = Fix(g) for j prime to the order of g, so one
+    rref per rational class (`_rational_classes`) decides."""
     def rows(i):
         """Rows of g_i - I."""
         return [[e - 1 if r == j else e for j, e in enumerate(row)]
                 for r, row in enumerate(G.matrix(i).row_list())]
 
-    out = []
-    for cls in conjugacy_classes(G)[1:]:    # the identity's class is first
-        if rref(CycMatrix.from_rows(rows(cls[0])))[2] == 1:
+    out, rank_one = [], {}
+    # the identity's class is first, and its own rational class
+    for cls, g in zip(conjugacy_classes(G)[1:], _rational_classes(G)[1:]):
+        if g not in rank_one:
+            rank_one[g] = rref(CycMatrix.from_rows(rows(g)))[2] == 1
+        if rank_one[g]:
             out += [(i, canonicalize_hyperplane(next(
                 r for r in rows(i) if any(r)))) for i in cls]
     return sorted(out, key=lambda t: t[0])
@@ -462,6 +466,29 @@ def _inverse_classes(G: MatrixGroup):
     classes = conjugacy_classes(G)
     class_of = {x: c for c, cls in enumerate(classes) for x in cls}
     return [class_of[G.inverse[cls[0]]] for cls in classes]
+
+
+@_memo
+def _rational_classes(G: MatrixGroup):
+    """For each conjugacy class, the least member of the first class in its
+    rational class: the union of the classes of g^j, j prime to the order
+    of g, whose members generate the conjugates of <g>.  A character
+    afforded over Q takes one value there, and g^j fixes what g fixes.
+    One walk of the powers of each first class's least member merges the
+    classes it meets; classes come in order of least member."""
+    classes = conjugacy_classes(G)
+    class_of = {x: c for c, cls in enumerate(classes) for x in cls}
+    reps = [None] * len(classes)
+    for c, cls in enumerate(classes):
+        if reps[c] is None:
+            g = cls[0]
+            powers = [g]                # g, g^2, ..., g^o = 1 (index 0)
+            while powers[-1]:
+                powers.append(G.mul(powers[-1], g))
+            for j, x in enumerate(powers, 1):
+                if gcd(j, len(powers)) == 1:
+                    reps[class_of[x]] = g
+    return reps
 
 
 class LinearCharacter:

@@ -18,10 +18,15 @@ ways:
 
 So the always-on cross-check compares lattice combinatorics with OS
 algebra.  Traces are class functions, so the global and orbitwise averages
-take one term per conjugacy class of G.  The character of K_T at g sums the
-traces of g on the flats of T that g fixes, each moved to the
-representative's flat.  The projection weights each distinct
-hyperplane permutation.  All arithmetic is exact; every dimension is
+take one term per conjugacy class of G.  H^*(M(A); Q), each K_T and the
+permutation of L(A) are defined over Q, so each trace also takes one value
+on a rational class (`groups._rational_classes`): g^j, j prime to the
+order of g, has the trace of g.  Each trace is computed at the rational
+class's representative and read by every conjugacy class in it, while chi,
+which need not be rational, still weights each conjugacy class.  The
+character of K_T at g sums the traces of g on the flats of T that g fixes,
+each moved to the representative's flat.  The projection weights each
+distinct hyperplane permutation.  All arithmetic is exact; every dimension is
 checked to be a nonnegative rational integer before it is returned.
 
 The module also builds the explicit invariant bases (one monomial, or an
@@ -42,6 +47,7 @@ from .groups import (
     LinearCharacter,
     MatrixGroup,
     _inverse_classes,
+    _rational_classes,
     conjugacy_classes,
     determinant_like_characters,
     hyperplane_action,
@@ -131,7 +137,9 @@ def _class_average(G: MatrixGroup, phi, trace) -> Cyc:
     trace(c), for phi one value per class, c the least member of C and
     trace(c) an int; the trace is read only where the weight is nonzero.
     The int weights |C| trace(c) are summed per distinct value of phi, so
-    there is one Cyc product per value."""
+    there is one Cyc product per value.  The weights stay per conjugacy
+    class, since phi need not be rational; the traces are rational class
+    functions, which the callers compute once per rational class."""
     sums = {}
     for cls, j in zip(conjugacy_classes(G), _inverse_classes(G)):
         if phi[j]:
@@ -169,7 +177,10 @@ def _orbit_class_traces(G, A, orbit) -> dict:
     member of each conjugacy class of G.  At g it sums, over the members X
     with gX = X, the trace of x^{-1} g x on H^top(A_R), R the
     representative and x = orbit.transport[X], straightened on A itself.
-    Kept on G per arrangement and orbit."""
+    K_T is a Q-module, so tr(g^j) = sigma_j(tr g) = tr g for j prime to
+    the order of g: the trace is straightened at each rational class's
+    representative and copied to its other classes.  Kept on G per
+    arrangement and orbit."""
     key = orbit.representative.key
     R = sum(1 << h for h in key)
     # x^{-1} on the hyperplanes through X
@@ -182,7 +193,11 @@ def _orbit_class_traces(G, A, orbit) -> dict:
                    for X, x in orbit.transport.items()
                    if all(p[i] in back[X] for i in X))     # gX = X
 
-    return {cls[0]: trace(cls[0]) for cls in conjugacy_classes(G)}
+    traces = {}
+    # a rational class's representative leads its first conjugacy class
+    for cls, g in zip(conjugacy_classes(G), _rational_classes(G)):
+        traces[cls[0]] = traces[g] if g in traces else trace(g)
+    return traces
 
 
 def _orbit_isotypic_dim(A, G, orbit, chi) -> int:
@@ -515,16 +530,20 @@ def multiplicity_classfn(A: Arrangement, G: MatrixGroup, phi, k: int) -> Cyc:
     conjugacy class (classes in their deterministic order); the conjugate
     phi(g)-bar is realized as phi(g^{-1}).  The character of H^k at a
     class's least member is its Mobius sum over the fixed flats of L(A),
-    with no Orlik-Solomon straightening; H^k is 0 outside 0..rk."""
+    with no Orlik-Solomon straightening; H^k is 0 outside 0..rk.  g and
+    g^j, j prime to the order of g, generate one cyclic group and fix the
+    same flats, so the sum is read at the class's rational representative,
+    whose permutation's sums are kept on A."""
     classes = conjugacy_classes(G)
     phi = list(phi)
     if len(phi) != len(classes):
         raise ClassMismatchError(
             "%d values for %d conjugacy classes" % (len(phi), len(classes)))
     perms = hyperplane_action(G, A).perms
+    rational = dict(zip((cls[0] for cls in classes), _rational_classes(G)))
 
     def trace(g):
-        traces = _fixed_flat_traces(A, perms[g])
+        traces = _fixed_flat_traces(A, perms[rational[g]])
         return traces[k] if 0 <= k < len(traces) else 0
 
     return _class_average(G, phi, trace)

@@ -240,8 +240,11 @@ def _trace(A: Arrangement, X: int, images) -> int:
     memo, join = _straightening(A)
     total = 0
     for mono in _nbc_by_flat(A)[X]:
-        srt, sign = _sort_with_sign(tuple(to[i] for i in mono))
-        total += sign * _straighten_sorted(srt, memo, join).get(mono, 0)
+        srt, sign = _sort_with_sign(tuple(map(to.__getitem__, mono)))
+        image = memo.get(srt)
+        if image is None:
+            image = _straighten_sorted(srt, memo, join)
+        total += sign * image.get(mono, 0)
     return total
 
 

@@ -415,11 +415,14 @@ def test_info_action_summary():
     assert code == EXIT_OK
     assert json.loads(out)["action"] == {
         "distinct_permutations": 648, "lattice_orbits": 12, "flats": 214,
-        "conjugacy_classes": 51}
+        "conjugacy_classes": 51, "rational_classes": 30}
     code, out, _ = invoke(*argv)
     assert code == EXIT_OK
     assert "distinct_permutations  648" in out
     assert "conjugacy_classes      51" in out
+    assert "rational_classes       30" in out
+    code, out, _ = invoke(*argv, "--format", "csv")
+    assert code == EXIT_OK and "action,rational_classes,30" in out
     # with one of the two options there is no action summary
     for argv in (("info", "--group", "G(3,1,2)"),
                  ("info", "--arrangement", "A_2(3)")):

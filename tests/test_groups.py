@@ -2,6 +2,7 @@ import copy
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -348,6 +349,7 @@ def test_group_facts_are_computed_once():
     G = w3()
     A = reflection_arrangement(G)
     for fn, args in [(conjugacy_classes, ()), (groups_mod._inverse_classes, ()),
+                     (groups_mod._rational_classes, ()),
                      (linear_characters, ()), (reflections, ()),
                      (reflection_arrangement, ()), (hyperplane_action, (A,)),
                      (orbits_on_lattice, (A,))]:
@@ -594,6 +596,65 @@ def test_classes_and_center_match_brute_force(build):
                                               for c in want]
     assert center(G) == {x for x in range(G.order)
                          if all(G.mul(x, y) == G.mul(y, x) for y in range(G.order))}
+
+
+def _powers(G, g):
+    """g, g^2, ..., g^o = 1, by products."""
+    out = [g]
+    while out[-1] != 0:
+        out.append(G.mul(out[-1], g))
+    return out
+
+
+@pytest.mark.parametrize("spec,classes,rational", [
+    ("W(4)", 5, 5), ("H3", 10, 8), ("G(3,1,3)", 22, 13), ("G(3,3,3)", 10, 8),
+    ("G(4,1,3)", 40, 26), ("G(3,1,4)", 51, 30), ("G(4,2,4)", 60, 46),
+    ("F4", 25, 25)])
+def test_rational_classes(spec, classes, rational):
+    # a rational class joins the classes of the g^j with j prime to the
+    # order of g; each class names the least member of the first class of
+    # its rational class
+    G = catalog.parse_group_spec(spec)
+    cls = conjugacy_classes(G)
+    reps = groups_mod._rational_classes(G)
+    assert (len(cls), len(set(reps))) == (classes, rational)
+    class_of = {x: c for c, members in enumerate(cls) for x in members}
+    first = {}
+    for c, g in enumerate(reps):
+        assert cls[first.setdefault(g, c)][0] == g
+    # closed under g -> g^j, and one rational class per representative
+    for x in range(G.order):
+        powers = _powers(G, x)
+        assert {reps[class_of[y]] for j, y in enumerate(powers, 1)
+                if gcd(j, len(powers)) == 1} == {reps[class_of[x]]}
+    for g in first:
+        powers = _powers(G, g)
+        assert {class_of[y] for j, y in enumerate(powers, 1)
+                if gcd(j, len(powers)) == 1} == \
+            {c for c, r in enumerate(reps) if r == g}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.make_grpn(4, 2, 4),
+    lambda: catalog.make_grpn(3, 1, 3),
+    lambda: catalog.shipped_group("h3"),
+    lambda: catalog.load_group_file(
+        Path(catalog.__file__).parent / "data" / "h3.json"),
+], ids=["G(4,2,4)", "G(3,1,3)", "H3", "h3.json"])
+def test_reflections_match_a_per_class_rank(build):
+    # the reference decides rank(g - I) = 1 at every conjugacy class
+    G = build()
+
+    def rows(i):
+        return [[e - (r == j) for j, e in enumerate(row)]
+                for r, row in enumerate(G.matrix(i).row_list())]
+
+    want = []
+    for cls in conjugacy_classes(G):
+        if ref_rref(CycMatrix.from_rows(rows(cls[0])))[2] == 1:
+            want += [(i, canonicalize_hyperplane(
+                next(r for r in rows(i) if any(r)))) for i in cls]
+    assert reflections(G) == sorted(want, key=lambda t: t[0])
 
 
 def test_contains_matrix_across_conductors():

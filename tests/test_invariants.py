@@ -8,6 +8,7 @@ from reflact.catalog import (cox_monomials, make_arrangement, make_grpn,
                              shipped_group)
 from reflact.exactnum import Cyc, CycMatrix, Span
 from reflact.groups import (
+    _rational_classes,
     conjugacy_classes,
     det_character,
     generate,
@@ -41,7 +42,7 @@ from reflact.invariants import (
 )
 from reflact import invariants as invariants_mod
 from reflact.invariants import (_as_dim, _class_average, _fixed_flat_traces,
-                                _orbit_isotypic_dim)
+                                _orbit_class_traces, _orbit_isotypic_dim)
 from reflact.osalg import (OSElement, _circuits, _nbc_levels, _straightening,
                            _trace, apply_perm, nbc_basis, perm_trace,
                            straighten)
@@ -587,6 +588,45 @@ def test_fixed_flat_traces_equal_os_traces():
         for p in checked:
             assert list(_fixed_flat_traces(A, p)) == \
                 [perm_trace(A, p, k) for k in range(A.rank() + 1)]
+
+
+def _orbit_trace_at(G, A, orbit, g):
+    """tr(g | K_T) straightened at g itself: over the members X that g
+    fixes, the trace of x^{-1} g x on H^top(A_R), x the transport to X."""
+    key = orbit.representative.key
+    back = {X: {x[h]: h for h in key} for X, x in orbit.transport.items()}
+    p = hyperplane_action(G, A).perms[g]
+    return sum(_trace(A, sum(1 << h for h in key),
+                      tuple(back[X][p[x[h]]] for h in key))
+               for X, x in orbit.transport.items()
+               if all(p[i] in back[X] for i in X))
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: (reflection_arrangement(shipped_group("h3")), shipped_group("h3")),
+    lambda: (make_arrangement("full", 3, 3), make_grpn(3, 1, 3)),
+    lambda: (make_arrangement("full", 4, 3), make_grpn(4, 1, 3)),
+    lambda: (make_arrangement("full", 4, 3), make_grpn(4, 2, 3)),
+    lambda: (make_arrangement("zero", 3, 3), make_grpn(3, 3, 3)),
+], ids=["H3", "G(3,1,3)", "G(4,1,3)", "G(4,2,3)", "G(3,3,3)"])
+def test_traces_agree_across_a_rational_class(pair):
+    # each trace is read at the rational class's representative: at every
+    # class's least member, the OS and Mobius traces and each orbit's K_T
+    # trace straightened there must equal those read at the representative
+    A, G = pair()
+    perms = hyperplane_action(G, A).perms
+    classes = conjugacy_classes(G)
+    reps = _rational_classes(G)
+    assert len(set(reps)) < len(classes)
+    orbits = orbits_on_lattice(G, A)
+    for cls, r in zip(classes, reps):
+        g = cls[0]
+        assert [perm_trace(A, perms[g], k) for k in range(A.rank() + 1)] == \
+            [perm_trace(A, perms[r], k) for k in range(A.rank() + 1)]
+        assert _fixed_flat_traces(A, perms[g]) == _fixed_flat_traces(A, perms[r])
+        for o in orbits:
+            assert _orbit_trace_at(G, A, o, g) == \
+                _orbit_class_traces(G, A, o)[g] == _orbit_trace_at(G, A, o, r)
 
 
 # -- orbitwise averages as induced characters over G's classes ----------------
