@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 from pathlib import Path
@@ -408,24 +407,26 @@ def data_dir() -> Path:
     return Path(__file__).resolve().parent / "data"
 
 
-def _read_group_json(path) -> dict:
-    """The JSON object in a group data file; a file that cannot be read or
-    holds no JSON object raises ValueError."""
+def _read_json_object(path, what) -> dict:
+    """The JSON object in a data file, `what` naming the file's kind ("group
+    file", "golden file") in messages; a file that cannot be read or holds
+    no JSON object raises ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise ValueError("cannot read group file %s: %s" % (path, exc.strerror))
+        raise ValueError("cannot read %s %s: %s" % (what, path, exc.strerror))
     except ValueError as exc:
-        raise ValueError("malformed group file %s: %s" % (path, exc))
+        raise ValueError("malformed %s %s: %s" % (what, path, exc))
     if not isinstance(obj, dict):
-        raise ValueError("malformed group file %s: not a JSON object" % path)
+        raise ValueError("malformed %s %s: not a JSON object" % (what, path))
     return obj
 
 
 def load_group_file(path, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
     """Ingest a group from a JSON file matching the groups-module schema."""
-    return group_from_json(_read_group_json(path), order_cap=order_cap)
+    return group_from_json(_read_json_object(path, "group file"),
+                           order_cap=order_cap)
 
 
 def shipped_group(name: str) -> MatrixGroup:
@@ -464,7 +465,7 @@ def load_group_types(path):
     """Stabilizer-type display table of a group data file as (codim, order,
     reflection counts, name) tuples, or None when the file has none; a
     malformed table raises ValueError."""
-    types = _read_group_json(path).get("stabilizer_types")
+    types = _read_json_object(path, "group file").get("stabilizer_types")
     if types is None:
         return None
     if not isinstance(types, list):

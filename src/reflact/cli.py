@@ -16,6 +16,7 @@ import sys
 from .arrangement import build_lattice
 from .catalog import (
     SHIPPED_GROUPS,
+    _read_json_object,
     cox_monomials,
     make_arrangement,
     make_grpn,
@@ -373,10 +374,17 @@ def _cmd_multiplicity(args, out):
 # verify
 # ---------------------------------------------------------------------------
 
+def _expected_path():
+    return data_dir() / "verify_expected.json"
+
+
 def load_expected():
-    path = data_dir() / "verify_expected.json"
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The golden file's object of suites; a file that cannot be read or
+    holds no JSON object is a CLIError."""
+    try:
+        return _read_json_object(_expected_path(), "golden file")
+    except ValueError as exc:
+        raise CLIError(str(exc))
 
 
 def _poly_of(A, G):
@@ -509,9 +517,13 @@ def run_verify_case(suite, case):
 
 
 def _suite_cases(expected, name, max_r, max_n):
-    block = expected[name]
+    block = expected.get(name)
     if isinstance(block, dict):
         block = [block]
+    if not (isinstance(block, list)
+            and all(isinstance(case, dict) for case in block)):
+        raise CLIError("golden file %s has no list of cases for suite %r"
+                       % (_expected_path(), name))
     out = []
     for case in block:
         if case.get("r", 0) > max_r or case.get("n", 0) > max_n:

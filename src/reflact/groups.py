@@ -461,14 +461,6 @@ def conjugacy_classes(G: MatrixGroup):
 
 
 @_memo
-def _inverse_classes(G: MatrixGroup):
-    """The index of the class of the inverses of class c's members, by c."""
-    classes = conjugacy_classes(G)
-    class_of = {x: c for c, cls in enumerate(classes) for x in cls}
-    return [class_of[G.inverse[cls[0]]] for cls in classes]
-
-
-@_memo
 def _rational_classes(G: MatrixGroup):
     """For each conjugacy class, the least member of the first class in its
     rational class: the union of the classes of g^j, j prime to the order

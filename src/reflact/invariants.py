@@ -17,17 +17,17 @@ ways:
   * by the rank of the idempotent projection matrix on the NBC basis.
 
 So the always-on cross-check compares lattice combinatorics with OS
-algebra.  Traces are class functions, so the global and orbitwise averages
-take one term per conjugacy class of G.  H^*(M(A); Q), each K_T and the
-permutation of L(A) are defined over Q, so each trace also takes one value
-on a rational class (`groups._rational_classes`): g^j, j prime to the
-order of g, has the trace of g.  Each trace is computed at the rational
-class's representative and read by every conjugacy class in it, while chi,
-which need not be rational, still weights each conjugacy class.  The
-character of K_T at g sums the traces of g on the flats of T that g fixes,
-each moved to the representative's flat.  The projection weights each
-distinct hyperplane permutation.  All arithmetic is exact; every dimension is
-checked to be a nonnegative rational integer before it is returned.
+algebra.  The global and orbitwise averages are (1/|G|) sum over conjugacy
+classes C of |C| chi(C) tr(c), c in C: H^*(M(A); Q), each K_T and the
+permutation of L(A) are defined over Q, so each trace takes one value on a
+rational class (`groups._rational_classes`), the g^j with j prime to the
+order of g, and c^{-1} = c^{o-1} gives tr(c^{-1}) = tr(c).  Each trace is
+read once per rational class, while chi, which need not be rational, still
+weights each conjugacy class.  The character of K_T at g sums the traces of
+g on the flats of T that g fixes, each moved to the representative's flat.
+The projection weights each distinct hyperplane permutation.  All
+arithmetic is exact; every dimension is checked to be a nonnegative
+rational integer before it is returned.
 
 The module also builds the explicit invariant bases (one monomial, or an
 explicit pair, per orbit with nonzero invariants), decomposes the invariants
@@ -46,7 +46,6 @@ from .exactnum import Cyc
 from .groups import (
     LinearCharacter,
     MatrixGroup,
-    _inverse_classes,
     _rational_classes,
     conjugacy_classes,
     determinant_like_characters,
@@ -133,17 +132,19 @@ def _as_dim(x: Cyc) -> int:
 
 
 def _class_average(G: MatrixGroup, phi, trace) -> Cyc:
-    """(1/|G|) sum over conjugacy classes C of |C| phi[class of c^{-1}]
-    trace(c), for phi one value per class, c the least member of C and
-    trace(c) an int; the trace is read only where the weight is nonzero.
-    The int weights |C| trace(c) are summed per distinct value of phi, so
-    there is one Cyc product per value.  The weights stay per conjugacy
-    class, since phi need not be rational; the traces are rational class
-    functions, which the callers compute once per rational class."""
-    sums = {}
-    for cls, j in zip(conjugacy_classes(G), _inverse_classes(G)):
-        if phi[j]:
-            sums[phi[j]] = sums.get(phi[j], 0) + len(cls) * trace(cls[0])
+    """(1/|G|) sum over conjugacy classes C of |C| phi[C] trace(c), phi one
+    value per class.  Every trace averaged is an int character afforded
+    over Q, so it is one value on a rational class, which holds c^{-1}:
+    this is <trace, phi> = (1/|G|) sum_g phi(g^{-1}) trace(g), and trace is
+    read once per rational class, at its representative, where some class
+    in it has a nonzero weight.  The int weights |C| trace(c) are summed
+    per distinct value of phi (which need not be rational), so there is
+    one Cyc product per value."""
+    sums, traces = {}, {}
+    for cls, v, r in zip(conjugacy_classes(G), phi, _rational_classes(G)):
+        if v:
+            traces[r] = t = traces[r] if r in traces else trace(r)
+            sums[v] = sums.get(v, 0) + len(cls) * t
     return sum((v * Fraction(s, G.order) for v, s in sums.items()), Cyc.zero())
 
 
@@ -173,13 +174,11 @@ def isotypic_dim_projection(A: Arrangement, G: MatrixGroup,
 @_memo
 def _orbit_class_traces(G, A, orbit) -> dict:
     """The character of K_T, the sum of H^top(A_X) over the flats X of the
-    orbit, which is Ind_{N_T}^G H^top(A_T) (Lehrer-Solomon), at the least
-    member of each conjugacy class of G.  At g it sums, over the members X
-    with gX = X, the trace of x^{-1} g x on H^top(A_R), R the
-    representative and x = orbit.transport[X], straightened on A itself.
-    K_T is a Q-module, so tr(g^j) = sigma_j(tr g) = tr g for j prime to
-    the order of g: the trace is straightened at each rational class's
-    representative and copied to its other classes.  Kept on G per
+    orbit, which is Ind_{N_T}^G H^top(A_T) (Lehrer-Solomon), at each
+    rational class's representative, where `_class_average` reads it (K_T
+    is a Q-module).  At g it sums, over the members X with gX = X, the
+    trace of x^{-1} g x on H^top(A_R), R the representative and x =
+    orbit.transport[X], straightened on A itself.  Kept on G per
     arrangement and orbit."""
     key = orbit.representative.key
     R = sum(1 << h for h in key)
@@ -193,11 +192,7 @@ def _orbit_class_traces(G, A, orbit) -> dict:
                    for X, x in orbit.transport.items()
                    if all(p[i] in back[X] for i in X))     # gX = X
 
-    traces = {}
-    # a rational class's representative leads its first conjugacy class
-    for cls, g in zip(conjugacy_classes(G), _rational_classes(G)):
-        traces[cls[0]] = traces[g] if g in traces else trace(g)
-    return traces
+    return {g: trace(g) for g in dict.fromkeys(_rational_classes(G))}
 
 
 def _orbit_isotypic_dim(A, G, orbit, chi) -> int:
@@ -526,24 +521,22 @@ def order_two_character(Gt: MatrixGroup, kernel_elements) -> LinearCharacter:
 
 
 def multiplicity_classfn(A: Arrangement, G: MatrixGroup, phi, k: int) -> Cyc:
-    """<character of H^k, phi> for a class function given as one Cyc per
-    conjugacy class (classes in their deterministic order); the conjugate
-    phi(g)-bar is realized as phi(g^{-1}).  The character of H^k at a
-    class's least member is its Mobius sum over the fixed flats of L(A),
-    with no Orlik-Solomon straightening; H^k is 0 outside 0..rk.  g and
-    g^j, j prime to the order of g, generate one cyclic group and fix the
-    same flats, so the sum is read at the class's rational representative,
-    whose permutation's sums are kept on A."""
+    """<character of H^k, phi> = (1/|G|) sum over conjugacy classes C of
+    |C| phi(C) tr(c | H^k), for a class function given as one Cyc per
+    conjugacy class (classes in their deterministic order); H^k is defined
+    over Q, so tr(c^{-1}) = tr(c) (see `_class_average`).  The character of
+    H^k at a rational class's representative is its Mobius sum over the
+    fixed flats of L(A), with no Orlik-Solomon straightening, kept per
+    permutation on A; H^k is 0 outside 0..rk."""
     classes = conjugacy_classes(G)
     phi = list(phi)
     if len(phi) != len(classes):
         raise ClassMismatchError(
             "%d values for %d conjugacy classes" % (len(phi), len(classes)))
     perms = hyperplane_action(G, A).perms
-    rational = dict(zip((cls[0] for cls in classes), _rational_classes(G)))
 
     def trace(g):
-        traces = _fixed_flat_traces(A, perms[rational[g]])
+        traces = _fixed_flat_traces(A, perms[g])
         return traces[k] if 0 <= k < len(traces) else 0
 
     return _class_average(G, phi, trace)

@@ -255,6 +255,31 @@ def test_verify_mismatch_exit_code(tmp_path, monkeypatch):
     assert "FAIL" in out and "0/1 cases passed" in out
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read golden file {}: No such file or directory"),
+    ("{", "malformed golden file {}: Expecting property name enclosed in "
+          "double quotes: line 1 column 2 (char 1)"),
+    ("[]", "malformed golden file {}: not a JSON object"),
+    ('{"table1": 5}', "golden file {} has no list of cases for suite "
+                      "'table1'"),
+    ('{"table1": [5]}', "golden file {} has no list of cases for suite "
+                        "'table1'"),
+    ('{"version": 1}', "golden file {} has no list of cases for suite "
+                       "'table1'"),
+], ids=["missing", "not_json", "list", "number_suite", "number_case",
+        "missing_suite"])
+def test_verify_with_a_bad_golden_file_exits_2(tmp_path, monkeypatch,
+                                               content, message):
+    # a golden file that cannot serve its suite is reported as group files
+    # are: a message and exit 2, not a traceback
+    path = tmp_path / "verify_expected.json"
+    if content is not None:
+        path.write_text(content)
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path))
+    assert invoke("verify", "--table", "table1") == (
+        EXIT_USAGE, "", "error: %s\n" % message.format(path))
+
+
 def test_verify_refuses_an_empty_selection(tmp_path, monkeypatch):
     # a selection with no case is an error, not a pass; --max-r 0 still
     # selects the cases that have no r

@@ -59,6 +59,30 @@ def test_imports_only_the_standard_library(path):
     assert [n for n in names if n.split(".")[0] not in allowed] == []
 
 
+@pytest.mark.parametrize("path", sorted(Path(reflact.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # a name a module imports is read somewhere in it or re-exported
+    # through __all__; a leftover import is dead code
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    assert {name: line for name, line in imported.items()
+            if name not in used | exported} == {}
+
+
 def test_module_level_caches_are_bounded():
     # a cache keyed by what input files supply (conductors, specs) must not
     # grow without bound; per-object facts live in the object's _memo

@@ -348,8 +348,7 @@ def test_group_facts_are_computed_once():
     # the very object the first one made
     G = w3()
     A = reflection_arrangement(G)
-    for fn, args in [(conjugacy_classes, ()), (groups_mod._inverse_classes, ()),
-                     (groups_mod._rational_classes, ()),
+    for fn, args in [(conjugacy_classes, ()), (groups_mod._rational_classes, ()),
                      (linear_characters, ()), (reflections, ()),
                      (reflection_arrangement, ()), (hyperplane_action, (A,)),
                      (orbits_on_lattice, (A,))]:
@@ -592,8 +591,6 @@ def test_classes_and_center_match_brute_force(build):
             class_of.update(dict.fromkeys(cls, len(want)))
             want.append(cls)
     assert conjugacy_classes(G) == want
-    assert groups_mod._inverse_classes(G) == [class_of[G.inverse[c[0]]]
-                                              for c in want]
     assert center(G) == {x for x in range(G.order)
                          if all(G.mul(x, y) == G.mul(y, x) for y in range(G.order))}
 

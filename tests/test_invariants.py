@@ -370,10 +370,10 @@ def test_global_averages_match_per_element_reference():
                 assert Cyc.rational(isotypic_dim_global(A, G, chi, k)) == ref
 
 
-def test_class_indicators_read_the_inverse_class():
-    # G(3,1,2) has classes not closed under inversion; an OS trace cannot
-    # tell g from g^{-1} (H^k is defined over Q), so the helper is also fed
-    # class indicators as traces, which can
+def test_class_indicators_average_against_rational_traces():
+    # G(3,1,2) has classes not closed under inversion, so a class indicator
+    # phi tells c from c^{-1}; an OS trace cannot (H^k is defined over Q),
+    # which is what lets the class average weight c by phi(c)
     A, G = make_arrangement("full", 3, 2), make_grpn(3, 1, 2)
     classes = conjugacy_classes(G)
     cls_of = {g: ci for ci, cls in enumerate(classes) for g in cls}
@@ -385,10 +385,8 @@ def test_class_indicators_read_the_inverse_class():
         for k in range(A.rank() + 1):
             assert multiplicity_classfn(A, G, phi, k) == \
                 _element_average(G, phi_of, _os_trace(A, G, k))
-        for ind in indicators:
-            trace = lambda g: ind[cls_of[g]].rational_value()
-            assert _class_average(G, phi, trace) == \
-                _element_average(G, phi_of, trace)
+            assert _class_average(G, phi, _os_trace(A, G, k)) == \
+                _element_average(G, phi_of, _os_trace(A, G, k))
 
 
 @pytest.mark.parametrize("make", [lambda: make_grpn(3, 1, 3),
@@ -396,7 +394,8 @@ def test_class_indicators_read_the_inverse_class():
                                   lambda: shipped_group("h3")])
 def test_class_average_grouped_by_value_matches_per_class_sum(make):
     # the int weights are summed per distinct value of phi; the result must
-    # be the per-class sum, and traces are read only where phi(c^-1) != 0
+    # be the per-class sum of phi(c^-1) tr(c), and traces are read once per
+    # rational class, at its representative, where some phi(c) != 0
     G = make()
     A = reflection_arrangement(G)
     perms = hyperplane_action(G, A).perms
@@ -416,8 +415,8 @@ def test_class_average_grouped_by_value_matches_per_class_sum(make):
             read = []
             got = _class_average(G, phi, lambda g: read.append(g) or tr(g))
             assert got == ref * Cyc.rational(Fraction(1, G.order))
-            assert read == [cls[0] for j, cls in enumerate(classes)
-                            if phi[inv[j]]]
+            assert read == list(dict.fromkeys(
+                r for v, r in zip(phi, _rational_classes(G)) if v))
 
 
 def _perm_trace_on_span(A, perm, span, k):
@@ -626,7 +625,7 @@ def test_traces_agree_across_a_rational_class(pair):
         assert _fixed_flat_traces(A, perms[g]) == _fixed_flat_traces(A, perms[r])
         for o in orbits:
             assert _orbit_trace_at(G, A, o, g) == \
-                _orbit_class_traces(G, A, o)[g] == _orbit_trace_at(G, A, o, r)
+                _orbit_class_traces(G, A, o)[r] == _orbit_trace_at(G, A, o, r)
 
 
 # -- orbitwise averages as induced characters over G's classes ----------------
