@@ -65,6 +65,11 @@ EXIT_MISMATCH = 3
 
 SUITES = ("table1", "table2", "cor1", "cor2", "thm4", "thm6", "cor5",
           "acyclic")
+# the fields of a case each suite reads: "r", "p" and "n" ints, the rest
+# strings; "r" and "n", where a case has them, also select it
+_READS = dict.fromkeys(("table1", "table2", "cor2", "thm4"), ("r", "p", "n", "kind"))
+_READS.update(cor1=("group",), cor5=("group",), acyclic=("arrangement",),
+              thm6=("group", "ambient", "arrangement"))
 
 VERBS = ("info", "lattice", "orbits", "poincare", "invariant-basis",
          "characters", "multiplicity", "verify")
@@ -401,14 +406,9 @@ def _ok(case_id):
 
 
 def _case_id(suite, case):
-    if "group" in case and "arrangement" in case:
-        return "%s %s on %s" % (suite, case["group"], case["arrangement"])
-    if "group" in case:
-        return "%s %s" % (suite, case["group"])
-    if "arrangement" in case:
-        return "%s %s" % (suite, case["arrangement"])
-    return "%s %s r=%d p=%d n=%d" % (suite, case["kind"], case["r"],
-                                     case["p"], case["n"])
+    named = " on ".join(case[k] for k in ("group", "arrangement") if k in case)
+    return "%s %s" % (suite, named or "%s r=%d p=%d n=%d" % (
+        case["kind"], case["r"], case["p"], case["n"]))
 
 
 def run_verify_case(suite, case):
@@ -524,12 +524,16 @@ def _suite_cases(expected, name, max_r, max_n):
             and all(isinstance(case, dict) for case in block)):
         raise CLIError("golden file %s has no list of cases for suite %r"
                        % (_expected_path(), name))
-    out = []
-    for case in block:
-        if case.get("r", 0) > max_r or case.get("n", 0) > max_n:
-            continue
-        out.append(case)
-    return out
+    for k, case in enumerate(block):
+        for field in _READS[name] + ("r", "n"):
+            want = int if field in ("r", "p", "n") else str
+            if (field in case or field in _READS[name]) \
+                    and type(case.get(field)) is not want:
+                raise CLIError("golden file %s: case %d of suite %r needs %s %r"
+                               % (_expected_path(), k, name,
+                                  "an int" if want is int else "a string", field))
+    return [case for case in block
+            if case.get("r", 0) <= max_r and case.get("n", 0) <= max_n]
 
 
 def verify_suite(name, max_r=4, max_n=4, jobs=1):

@@ -12,7 +12,9 @@ generators' conductor.  Permutations of at most 256 points are bytes,
 composed by one `bytes.translate`; longer ones are int tuples.
 The element order is fixed by the BFS (identity first, generators in the
 given order), which makes indices, orbits and stabilizer index sets
-deterministic.  The BFS keeps its Cayley table for classes and characters.
+deterministic.  The BFS keeps its Cayley table: classes close over one
+conjugation table per generator, and characters solve its relations packed
+one int per edge.  Reflections are screened by rank modulo a prime.
 Before the BFS, each generator must pass the tests that decide finite
 order: its determinant is a root of unity, g^L = I modulo a prime
 p = 1 (mod m), with L a multiple of every finite order in dimension n over
@@ -299,20 +301,30 @@ def reflections(G: MatrixGroup):
     """All elements whose fixed space has codimension 1, with Fix(r) as a
     canonical Hyperplane, by element index.  rank(g - I) is a class
     function, and Fix(g^j) = Fix(g) for j prime to the order of g, so one
-    rref per rational class (`_rational_classes`) decides."""
+    test per rational class (`_rational_classes`) decides.  Reduction
+    modulo a prime p that divides no denominator of `vectors` cannot raise
+    a rank, so g - I, whose column j is vectors[perms[g][j]] - vectors[j],
+    must have rank <= 1 mod p before an exact rref decides."""
     def rows(i):
         """Rows of g_i - I."""
         return [[e - 1 if r == j else e for j, e in enumerate(row)]
                 for r, row in enumerate(G.matrix(i).row_list())]
 
-    out, rank_one = [], {}
-    # the identity's class is first, and its own rational class
-    for cls, g in zip(conjugacy_classes(G)[1:], _rational_classes(G)[1:]):
-        if g not in rank_one:
-            rank_one[g] = rref(CycMatrix.from_rows(rows(g)))[2] == 1
-        if rank_one[g]:
-            out += [(i, canonicalize_hyperplane(next(
-                r for r in rows(i) if any(r)))) for i in cls]
+    def rank_one(g):
+        cols = [[a - b for a, b in zip(vecs[x], vecs[j])]
+                for j, x in enumerate(G.perms[g][:G.n])]
+        return all((a[i] * b[k] - a[k] * b[i]) % p == 0
+                   for a, b in combinations(cols, 2)
+                   for i, k in combinations(range(G.n), 2)) \
+            and rref(CycMatrix.from_rows(rows(g)))[2] == 1
+
+    p, image = _mod_p([c for v in G.vectors for c in v])
+    vecs = [[image(c) for c in v] for v in G.vectors]
+    reps = _rational_classes(G)     # 0 only at the identity's class
+    keep = {g: rank_one(g) for g in set(reps) if g}
+    out = [(i, canonicalize_hyperplane(next(r for r in rows(i) if any(r))))
+           for cls, g in zip(conjugacy_classes(G), reps) if g and keep[g]
+           for i in cls]
     return sorted(out, key=lambda t: t[0])
 
 
@@ -445,17 +457,19 @@ def center(G: MatrixGroup) -> frozenset:
 def conjugacy_classes(G: MatrixGroup):
     """Partition of the element indices into conjugacy classes, each sorted;
     classes ordered by least member.  A class is the closure under
-    x -> g_t^-1 x g_t, read from the Cayley table as
-    inv[cayley[inv[cayley[x][t]]][t]]."""
+    x -> g_t^-1 x g_t, one table per generator read from the Cayley table
+    as inv[cayley[inv[cayley[x][t]]][t]], grown by a set frontier."""
     cay, inv = G.cayley, G.inverse
-    seen = set()
-    classes = []
+    tables = [[inv[cay[inv[row[t]]][t]] for row in cay]
+              for t in range(len(G.generators))]
+    seen, classes = set(), []
     for i in range(G.order):
         if i not in seen:
-            cls = _closure([i], range(len(G.generators)),
-                           lambda x, t: inv[cay[inv[cay[x][t]]][t]],
-                           G.order)[0]
-            seen.update(cls)
+            cls = new = {i}
+            while new:
+                new = {c[x] for c in tables for x in new} - cls
+                cls = cls | new
+            seen |= cls
             classes.append(sorted(cls))
     return classes
 
@@ -509,20 +523,22 @@ def linear_characters(G: MatrixGroup):
     """All linear characters, read from the integer relations of the Cayley
     graph.  With x_k in Z^s counting the generators on element k's BFS
     path, each edge k -> k g_t gives the relation x_k + e_t - x_{k g_t}; these
-    present G/[G,G] as a quotient of Z^s.  A character is a in (Q/Z)^s with
+    present G/[G,G] as a quotient of Z^s.  x_k is packed in one int of w
+    bits per generator; a relation's fields lie in [-depth, depth + 1], and
+    depth < |G| < 2^(w-1), so biased by 2^(w-1) no field borrows, and only
+    distinct relations are unpacked.  A character is a in (Q/Z)^s with
     a.r in Z for every relation r, solved from the last column up over
     their echelon form.  Values live at conductor e, the lcm of the
     denominators (the exponent of G/[G,G]).  Deterministic order: trivial
     character first, then sorted by value tuple."""
-    s = len(G.generators)
-    x = _along_parents(G, (0,) * s, lambda v, t: v[:t] + (v[t] + 1,) + v[t + 1:])
-    rels = set()
-    for xk, row in zip(x, G.cayley):
-        for t, j in enumerate(row):
-            r = [a - b for a, b in zip(xk, x[j])]
-            r[t] += 1
-            rels.add(tuple(r))
-    rels = sorted(rels)
+    s, w = len(G.generators), G.order.bit_length() + 1
+    unit = [1 << (w * t) for t in range(s)]
+    bias = sum(unit) << (w - 1)
+    x = _along_parents(G, 0, lambda v, t: v + unit[t])
+    packed = {xk + bias + unit[t] - x[j]
+              for xk, row in zip(x, G.cayley) for t, j in enumerate(row)}
+    rels = sorted(tuple((r >> (w * t) & (1 << w) - 1) - (1 << (w - 1))
+                        for t in range(s)) for r in packed)
     H = _echelon(rels, s)
     sols = [()]
     for i in reversed(range(s)):

@@ -266,8 +266,17 @@ def test_verify_mismatch_exit_code(tmp_path, monkeypatch):
                         "'table1'"),
     ('{"version": 1}', "golden file {} has no list of cases for suite "
                        "'table1'"),
+    ('{"table1": [{"r": "x"}]}',
+     "golden file {}: case 0 of suite 'table1' needs an int 'r'"),
+    ('{"table1": [{"kind": "full", "r": 2, "n": 2, "poincare": [1, 1]}]}',
+     "golden file {}: case 0 of suite 'table1' needs an int 'p'"),
+    ('{"table1": [{"kind": "full", "r": 2, "p": 1, "n": 2}, '
+     '{"kind": 5, "r": 2, "p": true, "n": 2}]}',
+     "golden file {}: case 1 of suite 'table1' needs an int 'p'"),
+    ('{"table1": [{"kind": ["full"], "r": 2, "p": 1, "n": 2}]}',
+     "golden file {}: case 0 of suite 'table1' needs a string 'kind'"),
 ], ids=["missing", "not_json", "list", "number_suite", "number_case",
-        "missing_suite"])
+        "missing_suite", "string_r", "missing_p", "bool_p", "list_kind"])
 def test_verify_with_a_bad_golden_file_exits_2(tmp_path, monkeypatch,
                                                content, message):
     # a golden file that cannot serve its suite is reported as group files
@@ -278,6 +287,21 @@ def test_verify_with_a_bad_golden_file_exits_2(tmp_path, monkeypatch,
     monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path))
     assert invoke("verify", "--table", "table1") == (
         EXIT_USAGE, "", "error: %s\n" % message.format(path))
+
+
+@pytest.mark.parametrize("case, message", [
+    ({"group": 3, "poincare": [1]}, "needs a string 'group'"),
+    ({"group": "H3", "r": "4", "poincare": [1]}, "needs an int 'r'"),
+], ids=["number_group", "string_r"])
+def test_verify_checks_the_fields_of_a_group_case(tmp_path, monkeypatch,
+                                                  case, message):
+    # "r" and "n" are optional in a group suite, but select a case when set
+    path = tmp_path / "verify_expected.json"
+    path.write_text(json.dumps({"cor1": [case]}))
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path))
+    assert invoke("verify", "--table", "cor1") == (
+        EXIT_USAGE, "", "error: golden file %s: case 0 of suite 'cor1' %s\n"
+        % (path, message))
 
 
 def test_verify_refuses_an_empty_selection(tmp_path, monkeypatch):

@@ -758,14 +758,58 @@ def _reflections_per_element(G):
     lambda: catalog.make_grpn(3, 3, 3),
     lambda: catalog.make_grpn(4, 4, 2),
     lambda: catalog.shipped_group("h3"),
-], ids=["W(4)", "G(2,2,4)", "G(3,1,3)", "G(3,3,3)", "G(4,4,2)", "H3"])
+    lambda: catalog.shipped_group("f4"),
+    lambda: catalog.load_group_file(
+        Path(catalog.__file__).parent / "data" / "h3.json"),
+], ids=["W(4)", "G(2,2,4)", "G(3,1,3)", "G(3,3,3)", "G(4,4,2)", "H3", "F4",
+        "h3.json"])
 def test_reflections_match_per_element_rref(build):
+    # F4's orbit vectors have denominator 2, and h3.json has conductor 5
     G = build()
     want = _reflections_per_element(G)
     got = reflections(G)
     assert got == want
     assert [[c.m for c in h.covector] for _, h in got] == \
         [[c.m for c in h.covector] for _, h in want]
+
+
+def _fresh(spec):
+    """A catalog group generated anew, with no facts computed yet."""
+    G = catalog.parse_group_spec(spec)
+    return generate([G.matrix(g) for g in G.generators])
+
+
+def _count_rrefs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(groups_mod, "rref",
+                        lambda M: calls.append(M) or rref(M))
+    return calls
+
+
+@pytest.mark.parametrize("spec, tested, classes", [
+    ("G(4,2,4)", 2, 45), ("F4", 2, 24), ("H3", 1, 7), ("G(3,1,4)", 2, 29)])
+def test_reflections_rank_test_only_classes_of_rank_one_mod_p(
+        monkeypatch, spec, tested, classes):
+    # of the non-identity rational classes, only those whose g - I has
+    # rank <= 1 modulo p reach the exact rank test
+    G = _fresh(spec)
+    assert len(set(groups_mod._rational_classes(G))) - 1 == classes
+    calls = _count_rrefs(monkeypatch)
+    reflections(G)
+    assert len(calls) == tested
+
+
+@pytest.mark.parametrize("spec", ["G(4,2,4)", "F4", "H3"])
+def test_reflections_screen_only_skips_work(monkeypatch, spec):
+    # with every orbit-vector entry sent to 0 modulo p, g - I is 0 there,
+    # so every rational class reaches the exact test, with the same output
+    want, G = reflections(catalog.parse_group_spec(spec)), _fresh(spec)
+    mod_p = groups_mod._mod_p
+    monkeypatch.setattr(groups_mod, "_mod_p",
+                        lambda values: (mod_p(values)[0], lambda x: 0))
+    calls = _count_rrefs(monkeypatch)
+    assert reflections(G) == want
+    assert len(calls) == len(set(groups_mod._rational_classes(G))) - 1
 
 
 @pytest.mark.parametrize("build", [
@@ -856,6 +900,11 @@ def _cyclic3():
     return generate([CycMatrix(1, 1, [Cyc.root_of_unity(3)])])
 
 
+def _cyclic60():
+    # one generator and BFS depth 59: the widest fields of a packed relation
+    return generate([CycMatrix(1, 1, [Cyc.root_of_unity(60)])])
+
+
 @pytest.mark.parametrize("build", [
     (lambda r=r, p=p, n=n: catalog.make_grpn(r, p, n))
     for r in range(1, 5) for p in range(1, r + 1) if r % p == 0
@@ -863,9 +912,10 @@ def _cyclic3():
     lambda: catalog.shipped_group("h3"),
     lambda: catalog.shipped_group("f4"),
     _cyclic3,
+    _cyclic60,
 ], ids=["G(%d,%d,%d)" % (r, p, n)
         for r in range(1, 5) for p in range(1, r + 1) if r % p == 0
-        for n in range(1, 5)] + ["H3", "F4", "C3"])
+        for n in range(1, 5)] + ["H3", "F4", "C3", "C60"])
 def test_linear_characters_match_derived_subgroup_reference(build):
     G = build()
     want = _linear_characters_via_derived_subgroup(G)
