@@ -65,11 +65,21 @@ EXIT_MISMATCH = 3
 
 SUITES = ("table1", "table2", "cor1", "cor2", "thm4", "thm6", "cor5",
           "acyclic")
-# the fields of a case each suite reads: "r", "p" and "n" ints, the rest
-# strings; "r" and "n", where a case has them, also select it
-_READS = dict.fromkeys(("table1", "table2", "cor2", "thm4"), ("r", "p", "n", "kind"))
-_READS.update(cor1=("group",), cor5=("group",), acyclic=("arrangement",),
-              thm6=("group", "ambient", "arrangement"))
+# the fields of a case each suite reads; "r" and "n", where a case has
+# them, also select it, and a thm4 case may list its named monomials
+_READS = dict.fromkeys(("table1", "cor2"), ("r", "p", "n", "kind", "poincare"))
+_READS.update(table2=_READS["table1"] + ("orbit_dims",),
+              thm4=("r", "p", "n", "kind"), cor1=("group", "poincare"),
+              cor5=("group",), acyclic=("arrangement",),
+              thm6=("group", "ambient", "arrangement", "one_plus_sigma"))
+# each field's shape (`_fits`) and its name in a message
+_SHAPES = dict.fromkeys("rpn", (int, "an int"))
+_SHAPES.update(dict.fromkeys(("kind", "group", "ambient", "arrangement"),
+                             (str, "a string")),
+               poincare=([int], "a list of ints"),
+               orbit_dims=([[int, int]], "a list of [int, int]"),
+               named=([[[str]]], "a list of lists of lists of strings"),
+               one_plus_sigma=([[int]], "a list of lists of ints"))
 
 VERBS = ("info", "lattice", "orbits", "poincare", "invariant-basis",
          "characters", "multiplicity", "verify")
@@ -281,10 +291,10 @@ def _cmd_orbits(args, out):
     for o, d in report.orbit_dims:
         key = o.representative.key
         rows.append([o.codim, names.get(key, "?"), _key_str(key),
-                     len(o.orbit), G.order // len(o.N), d])
+                     len(o.orbit), len(o.orbit), d])
         orbits.append({"codim": o.codim, "type": names.get(key, "?"),
                        "rep_key": list(key), "orbit_size": len(o.orbit),
-                       "index": G.order // len(o.N), "dim": d})
+                       "index": len(o.orbit), "dim": d})  # [G:N_T] = |orbit|
     payload = {"character": args.character, "orbits": orbits,
                "poincare": list(report.graded)}
     _emit(out, args.format, "lattice orbits",
@@ -524,16 +534,26 @@ def _suite_cases(expected, name, max_r, max_n):
             and all(isinstance(case, dict) for case in block)):
         raise CLIError("golden file %s has no list of cases for suite %r"
                        % (_expected_path(), name))
+    optional = ("r", "n", "named") if name == "thm4" else ("r", "n")
     for k, case in enumerate(block):
-        for field in _READS[name] + ("r", "n"):
-            want = int if field in ("r", "p", "n") else str
+        for field in _READS[name] + optional:
+            shape, what = _SHAPES[field]
             if (field in case or field in _READS[name]) \
-                    and type(case.get(field)) is not want:
+                    and not _fits(case.get(field), shape):
                 raise CLIError("golden file %s: case %d of suite %r needs %s %r"
-                               % (_expected_path(), k, name,
-                                  "an int" if want is int else "a string", field))
+                               % (_expected_path(), k, name, what, field))
     return [case for case in block
             if case.get("r", 0) <= max_r and case.get("n", 0) <= max_n]
+
+
+def _fits(value, shape):
+    """Whether a JSON value has a shape: a type (a bool is no int), [s] a
+    list of items of shape s, or [s, t, ...] a list of that many items."""
+    if not isinstance(shape, list):
+        return type(value) is shape
+    return type(value) is list and (
+        all(_fits(v, shape[0]) for v in value) if len(shape) == 1
+        else len(value) == len(shape) and all(map(_fits, value, shape)))
 
 
 def verify_suite(name, max_r=4, max_n=4, jobs=1):

@@ -337,30 +337,27 @@ def reflection_arrangement(G: MatrixGroup) -> Arrangement:
 class _Action:
     """Cached permutation action of a group on an arrangement's hyperplanes.
     A generator's image of a covector is canonicalized and found by value
-    with `Arrangement.index_of`.  `perms` lists each element's permutation
-    as `_perm_ops` stores it; `fibers` maps each distinct one to the
+    with `Arrangement.index_of`.  `generators`, `perms` and `compose` are
+    the generators' and each element's permutation and their product, as
+    `_perm_ops` gives them; `fibers` maps each distinct permutation to the
     elements inducing it, in order of first occurrence."""
 
     def __init__(self, G: MatrixGroup, A: Arrangement):
         if G.n != A.n:
             raise NotStableError("group acts on C^%d, arrangement lives in C^%d"
                                  % (G.n, A.n))
-        nh = len(A)
-        seq, compose = _perm_ops(nh)
-        gen_perm = []
+        seq, self.compose = _perm_ops(len(A))
+        self.generators = []
         for gi in G.generators:
             inv = G.matrix(G.inverse[gi])
-            perm = []
-            for i in range(nh):
-                img = canonicalize_hyperplane(inv.apply_row(list(A.covector(i))))
-                j = A.index_of(img)
-                if j is None:
-                    raise NotStableError(
-                        "generator %d maps hyperplane %d outside A" % (gi, i))
-                perm.append(j)
-            gen_perm.append(seq(perm))
-        self.perms = _along_parents(
-            G, seq(range(nh)), lambda p, t: compose(p, gen_perm[t]))
+            perm = [A.index_of(canonicalize_hyperplane(inv.apply_row(list(c))))
+                    for c in map(A.covector, range(len(A)))]
+            if None in perm:
+                raise NotStableError("generator %d maps hyperplane %d outside "
+                                     "A" % (gi, perm.index(None)))
+            self.generators.append(seq(perm))
+        self.perms = _along_parents(G, seq(range(len(A))), lambda p, t:
+                                    self.compose(p, self.generators[t]))
         self.fibers = {}
         for g, p in enumerate(self.perms):
             self.fibers.setdefault(p, []).append(g)
@@ -374,32 +371,27 @@ def hyperplane_action(G: MatrixGroup, A: Arrangement) -> _Action:
 
 @_memo
 def orbits_on_lattice(G: MatrixGroup, A: Arrangement):
-    """Disjoint orbits of G on L(A), each with representative (lex least key),
-    setwise stabilizer N and pointwise stabilizer Z as index sets, and for
-    each member key a hyperplane permutation carrying the representative
-    onto it: the permutation of the first element, in BFS order, that does.
-    One pass over the distinct permutations' images of the representative's
-    mask gives the orbit, N (the union of the fixing fibers) and the
-    transport."""
-    lattice = build_lattice(A)
-    fibers = hyperplane_action(G, A).fibers
+    """Disjoint orbits of G on L(A), each with representative (lex least
+    key).  An orbit is the `_closure` of the representative's key under the
+    generators' hyperplane permutations, |orbit| x #generators images, each
+    key paired with its transport: the product of the generators along its
+    BFS path, which carries the representative onto it."""
+    lattice, action = build_lattice(A), hyperplane_action(G, A)
+
+    def act(kx, g):
+        return tuple(sorted(g[i] for i in kx[0])), action.compose(g, kx[1])
+
     orbits, seen = [], set()
-    # keys are met in sorted order, so each orbit's first key is its least
-    for rep_key in sorted(lattice.by_key):
-        if rep_key in seen:
+    # flats come by codim, then key, so each orbit's first flat is its least
+    for rep in lattice.all_flats():
+        if rep.key in seen:
             continue
-        transport, N = {}, []
-        for p, gs in fibers.items():   # in BFS order of their first elements
-            key = lattice.key_of[sum(1 << p[i] for i in rep_key)]
-            transport.setdefault(key, p)
-            if key == rep_key:
-                N += gs
+        transport = dict(_closure([(rep.key, action.perms[0])],
+                                  action.generators, act, G.order,
+                                  key=lambda kx: kx[0])[0])
         seen.update(transport)
-        rep = lattice.by_key[rep_key]
         members = [lattice.by_key[k] for k in sorted(transport)]
-        orbits.append(OrbitDatum(rep, members, G, frozenset(N), rep.codim,
-                                 transport))
-    orbits.sort(key=lambda o: (o.codim, o.representative.key))
+        orbits.append(OrbitDatum(rep, members, G, action.fibers, transport))
     return orbits
 
 
@@ -410,18 +402,26 @@ def _fixes_pointwise(G: MatrixGroup, i: int, X: Flat) -> bool:
 
 class OrbitDatum:
     """A lattice orbit with stabilizers N (setwise) and Z (pointwise) of its
-    representative.  `transport` maps each member's key to the hyperplane
-    permutation of the first element, in BFS order, that carries the
-    representative onto it; the representative's is the identity.  Z takes
-    cyclotomic products, so it is made on first read."""
+    representative, made on first read: N is the union of the fibers of
+    the permutations fixing the representative's key, Z takes cyclotomic
+    products.  `transport` maps each member's key to a hyperplane
+    permutation of G carrying the representative onto it (the identity at
+    the representative), as `orbits_on_lattice` finds it."""
 
-    def __init__(self, representative, orbit, G, N, codim, transport):
+    def __init__(self, representative, orbit, G, fibers, transport):
         self.representative = representative
         self.orbit = orbit
         self._G = G
+        self._fibers = fibers
         self.transport = transport
-        self.N = N
-        self.codim = codim
+        self.codim = representative.codim
+
+    @cached_property
+    def N(self) -> frozenset:
+        key = set(self.representative.key)
+        return frozenset(g for p, gs in self._fibers.items()
+                         if key.issuperset(map(p.__getitem__, key))
+                         for g in gs)
 
     @cached_property
     def Z(self) -> frozenset:

@@ -288,8 +288,8 @@ def lehrer_solomon_check(A: Arrangement, G: MatrixGroup,
     for o in orbits_on_lattice(G, A):
         # dim H^top(A_X), A's NBC tuples of flat X, the representative first
         dims = [len(nbc[sum(1 << h for h in f.key)]) for f in o.orbit]
-        index = G.order // len(o.N)
-        if sum(dims) != index * dims[0] or index != len(o.orbit):
+        index = len(o.orbit)    # [G:N_T], if the orbit-stabilizer check holds
+        if sum(dims) != index * dims[0] or index * len(o.N) != G.order:
             orbit_failures.append(o)
     report = isotypic_dims_orbitwise(A, G, chi)
     degree_failures = []

@@ -270,8 +270,8 @@ def test_verify_mismatch_exit_code(tmp_path, monkeypatch):
      "golden file {}: case 0 of suite 'table1' needs an int 'r'"),
     ('{"table1": [{"kind": "full", "r": 2, "n": 2, "poincare": [1, 1]}]}',
      "golden file {}: case 0 of suite 'table1' needs an int 'p'"),
-    ('{"table1": [{"kind": "full", "r": 2, "p": 1, "n": 2}, '
-     '{"kind": 5, "r": 2, "p": true, "n": 2}]}',
+    ('{"table1": [{"kind": "full", "r": 2, "p": 1, "n": 2, '
+     '"poincare": [1, 2, 1]}, {"kind": 5, "r": 2, "p": true, "n": 2}]}',
      "golden file {}: case 1 of suite 'table1' needs an int 'p'"),
     ('{"table1": [{"kind": ["full"], "r": 2, "p": 1, "n": 2}]}',
      "golden file {}: case 0 of suite 'table1' needs a string 'kind'"),
@@ -302,6 +302,44 @@ def test_verify_checks_the_fields_of_a_group_case(tmp_path, monkeypatch,
     assert invoke("verify", "--table", "cor1") == (
         EXIT_USAGE, "", "error: golden file %s: case 0 of suite 'cor1' %s\n"
         % (path, message))
+
+
+_TABLE2 = {"kind": "full", "r": 2, "p": 1, "n": 2, "poincare": [1, 2, 1],
+           "orbit_dims": [[0, 1]]}
+_THM6 = {"group": "G(2,2,4)", "ambient": "G(2,1,4)", "arrangement": "A_4(2)",
+         "one_plus_sigma": [[0, 1]]}
+
+
+@pytest.mark.parametrize("suite, case, message", [
+    ("cor1", {"group": "G(2,1,2)"}, "needs a list of ints 'poincare'"),
+    ("table1", dict(_TABLE2, poincare="x"), "needs a list of ints 'poincare'"),
+    ("table1", dict(_TABLE2, poincare=[1, True]),
+     "needs a list of ints 'poincare'"),
+    ("table2", dict(_TABLE2, orbit_dims=7), "needs a list of [int, int] "
+                                            "'orbit_dims'"),
+    ("table2", dict(_TABLE2, orbit_dims=[[0, 1, 1]]),
+     "needs a list of [int, int] 'orbit_dims'"),
+    ("thm4", dict(_TABLE2, named=5),
+     "needs a list of lists of lists of strings 'named'"),
+    ("thm4", dict(_TABLE2, named=[["s"]]),
+     "needs a list of lists of lists of strings 'named'"),
+    ("thm6", dict(_THM6, one_plus_sigma=3),
+     "needs a list of lists of ints 'one_plus_sigma'"),
+    ("thm6", dict(_THM6, one_plus_sigma=[0, 1]),
+     "needs a list of lists of ints 'one_plus_sigma'"),
+], ids=["missing_poincare", "string_poincare", "bool_in_poincare",
+        "number_orbit_dims", "triple_in_orbit_dims", "number_named",
+        "shallow_named", "number_one_plus_sigma", "flat_one_plus_sigma"])
+def test_verify_checks_the_list_fields_of_a_case(tmp_path, monkeypatch,
+                                                 suite, case, message):
+    # a list field of the wrong shape is a bad golden file (exit 2), not a
+    # traceback or a mismatch
+    path = tmp_path / "verify_expected.json"
+    path.write_text(json.dumps({suite: [case]}))
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path))
+    assert invoke("verify", "--table", suite) == (
+        EXIT_USAGE, "", "error: golden file %s: case 0 of suite %r %s\n"
+        % (path, suite, message))
 
 
 def test_verify_refuses_an_empty_selection(tmp_path, monkeypatch):

@@ -975,41 +975,61 @@ def test_orbits_need_no_cyclotomic_products_until_Z(monkeypatch):
         monkeypatch.undo()
 
 
+# the benchmark's ladder, F4, and the groups with four elements per
+# hyperplane permutation of A_4(4)
+_ORBIT_PAIRS = [("W(4)", "A_4^0(1)"), ("G(2,2,4)", "A_4^0(2)"),
+                ("G(2,1,4)", "A_4(2)"), ("H3", None), ("G(3,1,4)", "A_4(3)"),
+                ("F4", None), ("G(4,1,4)", "A_4(4)"), ("G(4,2,4)", "A_4(4)")]
+
+
+def _orbit_pair(gspec, aspec):
+    G = catalog.parse_group_spec(gspec)
+    return G, catalog.parse_arrangement_spec(aspec, G)
+
+
 def test_orbit_transport_carries_the_representative_onto_each_member():
-    H3, F4 = catalog.shipped_group("h3"), catalog.shipped_group("f4")
-    pairs = [
-        (catalog.make_grpn(1, 1, 4), catalog.make_arrangement("zero", 1, 4)),
-        (catalog.make_grpn(2, 2, 4), catalog.make_arrangement("zero", 2, 4)),
-        (catalog.make_grpn(2, 1, 4), catalog.make_arrangement("full", 2, 4)),
-        (H3, reflection_arrangement(H3)),
-        (catalog.make_grpn(3, 1, 4), catalog.make_arrangement("full", 3, 4)),
-        (F4, reflection_arrangement(F4)),
-    ]
-    for G, A in pairs:
-        perms = set(hyperplane_action(G, A).perms)
+    for G, A in (_orbit_pair(*pair) for pair in _ORBIT_PAIRS):
+        fibers = hyperplane_action(G, A).fibers
         for o in orbits_on_lattice(G, A):
             rep = o.representative.key
             assert set(o.transport) == {f.key for f in o.orbit}
             assert rep == min(o.transport)
             assert tuple(o.transport[rep]) == tuple(range(len(A)))
             for X, x in o.transport.items():
-                assert x in perms
+                assert x in fibers
                 assert tuple(sorted(x[h] for h in rep)) == X
 
 
-@pytest.mark.parametrize("build", [
-    lambda: (catalog.make_grpn(2, 2, 4), catalog.make_arrangement("zero", 2, 4)),
-    lambda: (catalog.shipped_group("h3"),
-             reflection_arrangement(catalog.shipped_group("h3"))),
-], ids=["G(2,2,4)", "H3"])
-def test_orbit_transport_is_the_first_element_in_bfs_order(build):
-    G, A = build()
-    perms = hyperplane_action(G, A).perms
-    for o in orbits_on_lattice(G, A):
-        rep = o.representative.key
-        for X, x in o.transport.items():
-            assert x == next(p for p in perms
-                             if tuple(sorted(p[h] for h in rep)) == X)
+def _fiber_scan_orbits(G, A):
+    """The lattice orbits as the images of each representative's mask under
+    every distinct hyperplane permutation: (representative key, member
+    keys, N as the union of the fixing fibers), by codim, then key."""
+    lattice, fibers = build_lattice(A), hyperplane_action(G, A).fibers
+    out, seen = [], set()
+    for rep in sorted(lattice.by_key):
+        if rep in seen:
+            continue
+        members, N = set(), []
+        for p, gs in fibers.items():
+            key = lattice.key_of[sum(1 << p[i] for i in rep)]
+            members.add(key)
+            if key == rep:
+                N += gs
+        seen |= members
+        out.append((rep, sorted(members), frozenset(N)))
+    return sorted(out, key=lambda o: (lattice.by_key[o[0]].codim, o[0]))
+
+
+@pytest.mark.parametrize("gspec, aspec", _ORBIT_PAIRS)
+def test_orbits_match_the_fiber_scan(gspec, aspec):
+    # the generator closure finds the orbits, representatives, members and
+    # N of a scan of every distinct permutation, and leaves N unbuilt
+    G, A = _orbit_pair(gspec, aspec)
+    A = Arrangement(A.n, A.hyperplanes)     # fresh caches
+    orbits = orbits_on_lattice(G, A)
+    assert not any("N" in o.__dict__ for o in orbits)
+    assert [(o.representative.key, [f.key for f in o.orbit], o.N)
+            for o in orbits] == _fiber_scan_orbits(G, A)
 
 
 def test_fibers_group_the_elements_by_permutation():

@@ -546,6 +546,19 @@ def test_method_disagreement_is_caught(monkeypatch):
     assert result["degree_failures"] == [2] and result["orbit_failures"] == []
 
 
+def test_orbit_stabilizer_disagreement_is_caught():
+    # |orbit| |N_T| = |G| compares the generator closure with the fiber
+    # union; an N_T one element short must fail it, also where |G| // |N_T|
+    # still equals |orbit| (48 // 47 = 1 on the orbit of V)
+    G = make_grpn(2, 1, 3)
+    A = Arrangement(3, make_arrangement("full", 2, 3).hyperplanes)  # fresh caches
+    orbit = next(o for o in orbits_on_lattice(G, A) if len(o.N) > 1)
+    orbit.N = frozenset(sorted(orbit.N)[1:])
+    result = lehrer_solomon_check(A, G, trivial_character(G))
+    assert not result["passed"]
+    assert result["orbit_failures"] == [orbit] and result["degree_failures"] == []
+
+
 @pytest.mark.parametrize("value", [
     Cyc.root_of_unity(3), Cyc.rational(Fraction(1, 2)), Cyc.rational(-1)],
     ids=["non_rational", "fractional", "negative"])
