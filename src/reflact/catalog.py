@@ -33,6 +33,11 @@ Named pairs are written in one grammar, read here and nowhere else:
 `parse_group_spec` and `parse_arrangement_spec` build the objects, and
 `pair_family` reads the G(r,p,n) family parameters of a pair from the same
 patterns.
+
+The hyperplane names s, t_i and t_2^1 map to the indices of an arrangement
+through `_named_hyperplanes` alone: `cox_monomials` writes its Theorem-4
+plans in them, `named_hyperplane` reads the table of full(r, n), and
+`verify` that of a golden case's own arrangement.
 """
 
 from __future__ import annotations
@@ -319,46 +324,30 @@ def prop41_labels(r, p, n, kind, cross_check=True,
     return out
 
 
-def _named_covector(r, n, name):
-    w = Cyc.root_of_unity(r)
-    if name == "s":
-        if r == 1:
-            raise UndefinedNameError("s needs r > 1")
-        cov = [Cyc.zero()] * n
-        cov[0] = Cyc.one()
-        return cov
-    if name == "t_2^1":
-        if r == 1:
-            raise UndefinedNameError("t_2^1 needs r > 1")
-        if n < 2:
-            raise UndefinedNameError("t_2^1 needs n >= 2")
-        cov = [Cyc.zero()] * n
-        cov[0] = Cyc.one()
-        cov[1] = -w
-        return cov
-    m = re.fullmatch(r"t_(\d+)", name)
-    if m:
-        i = int(m.group(1))
-        if not 2 <= i <= n:
-            raise UndefinedNameError("t_%d needs 2 <= %d <= n" % (i, i))
-        cov = [Cyc.zero()] * n
-        cov[i - 2] = Cyc.one()
-        cov[i - 1] = Cyc.rational(-1)
-        return cov
-    raise UndefinedNameError("unknown hyperplane name %r" % name)
+def _named_hyperplanes(A, r, n) -> dict:
+    """{name: index in A} for the named hyperplanes that A holds: "s" for
+    H_1 = Fix(s) = (x_1 = 0), "t_i" for H_i = Fix(t_i) = (x_{i-1} = x_i)
+    with 2 <= i <= n, and for r > 1 and n >= 2 "t_2^1" for H_2^1 =
+    Fix(s t_2 s^{-1}) = (x_1 = zeta_r x_2)."""
+    one, zero = Cyc.one(), Cyc.zero()
+    covs = {"s": [one] + [zero] * (n - 1)}
+    for i in range(2, n + 1):
+        covs["t_%d" % i] = [zero] * (i - 2) + [one, -one] + [zero] * (n - i)
+    if r > 1 and n >= 2:
+        covs["t_2^1"] = [one, -Cyc.root_of_unity(r)] + [zero] * (n - 2)
+    found = {name: A.index_of(canonicalize_hyperplane(cov))
+             for name, cov in covs.items()}
+    return {name: i for name, i in found.items() if i is not None}
 
 
 def named_hyperplane(r, p, n, name) -> int:
-    """Index in full(r,n) of H_1 = Fix(s) = (x_1 = 0), H_i = Fix(t_i) =
-    (x_{i-1} = x_i), or H_2^1 = Fix(s t_2 s^{-1}) = (x_1 = omega x_2)."""
+    """Index in full(r,n) of a named hyperplane of G(r,p,n) (see
+    `_named_hyperplanes`); s is a reflection of G(r,p,n) for r > 1 only."""
     _check_params(r, p, n)
-    return _index_in(make_arrangement("full", r, n), _named_covector(r, n, name))
-
-
-def _index_in(A, cov):
-    idx = A.index_of(canonicalize_hyperplane(cov))
-    if idx is None:
-        raise UndefinedNameError("hyperplane not in arrangement")
+    idx = _named_hyperplanes(make_arrangement("full", r, n), r, n).get(name)
+    if idx is None or (name == "s" and r == 1):
+        raise UndefinedNameError("%r names no reflecting hyperplane of "
+                                 "G(%d,%d,%d)" % (name, r, p, n))
     return idx
 
 
@@ -366,36 +355,33 @@ def cox_monomials(r, p, n, kind):
     """The Theorem-4 plan for G(r,p,n) on kind(r, n): a list of groups of
     hyperplane-index monomials, one group per orbit of codimension >= 2
     (the center for n = 1), each with one tuple, or two for the pairs that
-    appear when p and n are both even.  `invariants.theorem4_basis` finds a
-    group's orbit from the flat of its first monomial."""
+    appear when p and n are both even.  The plan is written in hyperplane
+    names, each mapped once through `_named_hyperplanes`.
+    `invariants.theorem4_basis` finds a group's orbit from the flat of its
+    first monomial."""
     kind, A = _family_arrangement(r, p, n, kind)
+    index = _named_hyperplanes(A, r, n)
     even = p % 2 == 0 and n % 2 == 0
-    # t[i] indexes H_i = (x_{i-1} = x_i) for 2 <= i <= n
-    t = [None, None] + [_index_in(A, _named_covector(r, n, "t_%d" % i))
-                        for i in range(2, n + 1)]
+    t = ["t_%d" % i for i in range(2, n + 1)]
 
-    def group(hs, pair):
-        """hs as a monomial, and with t_2 turned into t_2^1 when pair."""
-        out = [tuple(sorted(hs))]
-        if pair:
-            t21 = _index_in(A, _named_covector(r, n, "t_2^1"))
-            out.append(tuple(sorted(t21 if h == t[2] else h for h in hs)))
-        return out
+    def group(names, pair):
+        """names as a monomial, and with t_2 turned into t_2^1 when pair."""
+        monos = ([names, ["t_2^1" if h == "t_2" else h for h in names]]
+                 if pair else [names])
+        return [tuple(sorted(index[h] for h in mono)) for mono in monos]
 
     if kind == "full":
-        h1 = _index_in(A, [Cyc.one()] + [Cyc.zero()] * (n - 1))
         # X_(1^{n-k}), of stabilizer type G(r,p,k), then X_(2,1^{n-k-1})
-        return ([group([h1] + t[2:k + 1], False) for k in range(2, n)]
-                + [group([h1] + t[2:k] + [t[k + 1]], even and k == n - 1)
+        return ([group(["s"] + t[:k - 1], False) for k in range(2, n)]
+                + [group(["s"] + t[:k - 2] + [t[k - 1]], even and k == n - 1)
                    for k in range(2, n)]
-                + [group([h1] + t[2:], even)])          # the center
+                + [group(["s"] + t, even)])             # the center
     if not even:        # p even makes r even, so r > 1
         return []
-    t21 = _index_in(A, _named_covector(r, n, "t_2^1"))
-    center = [[tuple(sorted([t[2], t21] + t[3:]))]]
+    center = [group(["t_2", "t_2^1"] + t[1:], False)]
     if n == 2:          # the (2,)-orbit is the center
         return center
-    return [[tuple(sorted([t[2], t21] + t[3:n - 1] + [t[n]]))]] + center
+    return [group(["t_2", "t_2^1"] + t[1:n - 3] + [t[n - 2]], False)] + center
 
 
 def data_dir() -> Path:

@@ -16,11 +16,11 @@ import sys
 from .arrangement import build_lattice
 from .catalog import (
     SHIPPED_GROUPS,
+    _named_hyperplanes,
     _read_json_object,
     cox_monomials,
     make_arrangement,
     make_grpn,
-    named_hyperplane,
     orbit_type_names,
     pair_family,
     parse_arrangement_spec,
@@ -41,12 +41,11 @@ from .groups import (
     hyperplane_action,
     linear_characters,
     orbits_on_lattice,
-    reflection_arrangement,
     reflections,
 )
 from .invariants import (
+    cross_checked_orbitwise,
     isotypic_dim_global,
-    isotypic_dims_orbitwise,
     order_two_character,
     poincare_invariants,
     relative_character,
@@ -286,7 +285,7 @@ def _cmd_orbits(args, out):
     G, A = _get_pair(args)
     chi = _get_character(G, args.character)
     names = _type_names(args, G, A)
-    report = isotypic_dims_orbitwise(A, G, chi)
+    report = cross_checked_orbitwise(A, G, chi)
     rows, orbits = [], []
     for o, d in report.orbit_dims:
         key = o.representative.key
@@ -402,10 +401,6 @@ def load_expected():
         raise CLIError(str(exc))
 
 
-def _poly_of(A, G):
-    return list(poincare_invariants(A, G, trivial_character(G)).coefficients)
-
-
 def _fail(case_id, expected, got):
     return {"id": case_id, "passed": False,
             "expected": expected, "got": got}
@@ -421,87 +416,20 @@ def _case_id(suite, case):
         case["kind"], case["r"], case["p"], case["n"]))
 
 
+def _case_pair(suite, case):
+    """A golden case's (G, A): G(r,p,n) on kind(r, n), or the case's group
+    on its arrangement, by default the group's reflection arrangement."""
+    if "group" in _READS[suite]:
+        G = parse_group_spec(case["group"])
+        return G, parse_arrangement_spec(case.get("arrangement"), G)
+    r, n = case["r"], case["n"]
+    return make_grpn(r, case["p"], n), make_arrangement(case["kind"], r, n)
+
+
 def run_verify_case(suite, case):
+    if suite not in SUITES:
+        raise CLIError("unknown verify suite %r" % suite)
     cid = _case_id(suite, case)
-    if suite in ("table1", "table2", "cor2"):
-        kind, r, p, n = case["kind"], case["r"], case["p"], case["n"]
-        G = make_grpn(r, p, n)
-        A = make_arrangement(kind, r, n)
-        got = _poly_of(A, G)
-        if got != case["poincare"]:
-            return _fail(cid, case["poincare"], got)
-        if suite == "table1":
-            n_orbits = sum(1 for o in orbits_on_lattice(G, A) if o.codim == 1)
-            if got[-1] != n_orbits - 1:
-                return _fail(cid, "top dim = hyperplane orbits - 1 = %d"
-                             % (n_orbits - 1), got[-1])
-        if suite == "table2":
-            report = isotypic_dims_orbitwise(A, G, trivial_character(G))
-            dims = sorted([o.codim, d] for o, d in report.orbit_dims if d > 0)
-            if dims != case["orbit_dims"]:
-                return _fail(cid, case["orbit_dims"], dims)
-        return _ok(cid)
-
-    if suite == "cor1":
-        G = parse_group_spec(case["group"])
-        A = reflection_arrangement(G)
-        got = _poly_of(A, G)
-        if got != case["poincare"]:
-            return _fail(cid, case["poincare"], got)
-        return _ok(cid)
-
-    if suite == "thm4":
-        kind, r, p, n = case["kind"], case["r"], case["p"], case["n"]
-        G = make_grpn(r, p, n)
-        A = make_arrangement(kind, r, n)
-        try:
-            basis = theorem4_basis(A, G, _plan((kind, r, p, n)))
-        except (ValueError, RuntimeError) as exc:
-            return _fail(cid, "certified basis", "error: %s" % exc)
-        if basis.cardinality != basis.poincare(1):
-            return _fail(cid, basis.poincare(1), basis.cardinality)
-        if "named" in case:
-            expected = {
-                frozenset(frozenset(named_hyperplane(r, p, n, nm)
-                                    for nm in mono) for mono in group)
-                for group in case["named"]}
-            got_named = {
-                frozenset(frozenset(m) for m in e["monomials"])
-                for e in basis.entries if e["codim"] >= 2}
-            if got_named != expected:
-                return _fail(cid, sorted(map(sorted, case["named"])),
-                             [sorted(map(sorted, g)) for g in got_named])
-        return _ok(cid)
-
-    if suite == "thm6":
-        G = parse_group_spec(case["group"])
-        Gt = parse_group_spec(case["ambient"])
-        A = parse_arrangement_spec(case["arrangement"])
-        report = relative_character(A, G, Gt)
-        kernel = [Gt.contains_matrix(G.matrix(gi)) for gi in G.generators]
-        sigma = order_two_character(Gt, kernel)
-        si = report.characters.index(sigma)
-        special = {tuple(k) for k in case["one_plus_sigma"]}
-        for e in report.entries:
-            mults = e["multiplicities"]
-            if e["dim"] == 0:
-                continue
-            want = [0] * len(mults)
-            want[0] = 1
-            if e["rep_key"] in special:
-                want[si] = 1
-            if mults != want:
-                return _fail("%s orbit %s" % (cid, _key_str(e["rep_key"])),
-                             want, mults)
-        return _ok(cid)
-
-    if suite == "cor5":
-        G = parse_group_spec(case["group"])
-        res = vanishing_check_detlike(reflection_arrangement(G), G)
-        if not res["passed"]:
-            return _fail(cid, "no det-like multiplicities", res["violations"])
-        return _ok(cid)
-
     if suite == "acyclic":
         A = parse_arrangement_spec(case["arrangement"])
         rk = A.rank()
@@ -523,7 +451,66 @@ def run_verify_case(suite, case):
                              (ranks[k], ranks[k + 1], dims[k]))
         return _ok(cid)
 
-    raise CLIError("unknown verify suite %r" % suite)
+    G, A = _case_pair(suite, case)
+    if suite in ("table1", "table2", "cor1", "cor2"):
+        report = cross_checked_orbitwise(A, G, trivial_character(G))
+        got = list(report.graded)
+        if got != case["poincare"]:
+            return _fail(cid, case["poincare"], got)
+        if suite == "table1":
+            n_orbits = sum(1 for o in orbits_on_lattice(G, A) if o.codim == 1)
+            if got[-1] != n_orbits - 1:
+                return _fail(cid, "top dim = hyperplane orbits - 1 = %d"
+                             % (n_orbits - 1), got[-1])
+        if suite == "table2":
+            dims = sorted([o.codim, d] for o, d in report.orbit_dims if d > 0)
+            if dims != case["orbit_dims"]:
+                return _fail(cid, case["orbit_dims"], dims)
+        return _ok(cid)
+
+    if suite == "thm4":
+        kind, r, p, n = case["kind"], case["r"], case["p"], case["n"]
+        try:
+            basis = theorem4_basis(A, G, _plan((kind, r, p, n)))
+        except (ValueError, RuntimeError) as exc:
+            return _fail(cid, "certified basis", "error: %s" % exc)
+        if "named" in case:
+            index = _named_hyperplanes(A, r, n)
+            expected = {
+                frozenset(frozenset(index[h] for h in mono) for mono in group)
+                for group in case["named"]}
+            got_named = {
+                frozenset(frozenset(m) for m in e["monomials"])
+                for e in basis.entries if e["codim"] >= 2}
+            if got_named != expected:
+                return _fail(cid, sorted(map(sorted, case["named"])),
+                             [sorted(map(sorted, g)) for g in got_named])
+        return _ok(cid)
+
+    if suite == "thm6":
+        Gt = parse_group_spec(case["ambient"])
+        report = relative_character(A, G, Gt)
+        kernel = [Gt.contains_matrix(G.matrix(gi)) for gi in G.generators]
+        sigma = order_two_character(Gt, kernel)
+        si = report.characters.index(sigma)
+        special = {tuple(k) for k in case["one_plus_sigma"]}
+        for e in report.entries:
+            mults = e["multiplicities"]
+            if e["dim"] == 0:
+                continue
+            want = [0] * len(mults)
+            want[0] = 1
+            if e["rep_key"] in special:
+                want[si] = 1
+            if mults != want:
+                return _fail("%s orbit %s" % (cid, _key_str(e["rep_key"])),
+                             want, mults)
+        return _ok(cid)
+
+    res = vanishing_check_detlike(A, G)                 # cor5
+    if not res["passed"]:
+        return _fail(cid, "no det-like multiplicities", res["violations"])
+    return _ok(cid)
 
 
 def _suite_cases(expected, name, max_r, max_n):
@@ -542,6 +529,17 @@ def _suite_cases(expected, name, max_r, max_n):
                     and not _fits(case.get(field), shape):
                 raise CLIError("golden file %s: case %d of suite %r needs %s %r"
                                % (_expected_path(), k, name, what, field))
+        if name == "thm4" and "named" in case:
+            # read through the table of the case's own arrangement
+            kind, r, n = case["kind"], case["r"], case["n"]
+            held = _named_hyperplanes(make_arrangement(kind, r, n), r, n)
+            unknown = sorted({h for group in case["named"] for mono in group
+                              for h in mono} - held.keys())
+            if unknown:
+                raise CLIError("golden file %s: case %d of suite %r names %r, "
+                               "no hyperplane of %s(%d, %d)"
+                               % (_expected_path(), k, name, unknown[0], kind,
+                                  r, n))
     return [case for case in block
             if case.get("r", 0) <= max_r and case.get("n", 0) <= max_n]
 

@@ -81,6 +81,7 @@ __all__ = [
     "isotypic_dim_projection",
     "isotypic_dims_orbitwise",
     "lehrer_solomon_check",
+    "cross_checked_orbitwise",
     "poincare_invariants",
     "high_degree_invariants",
     "euler_identity_check",
@@ -301,10 +302,10 @@ def lehrer_solomon_check(A: Arrangement, G: MatrixGroup,
             "degree_failures": degree_failures}
 
 
-def poincare_invariants(A: Arrangement, G: MatrixGroup,
-                        chi: LinearCharacter) -> PoincarePoly:
-    """Graded isotypic dimensions, orbitwise, asserted against the global
-    trace average in every degree."""
+def cross_checked_orbitwise(A: Arrangement, G: MatrixGroup,
+                            chi: LinearCharacter) -> InvariantReport:
+    """The orbitwise report, its graded dimensions asserted against the
+    global trace average in every degree."""
     report = isotypic_dims_orbitwise(A, G, chi)
     for k, d in enumerate(report.graded):
         g = isotypic_dim_global(A, G, chi, k)
@@ -312,7 +313,14 @@ def poincare_invariants(A: Arrangement, G: MatrixGroup,
             raise NonIntegralityError(
                 "method disagreement at degree %d: global %d, orbitwise %d"
                 % (k, g, d))
-    return report.poincare
+    return report
+
+
+def poincare_invariants(A: Arrangement, G: MatrixGroup,
+                        chi: LinearCharacter) -> PoincarePoly:
+    """Graded isotypic dimensions, orbitwise, asserted against the global
+    trace average in every degree."""
+    return cross_checked_orbitwise(A, G, chi).poincare
 
 
 def high_degree_invariants(A: Arrangement, G: MatrixGroup) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -17,6 +18,7 @@ from reflact.catalog import (
     make_arrangement,
     make_grpn,
     named_hyperplane,
+    orbit_type_names,
     pair_family,
     parse_arrangement_spec,
     parse_group_spec,
@@ -151,15 +153,23 @@ def test_named_hyperplanes():
     assert t21[0] == Cyc.one() and t21[1] == -Cyc.root_of_unity(4)
     t4 = A.covector(named_hyperplane(r, p, n, "t_4"))
     assert [str(c) for c in t4] == ["0", "0", "1", "-1"]
+    # the table holds the names each arrangement has: no s off the full
+    # kind, no t_2^1 for r = 1, where x_1 = x_2 is t_2
+    table = catalog._named_hyperplanes
+    assert table(make_arrangement("zero", 2, 4), 2, 4) == {
+        "t_2": 6, "t_3": 2, "t_4": 0, "t_2^1": 11}
+    assert table(make_arrangement("full", 1, 3), 1, 3) == {
+        "s": 5, "t_2": 3, "t_3": 1}
+    assert table(make_arrangement("braid", 1, 3), 1, 3) == {"t_2": 1, "t_3": 0}
 
 
 def test_named_hyperplane_errors():
-    with pytest.raises(UndefinedNameError):
-        named_hyperplane(1, 1, 3, "s")
-    with pytest.raises(UndefinedNameError):
-        named_hyperplane(2, 1, 3, "t_5")
-    with pytest.raises(UndefinedNameError):
-        named_hyperplane(2, 1, 3, "bogus")
+    # s is a reflection of G(r,p,n) for r > 1 only, though full(1, n) holds
+    # x_1 = 0; a name is spelled as the table spells it
+    for r, name in ((1, "s"), (2, "t_5"), (2, "bogus"), (2, "t_02"),
+                    (1, "t_2^1")):
+        with pytest.raises(UndefinedNameError):
+            named_hyperplane(r, 1, 3, name)
 
 
 def test_cox_monomials_shapes():
@@ -192,8 +202,27 @@ def test_cox_monomials_shapes():
     assert len(set(reps)) == len(reps)
 
 
+# sha256 of the repr of the list of (kind, r, p, n, cox_monomials(r, p, n,
+# kind)) for kind full then zero, r <= 6, p | r ascending and n <= 5, then
+# braid (r = p = 1) with n <= 5, recorded before the plans were written in
+# hyperplane names
+COX_MONOMIALS_DIGEST = (
+    "884fa142eb9931396fd7732c56d3a8fc7c80d456b7fbc8e0d0616442240d0ae7")
+
+
+def test_cox_monomials_are_pinned():
+    rows = [(kind, r, p, n, cox_monomials(r, p, n, kind))
+            for kind in ("full", "zero", "braid")
+            for r in range(1, 7) for p in range(1, r + 1)
+            if r % p == 0 and (kind != "braid" or r == 1)
+            for n in range(1, 6)]
+    assert len(rows) == 145
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        COX_MONOMIALS_DIGEST
+
+
 def test_cox_monomials_rank_one_full():
-    # t_2^1 needs n >= 2 and is looked up only for the plans that use it
+    # the table of full(2, 1) has no t_2^1, and the plan uses none
     assert cox_monomials(2, 1, 1, "full") == [[(0,)]]
 
 
@@ -208,6 +237,16 @@ def test_cox_monomials_certify_every_small_pair():
                     basis = theorem4_basis(
                         A, G, cox_monomials(r, p, n, kind))
                     assert basis.cardinality == basis.poincare(1)
+
+
+def test_orbit_type_names_without_a_table_are_generic():
+    H3 = shipped_group("h3")
+    A = reflection_arrangement(H3)
+    names = orbit_type_names(H3, A)
+    assert [names[o.representative.key] for o in orbits_on_lattice(H3, A)] == [
+        "rank-0 subgroup, order 1", "rank-1 subgroup, order 2",
+        "rank-2 subgroup, order 4", "rank-2 subgroup, order 6",
+        "rank-2 subgroup, order 10", "rank-3 subgroup, order 120"]
 
 
 def test_shipped_groups():

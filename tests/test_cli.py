@@ -107,6 +107,19 @@ def test_orbits_exceptional_names():
     assert carriers == ["A_0", "A_1", "A_1^2", "H_3"]
 
 
+def test_orbits_cross_checks_the_global_average(monkeypatch):
+    # the orbits report prints the orbitwise Poincare polynomial, so it is
+    # checked against the global trace average as poincare's is
+    from reflact import invariants
+    real = invariants.isotypic_dim_global
+    monkeypatch.setattr(invariants, "isotypic_dim_global",
+                        lambda A, G, chi, k: real(A, G, chi, k) + (k == 2))
+    for verb in ("poincare", "orbits"):
+        with pytest.raises(invariants.NonIntegralityError,
+                           match="method disagreement at degree 2"):
+            invoke(verb, "--group", "G(2,1,3)", "--arrangement", "A_3(2)")
+
+
 def test_invariant_basis_verb():
     code, out, _ = invoke("invariant-basis", "--group", "G(2,2,3)",
                           "--arrangement", "A_3^0(2)", "--format", "json")
@@ -340,6 +353,59 @@ def test_verify_checks_the_list_fields_of_a_case(tmp_path, monkeypatch,
     assert invoke("verify", "--table", suite) == (
         EXIT_USAGE, "", "error: golden file %s: case 0 of suite %r %s\n"
         % (path, suite, message))
+
+
+_ZERO_NAMED = {"kind": "zero", "r": 2, "p": 2, "n": 4}
+
+
+@pytest.mark.parametrize("suite, case, line", [
+    ("table2", _TABLE2, "FAIL table2 full r=2 p=1 n=2: expected [[0, 1]], "
+                        "got [[0, 1], [1, 1], [1, 1], [2, 1]]"),
+    ("cor1", {"group": "G(2,1,2)", "poincare": [1, 2, 2]},
+     "FAIL cor1 G(2,1,2): expected [1, 2, 2], got [1, 2, 1]"),
+    ("thm4", dict(_ZERO_NAMED, named=[[["t_2", "t_2^1", "t_3"]],
+                                      [["t_2", "t_2^1", "t_3", "t_4"]]]),
+     "FAIL thm4 zero r=2 p=2 n=4: expected [[['t_2', 't_2^1', 't_3']], "
+     "[['t_2', 't_2^1', 't_3', 't_4']]], got [[[0, 2, 6, 11]], [[0, 6, 11]]]"),
+    ("thm6", dict(_THM6, one_plus_sigma=[[0, 1, 2, 3, 9]]),
+     "FAIL thm6 G(2,2,4) on A_4(2) orbit 0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,"
+     "15: expected [1, 0, 0, 0], got [1, 0, 0, 1]"),
+], ids=["table2_orbit_dims", "cor1_poincare", "thm4_named",
+        "thm6_one_plus_sigma"])
+def test_verify_reports_a_doctored_field(tmp_path, monkeypatch, suite, case,
+                                         line):
+    # the thm4 names are valid in A_4^0(2) but put t_3 where the plan has t_4
+    (tmp_path / "verify_expected.json").write_text(json.dumps({suite: [case]}))
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path))
+    assert invoke("verify", "--table", suite) == (
+        EXIT_MISMATCH, line + "\n0/1 cases passed\n", "")
+
+
+def test_verify_reads_names_in_the_case_arrangement(tmp_path, monkeypatch):
+    # the zero-kind plan in names: t_2 = 6, t_2^1 = 11, t_3 = 2 and t_4 = 0
+    # in A_4^0(2), where full(2, 4) would give 9, 15, 4 and 1
+    case = dict(_ZERO_NAMED, named=[[["t_2", "t_2^1", "t_4"]],
+                                    [["t_2", "t_2^1", "t_3", "t_4"]]])
+    (tmp_path / "verify_expected.json").write_text(json.dumps({"thm4": [case]}))
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path))
+    assert invoke("verify", "--table", "thm4") == (
+        EXIT_OK, "PASS thm4 zero r=2 p=2 n=4\n1/1 cases passed\n", "")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("kind, name, arrangement", [
+    ("full", "t_9", "full(2, 4)"), ("zero", "s", "zero(2, 4)")])
+def test_verify_refuses_a_name_the_arrangement_lacks(tmp_path, monkeypatch,
+                                                     jobs, kind, name,
+                                                     arrangement):
+    # checked with the other golden fields, before any case runs
+    path = tmp_path / "verify_expected.json"
+    case = dict(_ZERO_NAMED, kind=kind, named=[[[name, "t_2"]]])
+    path.write_text(json.dumps({"thm4": [_ZERO_NAMED, case]}))
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path))
+    assert invoke("verify", "--table", "thm4", "--jobs", jobs) == (
+        EXIT_USAGE, "", "error: golden file %s: case 1 of suite 'thm4' names "
+        "%r, no hyperplane of %s\n" % (path, name, arrangement))
 
 
 def test_verify_refuses_an_empty_selection(tmp_path, monkeypatch):

@@ -44,8 +44,8 @@ from reflact import invariants as invariants_mod
 from reflact.invariants import (_as_dim, _class_average, _fixed_flat_traces,
                                 _orbit_class_traces, _orbit_isotypic_dim)
 from reflact.osalg import (OSElement, _circuits, _nbc_levels, _straightening,
-                           _trace, apply_perm, nbc_basis, perm_trace,
-                           straighten)
+                           _trace, apply_perm, closure_key, nbc_basis,
+                           perm_trace, straighten)
 from test_osalg import memoized
 
 
@@ -226,6 +226,36 @@ def test_theorem4_refuses_an_empty_or_repeated_group():
         theorem4_basis(A, G, [[]])
     with pytest.raises(ValueError, match="two monomial groups"):
         theorem4_basis(A, G, plan + plan[:1])
+
+
+def test_theorem4_refuses_a_vanishing_projection():
+    # (0, 2) spans a flat of the orbit of (0, 1, 2, 3) and projects to zero
+    A, G = make_arrangement("full", 2, 3), make_grpn(2, 1, 3)
+    rep_of = {f.key: o.representative.key
+              for o in orbits_on_lattice(G, A) for f in o.orbit}
+    plan = [[(0, 2)] if rep_of[closure_key(A, g[0])] == (0, 1, 2, 3) else g
+            for g in cox_monomials(2, 1, 3, "full")]
+    with pytest.raises(BasisVerificationError,
+                       match=r"projection of \(0, 2\) vanishes"):
+        theorem4_basis(A, G, plan)
+
+
+def test_theorem4_refuses_dependent_projections():
+    # each pair repeated: two equal projections in degrees 3 and 4
+    A, G = make_arrangement("full", 2, 4), make_grpn(2, 2, 4)
+    plan = [[g[0]] * len(g) for g in cox_monomials(2, 2, 4, "full")]
+    with pytest.raises(BasisVerificationError,
+                       match="projections in degree 3 are dependent"):
+        theorem4_basis(A, G, plan)
+
+
+def test_theorem4_refuses_dependent_euler_images(monkeypatch):
+    A, G = make_arrangement("zero", 2, 4), make_grpn(2, 2, 4)
+    monkeypatch.setattr(invariants_mod, "euler_derivation",
+                        lambda A_, x: OSElement(x.k - 1, {}))
+    with pytest.raises(BasisVerificationError,
+                       match="top-degree images under d are dependent"):
+        theorem4_basis(A, G, cox_monomials(2, 2, 4, "zero"))
 
 
 def test_pair_pickles_with_its_memos():
