@@ -16,6 +16,7 @@ import sys
 from .arrangement import build_lattice
 from .catalog import (
     SHIPPED_GROUPS,
+    _family_arrangement,
     _named_hyperplanes,
     _read_json_object,
     cox_monomials,
@@ -34,6 +35,7 @@ from .catalog import (
 from .groups import (
     DEFAULT_ORDER_CAP,
     NotStableError,
+    _action_classes,
     _rational_classes,
     conjugacy_classes,
     det_character,
@@ -249,17 +251,19 @@ def _cmd_info(args, out):
                      " ".join(str(b) for b in betti)])
     if args.group and args.arrangement:
         try:
-            fibers = hyperplane_action(G, A).fibers
+            action = hyperplane_action(G, A)
         except NotStableError as exc:
             raise CLIError(str(exc))
-        # every trace average takes one term per conjugacy class, and each
-        # trace is computed once per rational class
+        # each average takes one term per conjugacy class, and reads each
+        # trace once per rational class of G modulo the kernel of G -> Sym(A)
         payload["action"] = {
-            "distinct_permutations": len(fibers),
+            "distinct_permutations": len(action.fibers),
+            "kernel_order": len(action.fibers[action.perms[0]]),
             "lattice_orbits": len(orbits_on_lattice(G, A)),
             "flats": len(build_lattice(A).by_key),
             "conjugacy_classes": len(conjugacy_classes(G)),
-            "rational_classes": len(set(_rational_classes(G)))}
+            "rational_classes": len(set(_rational_classes(G))),
+            "image_rational_classes": len(set(_action_classes(G, A)))}
         for k, v in sorted(payload["action"].items()):
             rows.append(["action", k, v])
     _emit(out, args.format, "info", ["object", "field", "value"], rows,
@@ -475,6 +479,10 @@ def run_verify_case(suite, case):
         except (ValueError, RuntimeError) as exc:
             return _fail(cid, "certified basis", "error: %s" % exc)
         if "named" in case:
+            unknown = _unknown_name(case, A)
+            if unknown:
+                return _fail(cid, "hyperplane names of %s(%d, %d)"
+                             % (kind, r, n), "unknown name %r" % unknown)
             index = _named_hyperplanes(A, r, n)
             expected = {
                 frozenset(frozenset(index[h] for h in mono) for mono in group)
@@ -513,6 +521,13 @@ def run_verify_case(suite, case):
     return _ok(cid)
 
 
+def _unknown_name(case, A):
+    """The least name in a thm4 case's `named` that A lacks, or None."""
+    held = _named_hyperplanes(A, case["r"], case["n"])
+    return min({h for group in case["named"] for mono in group for h in mono}
+               - held.keys(), default=None)
+
+
 def _suite_cases(expected, name, max_r, max_n):
     block = expected.get(name)
     if isinstance(block, dict):
@@ -529,17 +544,20 @@ def _suite_cases(expected, name, max_r, max_n):
                     and not _fits(case.get(field), shape):
                 raise CLIError("golden file %s: case %d of suite %r needs %s %r"
                                % (_expected_path(), k, name, what, field))
-        if name == "thm4" and "named" in case:
-            # read through the table of the case's own arrangement
-            kind, r, n = case["kind"], case["r"], case["n"]
-            held = _named_hyperplanes(make_arrangement(kind, r, n), r, n)
-            unknown = sorted({h for group in case["named"] for mono in group
-                              for h in mono} - held.keys())
+        if "kind" in _READS[name]:      # G(r,p,n) on kind(r, n)
+            try:
+                _, A = _family_arrangement(case["r"], case["p"], case["n"],
+                                           case["kind"])
+            except ValueError as exc:
+                raise CLIError("golden file %s: case %d of suite %r: %s"
+                               % (_expected_path(), k, name, exc))
+            unknown = name == "thm4" and "named" in case \
+                and _unknown_name(case, A)
             if unknown:
                 raise CLIError("golden file %s: case %d of suite %r names %r, "
                                "no hyperplane of %s(%d, %d)"
-                               % (_expected_path(), k, name, unknown[0], kind,
-                                  r, n))
+                               % (_expected_path(), k, name, unknown,
+                                  case["kind"], case["r"], case["n"]))
     return [case for case in block
             if case.get("r", 0) <= max_r and case.get("n", 0) <= max_n]
 

@@ -479,22 +479,36 @@ def _rational_classes(G: MatrixGroup):
     """For each conjugacy class, the least member of the first class in its
     rational class: the union of the classes of g^j, j prime to the order
     of g, whose members generate the conjugates of <g>.  A character
-    afforded over Q takes one value there, and g^j fixes what g fixes.
-    One walk of the powers of each first class's least member merges the
-    classes it meets; classes come in order of least member."""
-    classes = conjugacy_classes(G)
-    class_of = {x: c for c, cls in enumerate(classes) for x in cls}
-    reps = [None] * len(classes)
-    for c, cls in enumerate(classes):
-        if reps[c] is None:
-            g = cls[0]
-            powers = [g]                # g, g^2, ..., g^o = 1 (index 0)
-            while powers[-1]:
-                powers.append(G.mul(powers[-1], g))
-            for j, x in enumerate(powers, 1):
-                if gcd(j, len(powers)) == 1:
-                    reps[class_of[x]] = g
-    return reps
+    afforded over Q takes one value there, and g^j fixes what g fixes."""
+    return _merge_powers(conjugacy_classes(G), G.perms, G._compose)
+
+
+@_memo
+def _action_classes(G: MatrixGroup, A: Arrangement):
+    """`_rational_classes` of G/K, the image of G in Sym(A): a trace on
+    H^*(M(A)) is a function of g's hyperplane permutation, whose order can
+    be below g's, so the powers are walked on permutations."""
+    action = hyperplane_action(G, A)
+    return _merge_powers(conjugacy_classes(G), action.perms, action.compose)
+
+
+def _merge_powers(classes, perms, compose):
+    """For each class, the least member of the first class in its rational
+    class: one walk of the powers of that class's permutation p merges the
+    classes holding p^j, j prime to the order of p.  Classes come in order
+    of least member; two hold the same permutations or share none, so one
+    label per permutation names them all."""
+    label = {perms[x]: c for c, cls in enumerate(classes) for x in cls}
+    reps = {}                           # label -> representative
+    for cls in classes:
+        walk = [perms[cls[0]]]          # p, p^2, ..., p^o = the identity
+        if label[walk[0]] not in reps:
+            while walk[-1] != perms[0]:
+                walk.append(compose(walk[-1], walk[0]))
+            for j, q in enumerate(walk, 1):
+                if gcd(j, len(walk)) == 1:
+                    reps[label[q]] = cls[0]
+    return [reps[label[perms[cls[0]]]] for cls in classes]
 
 
 class LinearCharacter:

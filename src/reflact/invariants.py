@@ -18,16 +18,17 @@ ways:
 
 So the always-on cross-check compares lattice combinatorics with OS
 algebra.  The global and orbitwise averages are (1/|G|) sum over conjugacy
-classes C of |C| chi(C) tr(c), c in C: H^*(M(A); Q), each K_T and the
-permutation of L(A) are defined over Q, so each trace takes one value on a
-rational class (`groups._rational_classes`), the g^j with j prime to the
-order of g, and c^{-1} = c^{o-1} gives tr(c^{-1}) = tr(c).  Each trace is
-read once per rational class, while chi, which need not be rational, still
-weights each conjugacy class.  The character of K_T at g sums the traces of
-g on the flats of T that g fixes, each moved to the representative's flat.
-The projection weights each distinct hyperplane permutation.  All
-arithmetic is exact; every dimension is checked to be a nonnegative
-rational integer before it is returned.
+classes C of |C| chi(C) tr(c), c in C.  H^*(M(A)) is the OS algebra of A's
+matroid, so g acts on it, on each K_T and on L(A) through its hyperplane
+permutation alone: each trace is a function on G/K, the image of G in
+Sym(A) (K the kernel), and a rational one, defined over Q.  So it takes
+one value on each rational class of G/K, which holds c^{-1} = c^{o-1}, and
+is read once there (`groups._action_classes`), while chi, which need not
+be rational or 1 on K, still weights each conjugacy class of G.  The
+character of K_T at g sums the traces of g on the flats of T that g fixes,
+each moved to the representative's flat.  The projection weights each
+distinct hyperplane permutation.  All arithmetic is exact; every dimension
+is checked to be a nonnegative rational integer before it is returned.
 
 The module also builds the explicit invariant bases (one monomial, or an
 explicit pair, per orbit with nonzero invariants), decomposes the invariants
@@ -46,7 +47,7 @@ from .exactnum import Cyc
 from .groups import (
     LinearCharacter,
     MatrixGroup,
-    _rational_classes,
+    _action_classes,
     conjugacy_classes,
     determinant_like_characters,
     hyperplane_action,
@@ -132,17 +133,17 @@ def _as_dim(x: Cyc) -> int:
     return int(q)
 
 
-def _class_average(G: MatrixGroup, phi, trace) -> Cyc:
+def _class_average(G: MatrixGroup, A: Arrangement, phi, trace) -> Cyc:
     """(1/|G|) sum over conjugacy classes C of |C| phi[C] trace(c), phi one
-    value per class.  Every trace averaged is an int character afforded
-    over Q, so it is one value on a rational class, which holds c^{-1}:
-    this is <trace, phi> = (1/|G|) sum_g phi(g^{-1}) trace(g), and trace is
-    read once per rational class, at its representative, where some class
-    in it has a nonzero weight.  The int weights |C| trace(c) are summed
-    per distinct value of phi (which need not be rational), so there is
-    one Cyc product per value."""
+    value per class.  Every trace averaged is an int character of G/K, the
+    image of G in Sym(A), afforded over Q, so it is one value on a rational
+    class of G/K, which holds c^{-1}: this is <trace, phi>, and trace is
+    read once per such class, at its representative (`_action_classes`),
+    where some class in it has a nonzero weight.  The int weights |C|
+    trace(c) are summed per distinct value of phi (which need not be
+    rational), so there is one Cyc product per value."""
     sums, traces = {}, {}
-    for cls, v, r in zip(conjugacy_classes(G), phi, _rational_classes(G)):
+    for cls, v, r in zip(conjugacy_classes(G), phi, _action_classes(G, A)):
         if v:
             traces[r] = t = traces[r] if r in traces else trace(r)
             sums[v] = sums.get(v, 0) + len(cls) * t
@@ -176,8 +177,8 @@ def isotypic_dim_projection(A: Arrangement, G: MatrixGroup,
 def _orbit_class_traces(G, A, orbit) -> dict:
     """The character of K_T, the sum of H^top(A_X) over the flats X of the
     orbit, which is Ind_{N_T}^G H^top(A_T) (Lehrer-Solomon), at each
-    rational class's representative, where `_class_average` reads it (K_T
-    is a Q-module).  At g it sums, over the members X with gX = X, the
+    representative of a rational class of G/K, where `_class_average`
+    reads it.  At g it sums, over the members X with gX = X, the
     trace of x^{-1} g x on H^top(A_R), R the representative and x =
     orbit.transport[X], straightened on A itself.  Kept on G per
     arrangement and orbit."""
@@ -193,13 +194,13 @@ def _orbit_class_traces(G, A, orbit) -> dict:
                    for X, x in orbit.transport.items()
                    if all(p[i] in back[X] for i in X))     # gX = X
 
-    return {g: trace(g) for g in dict.fromkeys(_rational_classes(G))}
+    return {g: trace(g) for g in dict.fromkeys(_action_classes(G, A))}
 
 
 def _orbit_isotypic_dim(A, G, orbit, chi) -> int:
     """dim K_T^chi: the orbit's class traces of K_T averaged against chi."""
     return _as_dim(_class_average(
-        G, [chi(cls[0]) for cls in conjugacy_classes(G)],
+        G, A, [chi(cls[0]) for cls in conjugacy_classes(G)],
         _orbit_class_traces(G, A, orbit).__getitem__))
 
 
@@ -532,9 +533,10 @@ def multiplicity_classfn(A: Arrangement, G: MatrixGroup, phi, k: int) -> Cyc:
     """<character of H^k, phi> = (1/|G|) sum over conjugacy classes C of
     |C| phi(C) tr(c | H^k), for a class function given as one Cyc per
     conjugacy class (classes in their deterministic order); H^k is defined
-    over Q, so tr(c^{-1}) = tr(c) (see `_class_average`).  The character of
-    H^k at a rational class's representative is its Mobius sum over the
-    fixed flats of L(A), with no Orlik-Solomon straightening, kept per
+    over Q and g acts on it through its hyperplane permutation, so its
+    trace is read once per rational class of G/K, the image of G in Sym(A)
+    (see `_class_average`).  There it is the Mobius sum over the fixed
+    flats of L(A), with no Orlik-Solomon straightening, kept per
     permutation on A; H^k is 0 outside 0..rk."""
     classes = conjugacy_classes(G)
     phi = list(phi)
@@ -547,7 +549,7 @@ def multiplicity_classfn(A: Arrangement, G: MatrixGroup, phi, k: int) -> Cyc:
         traces = _fixed_flat_traces(A, perms[g])
         return traces[k] if 0 <= k < len(traces) else 0
 
-    return _class_average(G, phi, trace)
+    return _class_average(G, A, phi, trace)
 
 
 @_memo

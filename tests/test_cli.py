@@ -408,6 +408,39 @@ def test_verify_refuses_a_name_the_arrangement_lacks(tmp_path, monkeypatch,
         "%r, no hyperplane of %s\n" % (path, name, arrangement))
 
 
+@pytest.mark.parametrize("suite, case, message", [
+    ("thm4", dict(_ZERO_NAMED, kind="bogus"),
+     "kind must be one of ('braid', 'full', 'zero')"),
+    ("table1", dict(_TABLE2, p=3), "p must divide r"),
+    ("table2", dict(_TABLE2, p=0), "need r, p, n >= 1"),
+    ("thm4", dict(_ZERO_NAMED, r=0), "need r, p, n >= 1"),
+    ("table1", dict(_TABLE2, n=-1), "need r, p, n >= 1"),
+    ("cor2", dict(_TABLE2, kind="braid"),
+     "the braid arrangement goes with r = p = 1 only, not G(2,1,2)"),
+], ids=["bogus_kind", "p_not_dividing_r", "zero_p", "zero_r", "negative_n",
+        "braid_with_r_2"])
+def test_verify_checks_the_values_of_a_family_case(tmp_path, monkeypatch,
+                                                   suite, case, message):
+    # a G(r,p,n) case with parameters no pair has is a bad golden file
+    # (exit 2), not a ValueError or NotStableError traceback
+    path = tmp_path / "verify_expected.json"
+    path.write_text(json.dumps({suite: [case]}))
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path))
+    assert invoke("verify", "--table", suite) == (
+        EXIT_USAGE, "", "error: golden file %s: case 0 of suite %r: %s\n"
+        % (path, suite, message))
+
+
+def test_run_verify_case_fails_on_an_unknown_name():
+    # run_verify_case is public and reads no golden file, so it checks the
+    # names itself: A_4^0(2) has no hyperplane x_1 = 0
+    case = dict(_ZERO_NAMED, named=[[["t_2", "s"]]])
+    assert cli.run_verify_case("thm4", case) == {
+        "id": "thm4 zero r=2 p=2 n=4", "passed": False,
+        "expected": "hyperplane names of zero(2, 4)",
+        "got": "unknown name 's'"}
+
+
 def test_verify_refuses_an_empty_selection(tmp_path, monkeypatch):
     # a selection with no case is an error, not a pass; --max-r 0 still
     # selects the cases that have no r
@@ -566,16 +599,23 @@ def test_info_action_summary():
     argv = ("info", "--group", "G(3,1,4)", "--arrangement", "A_4(3)")
     code, out, _ = invoke(*argv, "--format", "json")
     assert code == EXIT_OK
+    # the kernel of G -> Sym(A) is the scalars of order 3, and each trace
+    # is read once per rational class of G modulo it
     assert json.loads(out)["action"] == {
         "distinct_permutations": 648, "lattice_orbits": 12, "flats": 214,
-        "conjugacy_classes": 51, "rational_classes": 30}
+        "conjugacy_classes": 51, "rational_classes": 30, "kernel_order": 3,
+        "image_rational_classes": 13}
     code, out, _ = invoke(*argv)
     assert code == EXIT_OK
-    assert "distinct_permutations  648" in out
-    assert "conjugacy_classes      51" in out
-    assert "rational_classes       30" in out
+    assert "distinct_permutations   648" in out
+    assert "conjugacy_classes       51" in out
+    assert "rational_classes        30" in out
+    assert "kernel_order            3" in out
+    assert "image_rational_classes  13" in out
     code, out, _ = invoke(*argv, "--format", "csv")
     assert code == EXIT_OK and "action,rational_classes,30" in out
+    assert "action,kernel_order,3" in out
+    assert "action,image_rational_classes,13" in out
     # with one of the two options there is no action summary
     for argv in (("info", "--group", "G(3,1,2)"),
                  ("info", "--arrangement", "A_2(3)")):

@@ -631,6 +631,65 @@ def test_rational_classes(spec, classes, rational):
             {c for c, r in enumerate(reps) if r == g}
 
 
+@pytest.mark.parametrize("group, arrangement, kernel, rational, image", [
+    ("G(4,1,4)", "A_4(4)", 4, 66, 28), ("G(4,2,4)", "A_4(4)", 4, 46, 24),
+    ("G(3,1,4)", "A_4(3)", 3, 30, 13), ("G(6,2,3)", "A_3(6)", 3, 28, 13),
+    ("H3", None, 2, 8, 4), ("F4", None, 2, 25, 16),
+    ("G(3,3,4)", "A_4(3)", 1, 13, 13), ("G(2,1,4)", "A_4(2)", 2, 20, 14),
+    ("G(2,2,4)", "A_4^0(2)", 2, 13, 10), ("W(4)", "A_4^0(1)", 1, 5, 5)])
+def test_action_classes_count_the_rational_classes_of_the_image(
+        group, arrangement, kernel, rational, image):
+    # |K| for K the kernel of G -> Sym(A), then the rational classes of G
+    # and of its image G/K, which are as many as the traces an average reads
+    G = catalog.parse_group_spec(group)
+    A = catalog.parse_arrangement_spec(arrangement, G)
+    action = hyperplane_action(G, A)
+    assert len(action.fibers[action.perms[0]]) == kernel
+    assert len(set(groups_mod._rational_classes(G))) == rational
+    assert len(set(groups_mod._action_classes(G, A))) == image
+
+
+def _perm_powers(action, p):
+    """p, p^2, ..., p^o = the identity, by products of permutations."""
+    out = [p]
+    while out[-1] != action.perms[0]:
+        out.append(action.compose(out[-1], p))
+    return out
+
+
+@pytest.mark.parametrize("group, arrangement", [
+    ("H3", None), ("G(3,1,3)", "A_3(3)"), ("G(4,2,3)", "A_3(4)"),
+    ("G(2,2,4)", "A_4^0(2)")])
+def test_action_classes_are_closed_under_prime_powers(group, arrangement):
+    # every permutation p^j, j prime to the order of p in G/K, lies in a
+    # class with the same representative, and a representative's powers
+    # reach exactly the classes it represents, the least member of which
+    # it is; p's order is below g's for some g, so the walk is on p
+    G = catalog.parse_group_spec(group)
+    A = catalog.parse_arrangement_spec(arrangement, G)
+    perms = hyperplane_action(G, A).perms
+    classes = conjugacy_classes(G)
+    reps = groups_mod._action_classes(G, A)
+    rep_of = {}
+    for cls, r in zip(classes, reps):
+        for x in cls:
+            assert rep_of.setdefault(perms[x], r) == r
+    shorter = 0
+    for x in range(G.order):
+        walk = _perm_powers(hyperplane_action(G, A), perms[x])
+        shorter += len(walk) < G.element_order(x)
+        assert {rep_of[q] for j, q in enumerate(walk, 1)
+                if gcd(j, len(walk)) == 1} == {rep_of[perms[x]]}
+    assert shorter
+    for g in set(reps):
+        walk = _perm_powers(hyperplane_action(G, A), perms[g])
+        met = {q for j, q in enumerate(walk, 1) if gcd(j, len(walk)) == 1}
+        mine = [c for c, r in enumerate(reps) if r == g]
+        assert [c for c, cls in enumerate(classes)
+                if met.intersection(perms[x] for x in cls)] == mine
+        assert g == min(x for c in mine for x in classes[c])
+
+
 @pytest.mark.parametrize("build", [
     lambda: catalog.make_grpn(4, 2, 4),
     lambda: catalog.make_grpn(3, 1, 3),

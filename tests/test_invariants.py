@@ -8,7 +8,7 @@ from reflact.catalog import (cox_monomials, make_arrangement, make_grpn,
                              shipped_group)
 from reflact.exactnum import Cyc, CycMatrix, Span
 from reflact.groups import (
-    _rational_classes,
+    _action_classes,
     conjugacy_classes,
     det_character,
     generate,
@@ -369,6 +369,28 @@ def test_vanishing_detlike():
         assert res["passed"] and res["violations"] == []
 
 
+@pytest.mark.parametrize("pair, off_kernel", [
+    (lambda: (make_arrangement("full", 3, 4), make_grpn(3, 1, 4)), [2, 3, 4, 5]),
+    (lambda: (reflection_arrangement(shipped_group("h3")),
+              shipped_group("h3")), [1]),
+], ids=["G(3,1,4)", "H3"])
+def test_characters_nontrivial_on_the_kernel_vanish(pair, off_kernel):
+    # the kernel K of G -> Sym(A) acts trivially on H^*(M(A)), so a linear
+    # character that is not 1 on K has no isotypic part in any degree, by
+    # the global, orbitwise and projection methods alike
+    A, G = pair()
+    action = hyperplane_action(G, A)
+    kernel = action.fibers[action.perms[0]]
+    chars = linear_characters(G)
+    assert [i for i, chi in enumerate(chars)
+            if any(chi(g) != Cyc.one() for g in kernel)] == off_kernel
+    for chi in map(chars.__getitem__, off_kernel):
+        assert isotypic_dims_orbitwise(A, G, chi).graded == (0,) * (A.rank() + 1)
+        for k in range(A.rank() + 1):
+            assert isotypic_dim_global(A, G, chi, k) == 0
+            assert isotypic_dim_projection(A, G, chi, k) == 0
+
+
 # -- class averages against the per-element average ---------------------------
 
 def _element_average(G, phi_of, trace):
@@ -415,7 +437,7 @@ def test_class_indicators_average_against_rational_traces():
         for k in range(A.rank() + 1):
             assert multiplicity_classfn(A, G, phi, k) == \
                 _element_average(G, phi_of, _os_trace(A, G, k))
-            assert _class_average(G, phi, _os_trace(A, G, k)) == \
+            assert _class_average(G, A, phi, _os_trace(A, G, k)) == \
                 _element_average(G, phi_of, _os_trace(A, G, k))
 
 
@@ -425,7 +447,8 @@ def test_class_indicators_average_against_rational_traces():
 def test_class_average_grouped_by_value_matches_per_class_sum(make):
     # the int weights are summed per distinct value of phi; the result must
     # be the per-class sum of phi(c^-1) tr(c), and traces are read once per
-    # rational class, at its representative, where some phi(c) != 0
+    # rational class of G's image in Sym(A), at its representative, where
+    # some phi(c) != 0
     G = make()
     A = reflection_arrangement(G)
     perms = hyperplane_action(G, A).perms
@@ -443,10 +466,10 @@ def test_class_average_grouped_by_value_matches_per_class_sum(make):
             ref = sum((phi[inv[j]] * Cyc.rational(len(cls) * tr(cls[0]))
                        for j, cls in enumerate(classes)), Cyc.zero())
             read = []
-            got = _class_average(G, phi, lambda g: read.append(g) or tr(g))
+            got = _class_average(G, A, phi, lambda g: read.append(g) or tr(g))
             assert got == ref * Cyc.rational(Fraction(1, G.order))
             assert read == list(dict.fromkeys(
-                r for v, r in zip(phi, _rational_classes(G)) if v))
+                r for v, r in zip(phi, _action_classes(G, A)) if v))
 
 
 def _perm_trace_on_span(A, perm, span, k):
@@ -526,7 +549,8 @@ def test_relative_character_checks_the_multiplicity_sum(pair, offset, monkeypatc
 def test_relative_character_traces_each_ambient_orbit_once():
     # the class traces of K_T do not depend on the character, so each orbit
     # of the ambient group that carries G-invariants is traced once, at one
-    # element per conjugacy class, however many characters are 1 on G
+    # element per rational class of Gt's image in Sym(A), however many
+    # characters are 1 on G
     A, G, _ = RELATIVE_PAIRS["g224_in_g214"]()
     Gt = make_grpn.__wrapped__(2, 1, 4)      # fresh: no traces kept
     report = relative_character(A, G, Gt)
@@ -534,8 +558,9 @@ def test_relative_character_traces_each_ambient_orbit_once():
     carriers = [e["orbit"] for e in report.entries if e["dim"]]
     assert len(carriers) == 8
     assert set(traced) == {(A, o) for o in carriers}
-    leaders = sorted(c[0] for c in conjugacy_classes(Gt))
-    assert all(sorted(traces) == leaders for traces in traced.values())
+    reps = sorted(set(_action_classes(Gt, A)))
+    assert len(conjugacy_classes(Gt)) == 20 and len(reps) == 14
+    assert all(sorted(traces) == reps for traces in traced.values())
     assert relative_character(A, G, Gt).to_json() == report.to_json()
     assert len(memoized(Gt, invariants_mod._orbit_class_traces)) == 8
 
@@ -652,13 +677,14 @@ def _orbit_trace_at(G, A, orbit, g):
     lambda: (make_arrangement("zero", 3, 3), make_grpn(3, 3, 3)),
 ], ids=["H3", "G(3,1,3)", "G(4,1,3)", "G(4,2,3)", "G(3,3,3)"])
 def test_traces_agree_across_a_rational_class(pair):
-    # each trace is read at the rational class's representative: at every
-    # class's least member, the OS and Mobius traces and each orbit's K_T
-    # trace straightened there must equal those read at the representative
+    # each trace is read at the representative of the rational class of the
+    # class's image in Sym(A): at every class's least member, the OS and
+    # Mobius traces and each orbit's K_T trace straightened there must
+    # equal those read at the representative
     A, G = pair()
     perms = hyperplane_action(G, A).perms
     classes = conjugacy_classes(G)
-    reps = _rational_classes(G)
+    reps = _action_classes(G, A)
     assert len(set(reps)) < len(classes)
     orbits = orbits_on_lattice(G, A)
     for cls, r in zip(classes, reps):
