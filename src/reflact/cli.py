@@ -55,7 +55,7 @@ from .invariants import (
     trivial_character,
     vanishing_check_detlike,
 )
-from .osalg import euler_derivation, nbc_basis, rank_of_elements, straighten
+from .osalg import OSElement, euler_derivation, nbc_basis, rank_of_elements
 
 __all__ = ["main", "run", "run_verify_case", "verify_suite", "load_expected",
            "SUITES", "CLIError"]
@@ -131,8 +131,10 @@ def _get_pair(args, need_group=True, need_arrangement=True):
         raise CLIError("--group is required for this verb")
     A = None
     if args.arrangement or G is not None:
-        try:
-            A = parse_arrangement_spec(args.arrangement, G)
+        fam = None if args.arrangement else pair_family(args.group)
+        try:    # the family arrangement `_type_names` labels: one L(A)
+            A = (make_arrangement(fam[0], fam[1], fam[3]) if fam else
+                 parse_arrangement_spec(args.arrangement, G))
         except (ValueError, RuntimeError) as exc:
             raise CLIError(str(exc))
     if need_arrangement and A is None:
@@ -442,7 +444,7 @@ def run_verify_case(suite, case):
         for k in range(1, rk + 1):
             images = []
             for m in nbc_basis(A, k).monomials:
-                img = euler_derivation(A, straighten(A, m))
+                img = euler_derivation(A, OSElement(k, {m: 1}))
                 if k >= 2:
                     dd = euler_derivation(A, img)
                     if not dd.is_zero():

@@ -300,11 +300,11 @@ def group_from_json(obj, order_cap=DEFAULT_ORDER_CAP) -> MatrixGroup:
 def reflections(G: MatrixGroup):
     """All elements whose fixed space has codimension 1, with Fix(r) as a
     canonical Hyperplane, by element index.  rank(g - I) is a class
-    function, and Fix(g^j) = Fix(g) for j prime to the order of g, so one
-    test per rational class (`_rational_classes`) decides.  Reduction
-    modulo a prime p that divides no denominator of `vectors` cannot raise
-    a rank, so g - I, whose column j is vectors[perms[g][j]] - vectors[j],
-    must have rank <= 1 mod p before an exact rref decides."""
+    function, so one test per non-identity conjugacy class decides.
+    Reduction modulo a prime p that divides no denominator of `vectors`
+    cannot raise a rank, so g - I, whose column j is
+    vectors[perms[g][j]] - vectors[j], must have rank <= 1 mod p before an
+    exact rref decides."""
     def rows(i):
         """Rows of g_i - I."""
         return [[e - 1 if r == j else e for j, e in enumerate(row)]
@@ -320,10 +320,8 @@ def reflections(G: MatrixGroup):
 
     p, image = _mod_p([c for v in G.vectors for c in v])
     vecs = [[image(c) for c in v] for v in G.vectors]
-    reps = _rational_classes(G)     # 0 only at the identity's class
-    keep = {g: rank_one(g) for g in set(reps) if g}
     out = [(i, canonicalize_hyperplane(next(r for r in rows(i) if any(r))))
-           for cls, g in zip(conjugacy_classes(G), reps) if g and keep[g]
+           for cls in conjugacy_classes(G)[1:] if rank_one(cls[0])
            for i in cls]
     return sorted(out, key=lambda t: t[0])
 

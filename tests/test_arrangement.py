@@ -73,6 +73,12 @@ def test_canonicalize_examples():
         canonicalize_hyperplane([0, 0])
 
 
+def test_arrangement_refuses_duplicate_hyperplanes():
+    h = canonicalize_hyperplane([1, -1])
+    with pytest.raises(ValueError, match="duplicate hyperplanes"):
+        Arrangement(2, [h, h])
+
+
 def test_lattice_boolean():
     lat = build_lattice(boolean2())
     assert [len(lv) for lv in lat.levels] == [1, 2, 1]

@@ -335,6 +335,8 @@ def test_parse_specs():
         parse_group_spec("Q(1,2)")
     with pytest.raises(ValueError):
         parse_arrangement_spec("B_3(2)")
+    with pytest.raises(ValueError, match="need an arrangement spec or a group"):
+        parse_arrangement_spec(None)
 
 
 def _named_specs():

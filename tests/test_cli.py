@@ -62,6 +62,36 @@ def test_info_requires_something():
     assert code == EXIT_USAGE and "error" in err
 
 
+def test_lattice_requires_a_group_or_an_arrangement():
+    assert invoke("lattice") == (
+        EXIT_USAGE, "", "error: --arrangement (or --group) is required for "
+        "this verb\n")
+
+
+def test_an_unparsable_character_selector_exits_2():
+    assert invoke("poincare", "--group", "G(2,1,2)", "--character",
+                  "bogus") == (
+        EXIT_USAGE, "", "error: cannot parse character selector 'bogus'\n")
+
+
+@pytest.mark.parametrize("verb", ["orbits", "invariant-basis"])
+def test_a_family_group_alone_builds_one_lattice(verb):
+    # with no --arrangement, G(r,p,n)'s reflection arrangement is its catalog
+    # arrangement, the object whose lattice labels the orbits; a fresh
+    # interpreter counts the lattices the verb builds
+    proc = python("-c", textwrap.dedent("""
+        import io
+        from reflact import arrangement, cli
+        built = []
+        init = arrangement.IntersectionLattice.__init__
+        arrangement.IntersectionLattice.__init__ = (
+            lambda self, *args: built.append(args) or init(self, *args))
+        code = cli.run([%r, "--group", "G(3,1,3)"], out=io.StringIO())
+        print(code, len(built))
+    """ % verb))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 1\n", "")
+
+
 def test_poincare_text_and_json():
     code, out, _ = invoke("poincare", "--group", "G(2,1,3)",
                           "--arrangement", "A_3(2)")
@@ -431,6 +461,24 @@ def test_verify_checks_the_values_of_a_family_case(tmp_path, monkeypatch,
         % (path, suite, message))
 
 
+def test_run_verify_case_refuses_an_unknown_suite():
+    with pytest.raises(cli.CLIError, match="unknown verify suite 'bogus'"):
+        cli.run_verify_case("bogus", {})
+
+
+def test_verify_reports_a_plan_that_does_not_certify(tmp_path, monkeypatch):
+    # a plan with two monomials for an orbit that carries one invariant is
+    # a failed case, not a traceback
+    (tmp_path / "verify_expected.json").write_text(
+        json.dumps({"thm4": [_ZERO_NAMED]}))
+    monkeypatch.setenv("REFLACT_DATA_DIR", str(tmp_path))
+    monkeypatch.setattr(cli, "_plan", lambda family: [[(0, 6, 11)] * 2])
+    assert invoke("verify", "--table", "thm4") == (
+        EXIT_MISMATCH, "FAIL thm4 zero r=2 p=2 n=4: expected certified basis, "
+        "got error: orbit (0, 1, 6) carries 1 invariants but 2 monomials were "
+        "given\n0/1 cases passed\n", "")
+
+
 def test_run_verify_case_fails_on_an_unknown_name():
     # run_verify_case is public and reads no golden file, so it checks the
     # names itself: A_4^0(2) has no hyperplane x_1 = 0
@@ -580,6 +628,15 @@ def test_group_file_dim_that_is_no_nonnegative_int_exits_2(tmp_path, dim):
     # -1 once ended in a traceback, and 2.5 was read as 2
     group_file_refused(tmp_path, {"dim": dim, "generators": []},
                        "malformed group file: dim")
+
+
+def test_group_file_dim_true_exits_2_in_process(tmp_path):
+    # the same refusal as above, through `run` in this interpreter
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"dim": True, "generators": []}))
+    assert invoke("info", "--group", str(path)) == (
+        EXIT_USAGE, "", "error: malformed group file: dim True is not an "
+        "integer >= 0\n")
 
 
 @pytest.mark.parametrize("entry", [{"m": 4.9, "c": ["0", "1"]},

@@ -60,6 +60,12 @@ def test_generate_orders():
     assert g333().order == 54  # 3^3 * 3! / 3
 
 
+def test_generate_refuses_generators_of_two_sizes():
+    with pytest.raises(ValueError,
+                       match="generators must be square of equal dimension"):
+        generate([CycMatrix.from_rows([[1]]), perm_matrix(2, 0, 1)])
+
+
 def test_a_group_with_its_elements_survives_deepcopy():
     G = catalog.make_grpn(2, 1, 3)
     G.elements
@@ -846,13 +852,13 @@ def _count_rrefs(monkeypatch):
 
 
 @pytest.mark.parametrize("spec, tested, classes", [
-    ("G(4,2,4)", 2, 45), ("F4", 2, 24), ("H3", 1, 7), ("G(3,1,4)", 2, 29)])
+    ("G(4,2,4)", 2, 59), ("F4", 2, 24), ("H3", 1, 9), ("G(3,1,4)", 3, 50)])
 def test_reflections_rank_test_only_classes_of_rank_one_mod_p(
         monkeypatch, spec, tested, classes):
-    # of the non-identity rational classes, only those whose g - I has
+    # of the non-identity conjugacy classes, only those whose g - I has
     # rank <= 1 modulo p reach the exact rank test
     G = _fresh(spec)
-    assert len(set(groups_mod._rational_classes(G))) - 1 == classes
+    assert len(conjugacy_classes(G)) - 1 == classes
     calls = _count_rrefs(monkeypatch)
     reflections(G)
     assert len(calls) == tested
@@ -861,14 +867,15 @@ def test_reflections_rank_test_only_classes_of_rank_one_mod_p(
 @pytest.mark.parametrize("spec", ["G(4,2,4)", "F4", "H3"])
 def test_reflections_screen_only_skips_work(monkeypatch, spec):
     # with every orbit-vector entry sent to 0 modulo p, g - I is 0 there,
-    # so every rational class reaches the exact test, with the same output
+    # so every non-identity conjugacy class reaches the exact test, with the
+    # same output
     want, G = reflections(catalog.parse_group_spec(spec)), _fresh(spec)
     mod_p = groups_mod._mod_p
     monkeypatch.setattr(groups_mod, "_mod_p",
                         lambda values: (mod_p(values)[0], lambda x: 0))
     calls = _count_rrefs(monkeypatch)
     assert reflections(G) == want
-    assert len(calls) == len(set(groups_mod._rational_classes(G))) - 1
+    assert len(calls) == len(conjugacy_classes(G)) - 1
 
 
 @pytest.mark.parametrize("build", [

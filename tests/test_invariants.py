@@ -40,6 +40,7 @@ from reflact.invariants import (
     trivial_character,
     vanishing_check_detlike,
 )
+from reflact import cli
 from reflact import invariants as invariants_mod
 from reflact.invariants import (_as_dim, _class_average, _fixed_flat_traces,
                                 _orbit_class_traces, _orbit_isotypic_dim)
@@ -238,6 +239,35 @@ def test_theorem4_refuses_a_vanishing_projection():
     with pytest.raises(BasisVerificationError,
                        match=r"projection of \(0, 2\) vanishes"):
         theorem4_basis(A, G, plan)
+
+
+def test_theorem4_refuses_a_monomial_with_a_repeated_index():
+    # h_12 h_12 = 0, and so is every permutation of it: the second monomial
+    # of the pair keeps its degree 3 and projects to 0
+    A, G = make_arrangement("full", 2, 4), make_grpn(2, 2, 4)
+    plan = [[g[0], (1, 12, 12)] if g[0] == (1, 9, 12) else g
+            for g in cox_monomials(2, 2, 4, "full")]
+    with pytest.raises(BasisVerificationError,
+                       match=r"projection of \(1, 12, 12\) vanishes"):
+        theorem4_basis(A, G, plan)
+
+
+def test_theorem4_projects_each_plan_monomial_as_it_stands():
+    # g sends h_H to h_{gH}, so e_G . m = e_G . straighten(m): on every golden
+    # Theorem-4 pair each certified projection is that of the monomial's NBC
+    # rewrite, and an entry keeps no rewrite
+    cases = [c for c in cli.load_expected()["thm4"]
+             if c["r"] <= 4 and c["n"] <= 4]
+    assert len(cases) == 48
+    for case in cases:
+        kind, r, p, n = case["kind"], case["r"], case["p"], case["n"]
+        A, G = make_arrangement(kind, r, n), make_grpn(r, p, n)
+        basis = theorem4_basis(A, G, cli._plan((kind, r, p, n)))
+        for e in basis.entries:
+            assert "elements" not in e
+            assert e["projections"] == [
+                project_invariant(A, G, straighten(A, m))
+                for m in e["monomials"]]
 
 
 def test_theorem4_refuses_dependent_projections():
