@@ -127,7 +127,9 @@ def _capped_grpn(r, p, n, order_cap):
 def make_grpn(r: int, p: int, n: int) -> MatrixGroup:
     """The monomial reflection group G(r,p,n), of order r^n n!/p, built
     once per (r, p, n).  Enumeration stops at that order; callers that take
-    an order cap check it against the closed form first."""
+    an order cap check it against the closed form first.  Its reflection
+    arrangement is kept as `make_arrangement`'s zero(r, n) if p == r, else
+    full(r, n): the same hyperplanes in order, so the pair has one L(A)."""
     _check_params(r, p, n)
     gens = []
     for i in range(n - 1):
@@ -149,6 +151,9 @@ def make_grpn(r: int, p: int, n: int) -> MatrixGroup:
     if G.order != expected:
         raise LabelCrossCheckError(
             "G(%d,%d,%d) has order %d, expected %d" % (r, p, n, G.order, expected))
+    # the `arrangement._memo` entry of reflection_arrangement(G)
+    G.__dict__.setdefault("_memo", {})[reflection_arrangement,] = \
+        make_arrangement("zero" if p == r else "full", r, n)
     return G
 
 

@@ -131,10 +131,8 @@ def _get_pair(args, need_group=True, need_arrangement=True):
         raise CLIError("--group is required for this verb")
     A = None
     if args.arrangement or G is not None:
-        fam = None if args.arrangement else pair_family(args.group)
-        try:    # the family arrangement `_type_names` labels: one L(A)
-            A = (make_arrangement(fam[0], fam[1], fam[3]) if fam else
-                 parse_arrangement_spec(args.arrangement, G))
+        try:
+            A = parse_arrangement_spec(args.arrangement, G)
         except (ValueError, RuntimeError) as exc:
             raise CLIError(str(exc))
     if need_arrangement and A is None:
@@ -325,8 +323,8 @@ def _cmd_poincare(args, out):
 
 def _plan(family):
     """The catalog's Theorem-4 plan for a (kind, r, p, n) pair with n >= 3,
-    and no plan otherwise: with n <= 2 the rank is at most 2, where
-    `theorem4_basis` needs none."""
+    and no plan otherwise, where `theorem4_basis` scans each orbit's NBC
+    monomials."""
     if family is None or family[3] < 3:
         return ()
     kind, r, p, n = family

@@ -30,11 +30,11 @@ each moved to the representative's flat.  The projection weights each
 distinct hyperplane permutation.  All arithmetic is exact; every dimension
 is checked to be a nonnegative rational integer before it is returned.
 
-The module also builds the explicit invariant bases (one monomial, or an
-explicit pair, per orbit with nonzero invariants), decomposes the invariants
-of a normal reflection subgroup as a module over the ambient group from the
-orbitwise averages of both groups, and runs the determinant-like vanishing
-checks.
+The module also builds the explicit invariant bases (one projected
+monomial per invariant, from a plan or from each orbit's NBC monomials),
+decomposes the invariants of a normal reflection subgroup as a module over
+the ambient group from the orbitwise averages of both groups, and runs the
+determinant-like vanishing checks.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import lcm
 
 from .arrangement import Arrangement, _memo, build_lattice
-from .exactnum import Cyc
+from .exactnum import Cyc, Span
 from .groups import (
     LinearCharacter,
     MatrixGroup,
@@ -68,7 +68,6 @@ from .osalg import (
 __all__ = [
     "NonIntegralityError",
     "NotNormalError",
-    "UnlabeledPairError",
     "BasisVerificationError",
     "ClassMismatchError",
     "CharacterSelectionError",
@@ -100,10 +99,6 @@ class NonIntegralityError(ArithmeticError):
 
 class NotNormalError(ValueError):
     pass
-
-
-class UnlabeledPairError(ValueError):
-    """No monomial plan is available for an orbit of codimension >= 2."""
 
 
 class BasisVerificationError(RuntimeError):
@@ -376,21 +371,20 @@ class Theorem4Basis:
 
 def theorem4_basis(A: Arrangement, G: MatrixGroup,
                    cox_monomials=()) -> Theorem4Basis:
-    """Build and certify an invariant basis with one projected monomial (or
-    an explicit pair) per orbit carrying invariants.
+    """Build and certify an invariant basis: for each orbit T carrying d
+    invariants, d monomials and their nonzero projections.
 
-    Monomials in codimension <= 1 are generated automatically, as is the
-    rank-2 rule pairing the least hyperplane-orbit representative with the
-    others.  Otherwise `cox_monomials` lists one group per orbit, a list of
-    monomial tuples, and the group's first monomial spans a flat of its
-    orbit; `catalog.cox_monomials` gives the plan of a G(r,p,n) pair.
-
-    Each monomial is projected as it stands.  There are P(1) projections
-    by construction: each carrying orbit gets its d monomials, P sums the d.
+    `cox_monomials` may list one group per orbit, a list of monomial tuples
+    whose first spans a flat of the orbit; `catalog.cox_monomials` gives
+    the plan of a G(r,p,n) pair.  T of codim k without a group takes the
+    first d monomials of `nbc_basis(A, k)` whose flat lies in T and whose
+    projection raises the rank of those kept.  They span K_T (Brieskorn),
+    which e_G maps onto K_T^G, so d are found (in codim <= 1, T's
+    representative key).  Each monomial is projected as it stands, once.
+    There are P(1) projections: each carrying orbit gets its d monomials.
     """
     report = isotypic_dims_orbitwise(A, G, trivial_character(G))
     rk = A.rank()
-    carriers = [(o, d) for o, d in report.orbit_dims if d > 0]
     poincare = report.poincare
     rep_of = {f.key: o.representative.key
               for o, _ in report.orbit_dims for f in o.orbit}
@@ -404,33 +398,34 @@ def theorem4_basis(A: Arrangement, G: MatrixGroup,
             raise ValueError("two monomial groups for orbit %s" % (rep,))
         supplied[rep] = group
 
-    hyper_reps = sorted(o.representative.key[0]
-                        for o, _ in carriers if o.codim == 1)
+    nbc = _nbc_by_flat(A)
     entries = []
-    for o, d in carriers:
-        k = o.codim
+    for o, d in report.orbit_dims:
         monos = supplied.get(o.representative.key)
-        if monos is None:
-            if k <= 1:
-                monos = [o.representative.key]
-            elif rk == 2 and k == 2:
-                h1 = hyper_reps[0]
-                monos = [(h1, h) for h in hyper_reps[1:]]
-            else:
-                raise UnlabeledPairError(
-                    "no monomials for orbit with representative %s"
-                    % (o.representative.key,))
+        if monos is not None:
+            projections = [project_invariant(A, G, OSElement(len(m), {m: 1}))
+                           for m in monos]
+        elif d:
+            monos, projections, span = [], [], Span()
+            for m in sorted(m for f in o.orbit
+                            for m in nbc[sum(1 << h for h in f.key)]):
+                pr = project_invariant(A, G, OSElement(len(m), {m: 1}))
+                if span.add(pr.coeffs) is not None:
+                    monos.append(m)
+                    projections.append(pr)
+                    if len(monos) == d:
+                        break
+        else:
+            continue
         if len(monos) != d:
             raise BasisVerificationError(
                 "orbit %s carries %d invariants but %d monomials were given"
                 % (o.representative.key, d, len(monos)))
-        projections = [project_invariant(A, G, OSElement(len(m), {m: 1}))
-                       for m in monos]
         for m, pr in zip(monos, projections):
             if pr.is_zero():
                 raise BasisVerificationError(
                     "projection of %s vanishes" % (m,))
-        entries.append({"codim": k, "rep_key": o.representative.key,
+        entries.append({"codim": o.codim, "rep_key": o.representative.key,
                         "orbit": o, "monomials": monos,
                         "projections": projections})
 

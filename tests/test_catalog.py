@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from reflact import catalog
-from reflact.arrangement import build_lattice
+from reflact.arrangement import Arrangement, build_lattice
 from reflact.catalog import (
     LabelCrossCheckError,
     UndefinedNameError,
@@ -88,14 +88,23 @@ def test_make_arrangement_counts():
     assert len(make_arrangement("full", r, n)) == r * n * (n - 1) // 2 + n
 
 
-@pytest.mark.parametrize("r,p,n", [(1, 1, 3), (1, 1, 4), (2, 1, 2),
-                                   (2, 2, 3), (3, 1, 2), (3, 3, 3), (4, 2, 2)])
+# G(r,p,n) with r <= 6 and n <= 5 up to order 20,000: 59 groups
+_SMALL_GROUPS = [(r, p, n) for r in range(1, 7) for p in range(1, r + 1)
+                 if r % p == 0 for n in range(1, 6)
+                 if r ** n * math.factorial(n) // p <= 20000]
+
+
+@pytest.mark.parametrize("r,p,n", _SMALL_GROUPS)
 def test_reflection_arrangement_matches_catalog(r, p, n):
-    G = make_grpn(r, p, n)
-    A = reflection_arrangement(G)
-    kind = "zero" if p == r else "full"
-    B = make_arrangement(kind, r, n)
-    assert set(A.hyperplanes) == set(B.hyperplanes)
+    # G(r,p,n) keeps its catalog arrangement as its reflection arrangement:
+    # the hyperplanes of its reflections, in the same order
+    G = make_grpn.__wrapped__(r, p, n)
+    A = make_arrangement("zero" if p == r else "full", r, n)
+    assert reflection_arrangement(G) is A
+    B = Arrangement(G.n, {h for _, h in reflections(G)})
+    assert B.hyperplanes == A.hyperplanes
+    # x_1 = 0 is rational, so only there can the conductors differ
+    assert (B.conductor == A.conductor) == (n > 1 or p == r)
 
 
 def test_prop41_examples():

@@ -858,6 +858,12 @@ PINNED_JSON = {
         'monomials":[[1,5,7]],"rep_key":[0,1,2,3,4,5,6,7,8,9,10,11]}],"poinca'
         're":[1,2,2,1]}'
     ),
+    ("invariant-basis", "H3", None): (
+        '{"cardinality":4,"entries":[{"codim":0,"monomials":[[]],"rep_key":[]},'
+        '{"codim":1,"monomials":[[0]],"rep_key":[0]},{"codim":2,"monomials":[[0'
+        ',1]],"rep_key":[0,1]},{"codim":3,"monomials":[[0,1,2]],"rep_key":[0,1,'
+        '2,3,4,5,6,7,8,9,10,11,12,13,14]}],"poincare":[1,1,1,1]}'
+    ),
 }
 
 
@@ -871,7 +877,34 @@ def test_json_output_is_pinned(verb, group, arrangement):
     assert out == json.dumps(pinned, indent=1, sort_keys=True) + "\n"
 
 
-def test_invariant_basis_without_monomials_is_pinned():
-    # H3's rank-2 orbits need monomials that no label supplies
-    assert invoke("invariant-basis", "--group", "H3", "--format", "json") == (
-        EXIT_USAGE, "", "error: no monomials for orbit with representative (0, 1)\n")
+def test_invariant_basis_of_the_shipped_groups_is_pinned():
+    # no plan names their orbits: each orbit takes its first NBC monomials
+    # with independent projections; as sets, F4's are generator chains
+    code, out, err = invoke("invariant-basis", "--group", "F4", "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    basis = json.loads(out)
+    assert (basis["cardinality"], basis["poincare"]) == (8, [1, 2, 2, 2, 1])
+    assert [e["monomials"] for e in basis["entries"]] == [
+        [[]], [[0]], [[1]], [[0, 1]], [[0, 4]], [[0, 1, 4]], [[0, 1, 9]],
+        [[0, 1, 4, 9]]]
+    # H3 read from its file reports what the shipped name does
+    assert invoke("invariant-basis", "--group", str(data_dir() / "h3.json"),
+                  "--format", "json") == \
+        invoke("invariant-basis", "--group", "H3", "--format", "json")
+
+
+def test_verify_builds_each_lattice_once():
+    # a family group's reflection arrangement is its catalog arrangement, so
+    # the suites that read G(r,p,n) by spec and by parameters share L(A);
+    # a fresh interpreter counts the lattices the whole corpus builds
+    proc = python("-c", textwrap.dedent("""
+        import io
+        from reflact import arrangement, cli
+        built = []
+        init = arrangement.IntersectionLattice.__init__
+        arrangement.IntersectionLattice.__init__ = (
+            lambda self, *args: built.append(args) or init(self, *args))
+        code = cli.run(["verify", "--table", "all"], out=io.StringIO())
+        print(code, len(built))
+    """))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 28\n", "")

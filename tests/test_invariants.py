@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from reflact.arrangement import Arrangement, subarrangement
+from reflact.arrangement import Arrangement, build_lattice, subarrangement
 from reflact.catalog import (cox_monomials, make_arrangement, make_grpn,
                              shipped_group)
 from reflact.exactnum import Cyc, CycMatrix, Span
@@ -24,7 +24,6 @@ from reflact.invariants import (
     NonIntegralityError,
     NotNormalError,
     PoincarePoly,
-    UnlabeledPairError,
     euler_identity_check,
     high_degree_invariants,
     isotypic_dim_global,
@@ -303,10 +302,60 @@ def test_pair_pickles_with_its_memos():
     assert theorem4_basis(A2, G2, plan).to_json() == basis
 
 
-def test_theorem4_unlabeled_orbit():
+def test_theorem4_scans_nbc_monomials_without_a_plan():
+    # with no plan every carrying orbit takes NBC monomials of its own flats
     A, G = make_arrangement("full", 2, 3), make_grpn(2, 1, 3)
-    with pytest.raises(UnlabeledPairError):
-        theorem4_basis(A, G)
+    basis = theorem4_basis(A, G)
+    assert basis.cardinality == basis.poincare(1) == 6
+    lattice = build_lattice(A)
+    for e in basis.entries:
+        members = {f.key for f in e["orbit"].orbit}
+        for m in e["monomials"]:
+            assert m in nbc_basis(A, e["codim"]).position
+            assert lattice.key_of[lattice.closure(m)] in members
+
+
+def _former_rule_monomials(A, report):
+    """The monomials the scan replaces, by orbit representative: the
+    representative key in codim <= 1 and, in rank 2, the least carrying
+    hyperplane-orbit representative paired with each other one."""
+    reps = sorted(o.representative.key[0] for o, d in report.orbit_dims
+                  if o.codim == 1 and d)
+    rules = {o.representative.key: [o.representative.key]
+             for o, _ in report.orbit_dims if o.codim <= 1}
+    if A.rank() == 2:
+        rules.update({o.representative.key: [(reps[0], h) for h in reps[1:]]
+                      for o, _ in report.orbit_dims if o.codim == 2})
+    return rules
+
+
+def test_theorem4_scan_gives_the_former_rules_monomials():
+    # on every golden Theorem-4 pair each orbit without a catalog plan lies
+    # in codim <= 1 or in rank 2, and the scan picks what the rules did
+    cases = [c for c in cli.load_expected()["thm4"]
+             if c["r"] <= 4 and c["n"] <= 4]
+    assert len(cases) == 48
+    for case in cases:
+        kind, r, p, n = case["kind"], case["r"], case["p"], case["n"]
+        A, G = make_arrangement(kind, r, n), make_grpn(r, p, n)
+        plan = cli._plan((kind, r, p, n))
+        report = isotypic_dims_orbitwise(A, G, trivial_character(G))
+        rep_of = {f.key: o.representative.key
+                  for o, _ in report.orbit_dims for f in o.orbit}
+        planned = {rep_of[closure_key(A, g[0])] for g in plan}
+        rules = _former_rule_monomials(A, report)
+        for e in theorem4_basis(A, G, plan).entries:
+            if e["rep_key"] not in planned:
+                assert e["monomials"] == rules[e["rep_key"]], case
+
+
+def test_theorem4_refuses_a_group_for_an_orbit_without_invariants():
+    # the center of W(3) on A_3^0(1) carries no invariants
+    A, G = make_arrangement("braid", 1, 3), make_grpn(1, 1, 3)
+    with pytest.raises(BasisVerificationError,
+                       match=r"orbit \(0, 1, 2\) carries 0 invariants but 1 "
+                             "monomials were given"):
+        theorem4_basis(A, G, [[(0, 1)]])
 
 
 def test_theorem4_wrong_monomial_count():
